@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 infeasible result / failed verification / unsafe
-simulation, 2 usage or model errors.  `RESIL_WORKERS` sets the default
+simulation, 2 usage, model or numeric errors (division by zero or nan while
+evaluating a model).  `RESIL_WORKERS` sets the default
 oracle worker count; an explicit --workers wins.
 """
 
@@ -330,7 +331,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (_UsageError, ModelError, ExpressionError, ScheduleError,
-            NonFiniteStateError, FileNotFoundError, ValueError) as err:
+            NonFiniteStateError, FileNotFoundError, ValueError,
+            ZeroDivisionError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

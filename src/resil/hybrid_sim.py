@@ -156,20 +156,19 @@ class _CompiledNetwork:
         self.names = net.names
         self.state_names: tuple[str, ...] = tuple(
             n for s in net.subsystems for n in s.state_vars)
-        self.offsets = []
-        pos = 0
-        for s in net.subsystems:
-            self.offsets.append(pos)
-            pos += s.n_states
-        self.n_total = pos
+        subs = net.subsystems
+        self.offsets = [sum(s.n_states for s in subs[:j]) for j in range(len(subs))]
+        self.u_slot = [sum(s.n_inputs for s in subs[:j]) for j in range(len(subs))]
+        self.n_total = len(self.state_names)
         self.box_lo = np.array([lo for s in net.subsystems for lo, _ in s.state_box])
         self.box_hi = np.array([hi for s in net.subsystems for _, hi in s.state_box])
 
         self.deriv = []   # per global component: callable(*state_cols, *u_cols_of_its_subsystem)
         self.owner = []   # per global component: subsystem position
-        self.mu = []      # per subsystem: list of callables(*state_cols)
-        self.h = []       # per subsystem: callable(*state_cols)
-        self.coefg = []   # per subsystem: per input, grad h . g column, callable(*state_cols)
+        col = {name: c for c, name in enumerate(self.state_names)}
+        # per subsystem, per input: lg_k and the global columns it reads
+        self.lg = [[(fn, [col[n] for n in fn.names]) for fn in s.compiled.lg]
+                   for s in net.subsystems]
         for j, s in enumerate(net.subsystems):
             inc = net.incoming(j)
             for i in range(s.n_states):
@@ -181,52 +180,42 @@ class _CompiledNetwork:
                 fn = compile_expression(expr, self.state_names + s.input_vars)
                 self.deriv.append(fn)
                 self.owner.append(j)
-            self.mu.append([compile_expression(e, self.state_names) for e in s.mu])
-            self.h.append(compile_expression(s.h, self.state_names))
-            coefs = []
-            for k in range(s.n_inputs):
-                c: Expression = _mul(s.compiled.grad_exprs[0], s.g[0][k])
-                for i in range(1, s.n_states):
-                    c = _add(c, _mul(s.compiled.grad_exprs[i], s.g[i][k]))
-                coefs.append(compile_expression(c, self.state_names))
-            self.coefg.append(coefs)
 
-    def split(self, row: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for j, s in enumerate(self.net.subsystems):
-            o = self.offsets[j]
-            out.append(row[..., o:o + s.n_states])
-        return out
+    def local(self, j: int, cols) -> list:
+        """Subsystem j's own state columns out of the global ones."""
+        o = self.offsets[j]
+        return cols[o:o + self.net.subsystems[j].n_states]
+
+    def h(self, j: int, cols):
+        return self.net.subsystems[j].compiled.h(*self.local(j, cols))
 
     def mu_matrix(self, j: int, cols) -> np.ndarray:
-        s = self.net.subsystems[j]
-        u = s.clamp_mu([fn(*cols) for fn in self.mu[j]])
+        u = self.net.subsystems[j].mu_values(self.local(j, cols))
         return np.stack([np.broadcast_to(v, cols[0].shape) for v in u], axis=-1)
 
     def vertex_u(self, j: int, cols) -> np.ndarray:
         """Input-box vertex minimizing the instantaneous drift of h_j."""
         s = self.net.subsystems[j]
         parts = []
-        for k, (lo, hi) in enumerate(s.input_box):
-            c = np.asarray(self.coefg[j][k](*cols))
+        for (fn, reads), (lo, hi) in zip(self.lg[j], s.input_box):
+            c = np.asarray(fn(*[cols[r] for r in reads]))
             parts.append(np.where(c * lo <= c * hi, lo, hi))
         return np.stack([np.broadcast_to(p, cols[0].shape) for p in parts], axis=-1)
 
     def random_vertex(self, j: int, bits: np.ndarray) -> np.ndarray:
+        """Input-box vertex of subsystem j picked by its slice of the bits rows."""
         s = self.net.subsystems[j]
         lo = np.array([b[0] for b in s.input_box])
         hi = np.array([b[1] for b in s.input_box])
-        return lo + bits * (hi - lo)
+        o = self.u_slot[j]
+        return lo + bits[:, o:o + s.n_inputs] * (hi - lo)
 
     def drift(self, states: np.ndarray, offline: np.ndarray,
               held_u: list[np.ndarray]) -> np.ndarray:
         """Vectorized right-hand side; online traces re-evaluate mu at the
         stage state, offline traces keep their held adversary input."""
         cols = [states[:, c] for c in range(self.n_total)]
-        u_eff = []
-        for j in range(len(self.net.subsystems)):
-            mu = self.mu_matrix(j, cols)
-            u_eff.append(np.where(offline[:, j, None], held_u[j], mu))
+        u_eff = self.effective_u(cols, offline, held_u)
         out = np.empty_like(states)
         for c, fn in enumerate(self.deriv):
             j = self.owner[c]
@@ -234,14 +223,26 @@ class _CompiledNetwork:
             out[:, c] = fn(*cols, *u_cols)
         return out
 
-    def effective_u(self, states: np.ndarray, offline: np.ndarray,
+    def effective_u(self, cols, offline: np.ndarray,
                     held_u: list[np.ndarray]) -> list[np.ndarray]:
-        cols = [states[:, c] for c in range(self.n_total)]
-        out = []
-        for j in range(len(self.net.subsystems)):
-            mu = self.mu_matrix(j, cols)
-            out.append(np.where(offline[:, j, None], held_u[j], mu))
-        return out
+        """Per subsystem, the held adversary input where offline and the
+        clamped feedback law where online."""
+        return [np.where(offline[:, j, None], held_u[j], self.mu_matrix(j, cols))
+                for j in range(len(self.net.subsystems))]
+
+
+def _refresh_held(cnet, adversary, X, offline, held_u, bits):
+    """Per-step input of every offline subsystem: the drift-minimizing vertex
+    (bang-bang) or the vertex this step's random bits pick (one row per
+    trace).  The constant adversary keeps the vertex it chose on entry."""
+    if adversary.kind == "constant":
+        return
+    cols = [X[:, c] for c in range(cnet.n_total)]
+    for j in range(len(held_u)):
+        if offline[:, j].any():
+            u = (cnet.vertex_u(j, cols) if adversary.kind == "bang-bang"
+                 else cnet.random_vertex(j, bits))
+            held_u[j] = np.where(offline[:, j, None], u, held_u[j])
 
 
 def _rk4_step(cnet, X, h_seg, offline, held_u):
@@ -327,11 +328,6 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
             rng = np.random.default_rng([adversary.seed, b])
             per_trace.append(rng.integers(0, 2, size=(N, width), dtype=np.uint8))
         rand_bits = np.stack(per_trace)
-        u_slot = []
-        pos = 0
-        for s in net.subsystems:
-            u_slot.append(pos)
-            pos += s.n_inputs
 
     X = np.tile(x0_row, (B, 1))
     offline = np.zeros((B, n_sub), dtype=bool)
@@ -353,19 +349,8 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
             if to_off and adversary.kind == "constant":
                 cols = [X[b:b + 1, c] for c in range(cnet.n_total)]
                 held_u[j][b] = cnet.vertex_u(j, cols)[0]
-        if adversary.kind == "bang-bang":
-            cols = [X[:, c] for c in range(cnet.n_total)]
-            for j in range(n_sub):
-                if offline[:, j].any():
-                    held_u[j] = np.where(offline[:, j, None],
-                                         cnet.vertex_u(j, cols), held_u[j])
-        elif adversary.kind == "random":
-            step = int(sample_index[m])
-            for j, s in enumerate(net.subsystems):
-                if offline[:, j].any():
-                    bits = rand_bits[:, step, u_slot[j]:u_slot[j] + s.n_inputs]
-                    held_u[j] = np.where(offline[:, j, None],
-                                         cnet.random_vertex(j, bits), held_u[j])
+        bits = rand_bits[:, int(sample_index[m])] if rand_bits is not None else None
+        _refresh_held(cnet, adversary, X, offline, held_u, bits)
         if is_sample[m]:
             k = int(sample_index[m])
             if not np.isfinite(X).all() or (X < lo_lim).any() or (X > hi_lim).any():
@@ -374,10 +359,10 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
                 raise NonFiniteStateError(t, net.subsystems[cnet.owner[c]].name, int(b))
             rec_states[:, k] = X
             cols = [X[:, c] for c in range(cnet.n_total)]
-            u_eff = cnet.effective_u(X, offline, held_u)
+            u_eff = cnet.effective_u(cols, offline, held_u)
             for j in range(n_sub):
                 rec_u[j][:, k] = u_eff[j]
-                rec_h[:, k, j] = cnet.h[j](*cols)
+                rec_h[:, k, j] = cnet.h(j, cols)
                 rec_loc[:, k, j] = np.where(offline[:, j], 0, 1)
         if m + 1 < len(T):
             X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held_u)
@@ -456,7 +441,7 @@ def _h_at(cnet, schedule, adversary, indices, samples, states_b, loc_b, u_b,
                     cuts.add(time)
                     flips.append((time, j, to_off))
     grid = sorted(cuts | {t0})
-    step_id = k
+    bits = bits_b[k:k + 1] if bits_b is not None else None
     for m, t in enumerate(grid):
         for (time, j, to_off) in flips:
             if abs(time - t) <= 1e-12 * max(1.0, abs(time)):
@@ -464,22 +449,11 @@ def _h_at(cnet, schedule, adversary, indices, samples, states_b, loc_b, u_b,
                 if to_off and adversary.kind == "constant":
                     cols = [X[:, c] for c in range(cnet.n_total)]
                     held_u[j][0] = cnet.vertex_u(j, cols)[0]
-        if adversary.kind == "bang-bang":
-            cols = [X[:, c] for c in range(cnet.n_total)]
-            for j in range(n_sub):
-                if offline[0, j]:
-                    held_u[j] = cnet.vertex_u(j, cols).reshape(1, -1)
-        elif adversary.kind == "random" and bits_b is not None:
-            pos = 0
-            for j, s in enumerate(cnet.net.subsystems):
-                if offline[0, j]:
-                    bits = bits_b[step_id, pos:pos + s.n_inputs]
-                    held_u[j] = cnet.random_vertex(j, bits).reshape(1, -1)
-                pos += s.n_inputs
+        _refresh_held(cnet, adversary, X, offline, held_u, bits)
         if m + 1 < len(grid):
             X = _rk4_step(cnet, X, grid[m + 1] - t, offline, held_u)
     cols = [X[:, c] for c in range(cnet.n_total)]
-    return float(np.asarray(cnet.h[j_watch](*cols)).reshape(()))
+    return float(np.asarray(cnet.h(j_watch, cols)).reshape(()))
 
 
 def validate_trace(trace: HybridTrace, max_h_rate: float | None = None):

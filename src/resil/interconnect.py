@@ -6,25 +6,27 @@ is the scalar delta_j; its sign decides which of the two inequality
 systems (R1 shrinks the buffer, R2 grows it) converts j's standalone
 index into one that remains valid inside the network.  Joint-grid
 verification re-checks the final indices against the fully coupled
-dynamics.
+dynamics: it runs the single-subsystem verifier of ``resilience`` over the
+subsystem and its coupling sources, with the coupling drift
+``grad h_j . sum_i W_ij`` built once by ``_coupling_drift_expr``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprs import Expression, Literal, compile_expression, free_variables, _add, _mul
-from .oracle import EmptyRegionError, OracleSettings, grid_minimize, sup_h
+from .exprs import Expression, free_variables
+from .oracle import OracleSettings, StateGrid, grid_minimize, sup_h
 from .resilience import (
     DEFAULT_TAU_MAX,
     Infeasible,
     ResilienceIndex,
     VerificationReport,
+    _verify_one,
 )
-from .subsystem import ModelError, Subsystem, _is_structural_zero
+from .subsystem import ModelError, Subsystem, compile_reads, grad_dot
 
 GUARANTEED = "GuaranteedFeasible"
 UNKNOWN = "Unknown"
@@ -112,87 +114,19 @@ class ScanPolicy:
             raise ValueError("grid_points must be positive")
 
 
-# -- joint grids over several subsystems' state boxes ------------------------
-
-class _JointGrid:
-    """Axes for the needed variables of a participant set, with every other
-    variable frozen at its box midpoint; safety predicates per participant."""
-
-    def __init__(self, net: Network, participants: list[int], needed: frozenset[str]):
-        self.axis_names: list[str] = []
-        self.axes: list[tuple[float, float]] = []
-        self.slots: dict[str, object] = {}
-        for p in participants:
-            s = net.subsystems[p]
-            for name, (lo, hi) in zip(s.state_vars, s.state_box):
-                if name in needed:
-                    self.slots[name] = len(self.axes)
-                    self.axis_names.append(name)
-                    self.axes.append((lo, hi))
-                else:
-                    self.slots[name] = 0.5 * (lo + hi)
-        self.participants = participants
-        self.net = net
-
-    def bind(self, name: str, bindings):
-        slot = self.slots[name]
-        return bindings[slot] if isinstance(slot, int) else slot
-
-    def caller(self, expr: Expression):
-        """Compile expr and return a closure over shaped bindings."""
-        names = tuple(sorted(free_variables(expr)))
-        fn = compile_expression(expr, names)
-        return lambda b: fn(*(self.bind(n, b) for n in names))
-
-    def h_of(self, p: int):
-        s = self.net.subsystems[p]
-        fn = s.compiled.h
-        sv = s.state_vars
-        return lambda b: fn(*(self.bind(n, b) for n in sv))
-
-    def predicate(self, tol: float, j: int | None = None, kind: str = "safe",
-                  d: float = 0.0):
-        """All participants stay in their safety sets; participant j may use
-        a band or buffer region instead."""
-        h_fns = [(p, self.h_of(p)) for p in self.participants]
-
-        def pred(bindings):
-            out = None
-            for p, fn in h_fns:
-                h = fn(bindings)
-                if p == j and kind == "buffer":
-                    cond = h >= d - tol
-                elif p == j and kind == "band":
-                    cond = (h >= -tol) & (h <= d - tol)
-                else:
-                    cond = h >= -tol
-                out = cond if out is None else (out & cond)
-            return out
-
-        return pred
-
-    def witness(self, arg) -> tuple:
-        return tuple(zip(self.axis_names, arg))
-
-
 def _coupling_drift_expr(net: Network, j: int) -> Expression:
     """Symbolic grad h_j . sum of incoming couplings, with zero terms folded."""
-    target = net.subsystems[j]
-    grad = target.compiled.grad_exprs
-    total: Expression = Literal(0.0)
-    for _, w in net.incoming(j):
-        for comp in range(target.n_states):
-            total = _add(total, _mul(grad[comp], w[comp]))
-    return total
+    return grad_dot(net.subsystems[j].compiled.grad, *(w for _, w in net.incoming(j)))
 
 
-def _needed_vars(net: Network, participants, exprs) -> frozenset[str]:
-    needed: set[str] = set()
-    for e in exprs:
-        needed |= free_variables(e)
-    for p in participants:
-        needed |= free_variables(net.subsystems[p].h)
-    return frozenset(needed)
+def _min_coupling(net: Network, participants, obj: Expression,
+                  settings: OracleSettings):
+    """Minimize obj over the product of the participants' safety sets."""
+    fn = compile_reads(obj)
+    grid = StateGrid([net.subsystems[p] for p in participants], fn.names)
+    value, arg = grid_minimize(grid.bind(fn), grid.axes,
+                               grid.predicate(settings.margin_tolerance), settings)
+    return value, grid.witness(arg)
 
 
 def compute_delta_exact(net: Network, j: int, settings: OracleSettings | None = None
@@ -203,12 +137,9 @@ def compute_delta_exact(net: Network, j: int, settings: OracleSettings | None = 
     inc = net.incoming(j)
     if not inc:
         return DeltaEstimate(j, 0.0, "exact_joint", ())
-    obj = _coupling_drift_expr(net, j)
-    participants = sorted({j} | {i for i, _ in inc})
-    grid = _JointGrid(net, participants, _needed_vars(net, participants, [obj]))
-    value, arg = grid_minimize(grid.caller(obj), grid.axes,
-                               grid.predicate(settings.margin_tolerance), settings)
-    return DeltaEstimate(j, value, "exact_joint", grid.witness(arg))
+    value, witness = _min_coupling(net, sorted({j} | {i for i, _ in inc}),
+                                   _coupling_drift_expr(net, j), settings)
+    return DeltaEstimate(j, value, "exact_joint", witness)
 
 
 def compute_delta_pairwise(net: Network, j: int, settings: OracleSettings | None = None
@@ -221,20 +152,13 @@ def compute_delta_pairwise(net: Network, j: int, settings: OracleSettings | None
     inc = net.incoming(j)
     if not inc:
         return DeltaEstimate(j, 0.0, "pairwise_sum", ())
-    target = net.subsystems[j]
-    grad = target.compiled.grad_exprs
+    grad = net.subsystems[j].compiled.grad
     total = 0.0
     witnesses = []
     for i, w in inc:
-        obj: Expression = Literal(0.0)
-        for comp in range(target.n_states):
-            obj = _add(obj, _mul(grad[comp], w[comp]))
-        participants = [i, j]
-        grid = _JointGrid(net, participants, _needed_vars(net, participants, [obj]))
-        value, arg = grid_minimize(grid.caller(obj), grid.axes,
-                                   grid.predicate(settings.margin_tolerance), settings)
+        value, witness = _min_coupling(net, [i, j], grad_dot(grad, w), settings)
         total += value
-        witnesses.append(grid.witness(arg))
+        witnesses.append(witness)
     return DeltaEstimate(j, total, "pairwise_sum", tuple(witnesses))
 
 
@@ -455,86 +379,8 @@ def verify_network(net: Network, indices: dict[int, ResilienceIndex], z: float,
     for j in range(len(net.subsystems)):
         if j not in indices or not isinstance(indices[j], ResilienceIndex):
             raise ValueError(f"subsystem {net.subsystems[j].name!r} has no valid index")
-        out[j] = _verify_one(net, j, indices[j], z, settings)
+        participants = [net.subsystems[p]
+                        for p in sorted({j} | {i for i, _ in net.incoming(j)})]
+        out[j] = _verify_one(net.subsystems[j], participants,
+                             _coupling_drift_expr(net, j), indices[j], z, settings)
     return out
-
-
-def _verify_one(net: Network, j: int, idx: ResilienceIndex, z: float,
-                settings: OracleSettings) -> VerificationReport:
-    s = net.subsystems[j]
-    comp = s.compiled
-    rows = [i for i in range(s.n_states) if not _is_structural_zero(comp.grad_exprs[i])]
-    base: Expression = _coupling_drift_expr(net, j)
-    for i in rows:
-        base = _add(base, _mul(comp.grad_exprs[i], s.f[i]))
-    coefg = []
-    for k in range(s.n_inputs):
-        c: Expression = Literal(0.0)
-        for i in rows:
-            c = _add(c, _mul(comp.grad_exprs[i], s.g[i][k]))
-        coefg.append(c)
-    participants = sorted({j} | {i for i, _ in net.incoming(j)})
-    needed = _needed_vars(net, participants, [base, *coefg, *s.mu])
-    grid = _JointGrid(net, participants, needed)
-    tol = settings.margin_tolerance
-
-    base_fn = grid.caller(base)
-    coefg_fns = [grid.caller(c) for c in coefg]
-    mu_fns = [grid.caller(m) for m in s.mu]
-    h_j = grid.h_of(j)
-
-    def offline_obj(b):
-        total = base_fn(b)
-        for k, (lo, hi) in enumerate(s.input_box):
-            c = np.asarray(coefg_fns[k](b))
-            total = total + np.minimum(c * lo, c * hi)
-        return total
-
-    def closed_obj(b):
-        u = s.clamp_mu([fn(b) for fn in mu_fns])
-        total = base_fn(b)
-        for k in range(s.n_inputs):
-            total = total + coefg_fns[k](b) * u[k]
-        return total
-
-    def invariance_obj(b):
-        return closed_obj(b) + z * (h_j(b) - idx.d)
-
-    notes: list[str] = []
-    worst: dict = {}
-
-    value, arg = grid_minimize(offline_obj, grid.axes, grid.predicate(tol), settings)
-    margin_offline = value + idx.d / idx.tau
-    worst["offline"] = grid.witness(arg)
-
-    if idx.d == 0:
-        margin_recovery = math.inf
-        worst["recovery"] = None
-        notes.append("recovery vacuous: zero buffer depth")
-    else:
-        try:
-            value, arg = grid_minimize(closed_obj, grid.axes,
-                                       grid.predicate(tol, j, "band", idx.d), settings)
-            margin_recovery = value - idx.d / idx.phi
-            worst["recovery"] = grid.witness(arg)
-        except EmptyRegionError:
-            margin_recovery = math.inf
-            worst["recovery"] = None
-            notes.append("recovery band is empty at this grid resolution")
-
-    try:
-        value, arg = grid_minimize(invariance_obj, grid.axes,
-                                   grid.predicate(tol, j, "buffer", idx.d), settings)
-        margin_invariance = value - idx.eta
-        worst["invariance"] = grid.witness(arg)
-    except EmptyRegionError:
-        margin_invariance = -math.inf
-        worst["invariance"] = None
-        notes.append("buffer region is empty: d exceeds the reach of h")
-
-    passed = (margin_offline >= -tol and margin_recovery >= -tol
-              and margin_invariance >= -tol)
-    return VerificationReport(passed=passed, margin_offline=margin_offline,
-                              margin_recovery=margin_recovery,
-                              margin_invariance=margin_invariance,
-                              worst_points=worst, notes=tuple(notes))

@@ -20,13 +20,14 @@ and unsaturated feedback laws stay inside the input box on the safety set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .exprs import ExpressionError, parse_expression
+from .exprs import ExpressionError, free_variables, parse_expression
 from .interconnect import Network
-from .oracle import EmptyRegionError, OracleSettings, maximize, minimize
+from .oracle import EmptyRegionError, OracleSettings, StateGrid, grid_minimize, sup_h
 from .resilience import ResilienceIndex
-from .subsystem import SAFE_SET, ModelError, Subsystem
+from .subsystem import ModelError, Subsystem
 
 _CHECK_SETTINGS = OracleSettings(grid_points_per_dim=64, refinement_rounds=1)
 
@@ -120,24 +121,26 @@ def _load_subsystem(obj, path) -> Subsystem:
 
 def _semantic_checks(s: Subsystem):
     try:
-        peak = maximize(lambda *cols: s.compiled.h(*cols), SAFE_SET, s,
-                        _CHECK_SETTINGS)
+        peak = sup_h(s, _CHECK_SETTINGS)
     except EmptyRegionError:
-        raise ModelError(f"{s.name}: safety set h >= 0 is empty inside the "
-                         f"state box") from None
-    if peak.value < 0:
+        peak = -math.inf
+    if peak < 0:
         raise ModelError(f"{s.name}: safety set h >= 0 is empty inside the "
                          f"state box")
     if s.mu_saturation is not None:
         return  # the clamp keeps mu inside the box by construction
+    grid = StateGrid((s,), set().union(*map(free_variables, s.mu)))
+    safe = grid.predicate(_CHECK_SETTINGS.margin_tolerance)
     for k, fn in enumerate(s.compiled.mu):
         lo_box, hi_box = s.input_box[k]
-        low = minimize(lambda *cols: fn(*cols), SAFE_SET, s, _CHECK_SETTINGS)
-        high = maximize(lambda *cols: fn(*cols), SAFE_SET, s, _CHECK_SETTINGS)
+        mu = grid.bind(fn)
+        low, _ = grid_minimize(mu, grid.axes, safe, _CHECK_SETTINGS)
+        neg_high, _ = grid_minimize(lambda b: -mu(b), grid.axes, safe, _CHECK_SETTINGS)
+        high = -neg_high
         slack = 1e-9 * max(1.0, abs(lo_box), abs(hi_box))
-        if low.value < lo_box - slack or high.value > hi_box + slack:
+        if low < lo_box - slack or high > hi_box + slack:
             raise ModelError(
-                f"{s.name}: mu[{k}] reaches [{low.value:.6g}, {high.value:.6g}] "
+                f"{s.name}: mu[{k}] reaches [{low:.6g}, {high:.6g}] "
                 f"on the safety set, outside the input box "
                 f"[{lo_box:.6g}, {hi_box:.6g}]; declare mu_saturation or fix mu")
 

@@ -3,9 +3,17 @@
 Every quantity the index computations need (worst-case drifts, band minima,
 the peak of the safety function) is a minimum or maximum of a continuous
 function over a box, possibly restricted by safety-function inequalities.
-This module evaluates such objectives on axis-aligned grids with vectorized
-numpy broadcasting, then shrinks the box around the incumbent for a fixed
-number of refinement rounds.
+``grid_minimize`` is the one scan: it evaluates an objective on an
+axis-aligned grid with vectorized numpy broadcasting, then shrinks the box
+around the incumbent for a fixed number of refinement rounds.
+
+``StateGrid`` lays the axes out over the state variables an objective
+reads, for one subsystem or several coupled ones, and turns a ``Region``
+into the grid predicate.  ``drift_minimum`` builds the drift objectives
+from the subsystem's drift layer (``lf``, ``lg``, see ``subsystem``) in two
+forms, worst input-box vertex and closed loop, plus an optional coupling
+term; the index computations here and the verifier in ``resilience`` both
+call it.
 
 Determinism: ties on the grid resolve to the lexicographically smallest
 point in axis order, regardless of chunking or worker count.  Refinement
@@ -20,8 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import Expression, compile_expression, free_variables
-from .subsystem import Region, SAFE_SET, Subsystem, _is_structural_zero
+from .exprs import _ZERO, Expression, _is_zero, free_variables
+from .subsystem import (
+    SAFE_SET,
+    Region,
+    Subsystem,
+    buffer_region,
+    compile_reads,
+    safe_minus_buffer,
+)
 
 # Cap on grid points evaluated per chunk; keeps peak memory near ~200 MB.
 _CHUNK_BUDGET = 4_000_000
@@ -163,105 +178,111 @@ def _shrink(orig, bounds, arg, n):
     return new
 
 
-# -- region handling ---------------------------------------------------------
+# -- grids over the variables an objective reads ------------------------------
 
-def _region_axes(s: Subsystem, region: Region):
-    axes = list(zip(s.state_vars, s.state_box))
-    if region.kind == "safe_times_input":
-        axes += list(zip(s.input_vars, s.input_box))
-    elif region.kind not in ("safe_set", "safe_minus_buffer", "buffer", "state_box"):
-        raise ValueError(f"unknown region kind {region.kind!r}")
-    return axes
+class StateGrid:
+    """Axes for the needed state variables of one or more subsystems, with
+    every other state variable frozen at its box midpoint.  Pruning an axis
+    the objective and the regions ignore leaves the grid minimum unchanged."""
+
+    def __init__(self, subsystems, needed):
+        needed = set(needed).union(*(free_variables(s.h) for s in subsystems))
+        self.subsystems = tuple(subsystems)
+        self.axis_names: list[str] = []
+        self.axes: list[tuple[float, float]] = []
+        self.slots: dict[str, object] = {}
+        for s in self.subsystems:
+            for name, (lo, hi) in zip(s.state_vars, s.state_box):
+                if name in needed:
+                    self.slots[name] = len(self.axes)
+                    self.axis_names.append(name)
+                    self.axes.append((lo, hi))
+                else:
+                    self.slots[name] = 0.5 * (lo + hi)
+
+    def values(self, names, bindings) -> list:
+        """Values of the named variables at shaped bindings or at a grid point
+        in axis order; pruned variables give their midpoints."""
+        slots = [self.slots[n] for n in names]
+        return [bindings[slot] if isinstance(slot, int) else slot for slot in slots]
+
+    def bind(self, fn):
+        """Closure of a compiled expression over bindings."""
+        return lambda b: fn(*self.values(fn.names, b))
+
+    def predicate(self, tol: float, target: Subsystem | None = None,
+                  region: Region = SAFE_SET):
+        """Every subsystem stays in its safety set; target lies in region."""
+        h_fns = [(s is target, self.bind(s.compiled.h)) for s in self.subsystems]
+
+        def pred(bindings):
+            out = None
+            for is_target, h in h_fns:
+                cond = (region if is_target else SAFE_SET).contains(h(bindings), tol)
+                out = cond if out is None else (out & cond)
+            return out
+
+        return pred
+
+    def witness(self, arg) -> tuple:
+        return tuple(zip(self.axis_names, arg))
 
 
-def _region_predicate(s: Subsystem, region: Region, state_slots, tol):
-    """Predicate over shaped bindings; state_slots maps state index -> axis
-    position, or to a fixed float when the axis was pruned."""
-    if region.kind == "state_box":
-        return None
-    h_fn = s.compiled.h
-    d = region.d
+# -- objectives over the drift layer --------------------------------------------
 
-    def h_of(bindings):
-        args = [bindings[slot] if isinstance(slot, int) else slot for slot in state_slots]
-        return h_fn(*args)
+def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
+                  closed_loop: bool, z: float | None = None,
+                  participants=None, coupling: Expression = _ZERO):
+    """Minimize the drift of h_s, lf + coupling + sum_k lg_k u_k, over region
+    (with every other participant in its safety set).  u is the clamped
+    feedback law when closed_loop, else the worst input-box vertex at each
+    grid point; z adds z (h - region.d).  Returns (value, arg, grid)."""
+    comp = s.compiled
+    coupling_fn = None if _is_zero(coupling) else compile_reads(coupling)
+    fns = [comp.lf, *comp.lg] + ([coupling_fn] if coupling_fn else [])
+    needed = {n for fn in fns for n in fn.names}
+    if closed_loop:
+        needed.update(*map(free_variables, s.mu))
+    grid = StateGrid(participants or (s,), needed)
+    lf, *lg = [grid.bind(fn) for fn in (comp.lf, *comp.lg)]
+    extra = None if coupling_fn is None else grid.bind(coupling_fn)
+    h, mu = grid.bind(comp.h), [grid.bind(fn) for fn in comp.mu]
 
-    if region.kind in ("safe_set", "safe_times_input"):
-        return lambda b: h_of(b) >= -tol
-    if region.kind == "buffer":
-        return lambda b: h_of(b) >= d - tol
-    if region.kind == "safe_minus_buffer":
-        return lambda b: (h_of(b) >= -tol) & (h_of(b) <= d - tol)
-    raise ValueError(f"unknown region kind {region.kind!r}")
-
-
-def minimize(fn, region: Region, s: Subsystem, settings: OracleSettings) -> Extremum:
-    """Minimize fn over the region.  fn receives one array per variable in
-    (state_vars + input_vars-if-product-region) order."""
-    axes = _region_axes(s, region)
-    state_slots = list(range(s.n_states))
-    predicate = _region_predicate(s, region, state_slots, settings.margin_tolerance)
-    value, arg = grid_minimize(lambda b: fn(*b), [box for _, box in axes],
-                               predicate, settings)
-    return Extremum(value=value, arg=arg, kind="min")
-
-
-def maximize(fn, region: Region, s: Subsystem, settings: OracleSettings) -> Extremum:
-    ex = minimize(lambda *b: -np.asarray(fn(*b), dtype=float), region, s, settings)
-    return Extremum(value=-ex.value, arg=ex.arg, kind="max")
-
-
-# -- pruned objectives for the index computations ----------------------------
-
-def _pruned_state_axes(s: Subsystem, used: frozenset[str]):
-    """Axes for the state variables that matter; pruned variables are fixed
-    at their box midpoints.  Returns (axes, slots, full_arg_builder)."""
-    axes = []
-    slots: list = []
-    for name, (lo, hi) in zip(s.state_vars, s.state_box):
-        if name in used:
-            slots.append(len(axes))
-            axes.append((lo, hi))
+    def objective(b):
+        total = lf(b) if extra is None else extra(b) + lf(b)
+        if closed_loop:
+            for c_fn, uk in zip(lg, s.clamp_mu([fn(b) for fn in mu])):
+                total = total + c_fn(b) * uk
         else:
-            slots.append(0.5 * (lo + hi))
-    def full_arg(arg, extra=()):
-        out = [arg[slot] if isinstance(slot, int) else slot for slot in slots]
-        return tuple(out) + tuple(extra)
-    return axes, slots, full_arg
+            # Affine in u: each input's worst value is a box endpoint.
+            for c_fn, (lo, hi) in zip(lg, s.input_box):
+                c = np.asarray(c_fn(b))
+                total = total + np.minimum(c * lo, c * hi)
+        return total if z is None else total + z * (h(b) - region.d)
 
-
-def _bind(slots, bindings):
-    return [bindings[slot] if isinstance(slot, int) else slot for slot in slots]
-
-
-def _grad_terms(s: Subsystem):
-    comp = s.compiled
-    return [i for i in range(s.n_states) if not _is_structural_zero(comp.grad_exprs[i])]
-
-
-def _used_vars(s: Subsystem, include_mu: bool, include_g: bool) -> frozenset[str]:
-    used = set(free_variables(s.h))
-    comp = s.compiled
-    for i in _grad_terms(s):
-        used |= free_variables(comp.grad_exprs[i])
-        used |= free_variables(s.f[i])
-        if include_g:
-            for e in s.g[i]:
-                used |= free_variables(e)
-    if include_mu:
-        for e in s.mu:
-            used |= free_variables(e)
-    return frozenset(used)
+    predicate = grid.predicate(settings.margin_tolerance, s, region)
+    value, arg = grid_minimize(objective, grid.axes, predicate, settings)
+    return value, arg, grid
 
 
 def sup_h(s: Subsystem, settings: OracleSettings) -> float:
     """Largest value of h over the safety set (the depth of the set)."""
-    used = frozenset(free_variables(s.h))
-    axes, slots, _ = _pruned_state_axes(s, used)
-    h_fn = s.compiled.h
-    predicate = _region_predicate(s, SAFE_SET, slots, settings.margin_tolerance)
-    value, _ = grid_minimize(lambda b: -h_fn(*_bind(slots, b)), axes, predicate, settings)
-    return -value
+    return -_h_peak(s, settings)[0]
+
+
+def argmax_h(s: Subsystem, settings: OracleSettings) -> tuple[float, ...]:
+    """Grid point of the safety set where h peaks; axes h ignores sit at
+    their box midpoints.  Used as the deepest-interior default start."""
+    return _h_peak(s, settings)[1]
+
+
+def _h_peak(s: Subsystem, settings: OracleSettings):
+    """(min of -h over the safety set, full state at the minimizer)."""
+    grid = StateGrid((s,), ())
+    h = grid.bind(s.compiled.h)
+    value, arg = grid_minimize(lambda b: -h(b), grid.axes,
+                               grid.predicate(settings.margin_tolerance), settings)
+    return value, tuple(grid.values(s.state_vars, arg))
 
 
 def min_offline_drift(s: Subsystem, settings: OracleSettings) -> Extremum:
@@ -269,96 +290,24 @@ def min_offline_drift(s: Subsystem, settings: OracleSettings) -> Extremum:
 
     The objective is affine in u, so each input coordinate attains the
     minimum at a box endpoint; only the state grid is scanned and the
-    adversarial vertex is reconstructed per grid point.
+    adversarial vertex is reconstructed at the minimizer.
     """
-    comp = s.compiled
-    rows = _grad_terms(s)
-    used = _used_vars(s, include_mu=False, include_g=True)
-    axes, slots, full_arg = _pruned_state_axes(s, used)
-    predicate = _region_predicate(s, SAFE_SET, slots, settings.margin_tolerance)
-
-    def coef(bindings, k):
-        args = _bind(slots, bindings)
-        total = 0.0
-        for i in rows:
-            total = total + comp.grad[i](*args) * comp.g[i][k](*args)
-        return total
-
-    def objective(bindings):
-        args = _bind(slots, bindings)
-        total = 0.0
-        for i in rows:
-            total = total + comp.grad[i](*args) * comp.f[i](*args)
-        for k, (lo, hi) in enumerate(s.input_box):
-            c = coef(bindings, k)
-            total = total + np.minimum(np.asarray(c) * lo, np.asarray(c) * hi)
-        return total
-
-    value, arg = grid_minimize(objective, axes, predicate, settings)
-    point = [np.asarray(v) for v in _bind(slots, [np.asarray(a) for a in arg])]
-    u_star = []
-    for k, (lo, hi) in enumerate(s.input_box):
-        c = 0.0
-        for i in rows:
-            c = c + comp.grad[i](*point) * comp.g[i][k](*point)
-        c = float(np.asarray(c))
-        u_star.append(lo if c * lo <= c * hi else hi)
-    return Extremum(value=value, arg=full_arg(arg, u_star), kind="min")
-
-
-def _closed_loop_objective(s: Subsystem, slots):
-    comp = s.compiled
-    rows = _grad_terms(s)
-
-    def objective(bindings):
-        args = _bind(slots, bindings)
-        u = s.clamp_mu([fn(*args) for fn in comp.mu])
-        total = 0.0
-        for i in rows:
-            row = comp.f[i](*args)
-            for k in range(s.n_inputs):
-                row = row + comp.g[i][k](*args) * u[k]
-            total = total + comp.grad[i](*args) * row
-        return total
-
-    return objective
+    value, arg, grid = drift_minimum(s, SAFE_SET, settings, closed_loop=False)
+    point = grid.values(s.state_vars, arg)
+    for fn, (lo, hi) in zip(s.compiled.lg, s.input_box):
+        c = float(np.asarray(grid.bind(fn)(arg)))
+        point.append(lo if c * lo <= c * hi else hi)
+    return Extremum(value=value, arg=tuple(point), kind="min")
 
 
 def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings) -> Extremum:
     """min of the closed-loop drift over the band 0 <= h < d."""
-    used = _used_vars(s, include_mu=True, include_g=True)
-    axes, slots, full_arg = _pruned_state_axes(s, used)
-    predicate = _region_predicate(s, Region("safe_minus_buffer", float(d)), slots,
-                                  settings.margin_tolerance)
-    objective = _closed_loop_objective(s, slots)
-    value, arg = grid_minimize(objective, axes, predicate, settings)
-    return Extremum(value=value, arg=full_arg(arg), kind="min")
-
-
-def argmax_h(s: Subsystem, settings: OracleSettings) -> tuple[float, ...]:
-    """Grid point of the safety set where h peaks; axes h ignores sit at
-    their box midpoints.  Used as the deepest-interior default start."""
-    used = frozenset(free_variables(s.h))
-    axes, slots, full_arg = _pruned_state_axes(s, used)
-    h_fn = s.compiled.h
-    predicate = _region_predicate(s, SAFE_SET, slots, settings.margin_tolerance)
-    _, arg = grid_minimize(lambda b: -h_fn(*_bind(slots, b)), axes, predicate, settings)
-    return full_arg(arg)
+    value, arg, grid = drift_minimum(s, safe_minus_buffer(d), settings, closed_loop=True)
+    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)), kind="min")
 
 
 def min_invariance_margin(s: Subsystem, d: float, z: float,
                           settings: OracleSettings) -> Extremum:
     """min over h >= d of closed-loop drift + z * (h - d)."""
-    used = _used_vars(s, include_mu=True, include_g=True)
-    axes, slots, full_arg = _pruned_state_axes(s, used)
-    predicate = _region_predicate(s, Region("buffer", float(d)), slots,
-                                  settings.margin_tolerance)
-    drift = _closed_loop_objective(s, slots)
-    h_fn = s.compiled.h
-
-    def objective(bindings):
-        args = _bind(slots, bindings)
-        return drift(bindings) + z * (h_fn(*args) - d)
-
-    value, arg = grid_minimize(objective, axes, predicate, settings)
-    return Extremum(value=value, arg=full_arg(arg), kind="min")
+    value, arg, grid = drift_minimum(s, buffer_region(d), settings, closed_loop=True, z=z)
+    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)), kind="min")

@@ -14,16 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .exprs import _ZERO, Expression
 from .oracle import (
     EmptyRegionError,
     Extremum,
     OracleSettings,
+    drift_minimum,
     min_invariance_margin,
     min_offline_drift,
     min_recovery_drift,
     sup_h,
 )
-from .subsystem import Subsystem
+from .subsystem import SAFE_SET, Subsystem, buffer_region, safe_minus_buffer
 
 DEFAULT_TAU_MAX = 1e9
 DEFAULT_PHI_MIN = 1e-9
@@ -71,7 +73,9 @@ class Infeasible:
 @dataclass(frozen=True)
 class VerificationReport:
     """Margins are slack amounts: nonnegative (up to the oracle tolerance)
-    means the corresponding index condition holds on the sampled grid."""
+    means the corresponding index condition holds on the sampled grid.
+    worst_points maps each condition to its minimizer as (name, value)
+    pairs over the grid axes, or to None when the condition was skipped."""
 
     passed: bool
     margin_offline: float
@@ -83,35 +87,45 @@ class VerificationReport:
 
 def verify_index(s: Subsystem, index: ResilienceIndex, z: float,
                  settings: OracleSettings | None = None) -> VerificationReport:
-    """Check the three index conditions by direct grid minimization."""
+    """Check the three index conditions by direct grid minimization: the
+    network check of s on its own, with no incoming coupling."""
     settings = settings or OracleSettings()
     if z < 0:
         raise ValueError("z must be nonnegative")
+    return _verify_one(s, (s,), _ZERO, index, z, settings)
+
+
+def _verify_one(target: Subsystem, participants, coupling: Expression,
+                index: ResilienceIndex, z: float,
+                settings: OracleSettings) -> VerificationReport:
+    """The three index conditions for target, minimized over the joint grid
+    of the participants (target included, each in its safety set) with the
+    coupling drift added to target's own.  Worst points are (name, value)
+    pairs over the grid axes."""
     notes: list[str] = []
     worst: dict = {}
 
-    off = min_offline_drift(s, settings)
-    margin_offline = off.value + index.d / index.tau
-    worst["offline"] = off.arg
+    def scan(label, region, closed_loop, rate=None):
+        value, arg, grid = drift_minimum(target, region, settings, closed_loop, rate,
+                                         participants, coupling)
+        worst[label] = grid.witness(arg)
+        return value
 
+    margin_offline = scan("offline", SAFE_SET, False) + index.d / index.tau
+
+    margin_recovery = math.inf
+    worst["recovery"] = None
     if index.d == 0:
-        margin_recovery = math.inf
-        worst["recovery"] = None
         notes.append("recovery vacuous: zero buffer depth")
     else:
         try:
-            rec = min_recovery_drift(s, index.d, settings)
-            margin_recovery = rec.value - index.d / index.phi
-            worst["recovery"] = rec.arg
+            margin_recovery = (scan("recovery", safe_minus_buffer(index.d), True)
+                               - index.d / index.phi)
         except EmptyRegionError:
-            margin_recovery = math.inf
-            worst["recovery"] = None
             notes.append("recovery band is empty at this grid resolution")
 
     try:
-        inv = min_invariance_margin(s, index.d, z, settings)
-        margin_invariance = inv.value - index.eta
-        worst["invariance"] = inv.arg
+        margin_invariance = scan("invariance", buffer_region(index.d), True, z) - index.eta
     except EmptyRegionError:
         margin_invariance = -math.inf
         worst["invariance"] = None

@@ -5,6 +5,13 @@ A subsystem owns its dynamics ``x' = f(x) + g(x) u``, a safety function
 ``h`` whose zero superlevel set is the region that must stay forward
 invariant, a feedback law ``mu`` (optionally saturated), and the state and
 input boxes every analysis is restricted to.
+
+Every index condition is a statement about the drift of ``h`` along the
+dynamics, ``L_f h + sum_k L_{g_k} h u_k``.  ``Subsystem.compiled`` builds
+that drift layer once: the Lie derivatives ``lf = grad h . f`` and
+``lg[k] = grad h . g[:, k]`` are folded symbolically by ``grad_dot`` and
+compiled over the state variables they read.  Couplings inside a network
+add ``grad_dot(grad h, W)`` on top.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ import numpy as np
 
 from .exprs import (
     Expression,
-    Literal,
+    _ZERO,
+    _add,
+    _mul,
     compile_expression,
     differentiate,
     free_variables,
@@ -27,29 +36,32 @@ class ModelError(Exception):
     """Raised for structurally invalid subsystems, networks, or model files."""
 
 
-def _is_structural_zero(e: Expression) -> bool:
-    return isinstance(e, Literal) and e.value == 0.0
-
-
 @dataclass(frozen=True)
 class Region:
-    """Analysis region tag.
+    """Analysis region of one subsystem's state box.
 
     kind:
-      - ``safe_set``: h(x) >= 0 within the state box
+      - ``safe_set``: h(x) >= 0
       - ``safe_minus_buffer``: 0 <= h(x) < d (the recovery band)
       - ``buffer``: h(x) >= d
-      - ``state_box``: the whole box
-      - ``safe_times_input``: (x, u) with h(x) >= 0 and u in the input box
     """
 
     kind: str
     d: float = 0.0
 
+    def contains(self, h, tol: float):
+        """Membership mask for values h of the safety function, with the
+        boundaries relaxed by tol."""
+        if self.kind == "safe_set":
+            return h >= -tol
+        if self.kind == "buffer":
+            return h >= self.d - tol
+        if self.kind == "safe_minus_buffer":
+            return (h >= -tol) & (h <= self.d - tol)
+        raise ValueError(f"unknown region kind {self.kind!r}")
+
 
 SAFE_SET = Region("safe_set")
-STATE_BOX = Region("state_box")
-SAFE_TIMES_INPUT = Region("safe_times_input")
 
 
 def safe_minus_buffer(d: float) -> Region:
@@ -60,19 +72,34 @@ def buffer_region(d: float) -> Region:
     return Region("buffer", float(d))
 
 
-class _Compiled:
-    """Positional-argument callables for one subsystem, built once."""
+def grad_dot(grad, *fields) -> Expression:
+    """Symbolic grad . v summed over the vector fields, folded term by term
+    in field order, then state order; zero terms drop out."""
+    total = _ZERO
+    for v in fields:
+        for gi, vi in zip(grad, v):
+            total = _add(total, _mul(gi, vi))
+    return total
 
-    __slots__ = ("h", "grad_exprs", "grad", "f", "g", "mu", "state_vars")
+
+def compile_reads(e: Expression):
+    """Compile e over exactly the variables it reads, in sorted order."""
+    return compile_expression(e, sorted(free_variables(e)))
+
+
+class _Compiled:
+    """The subsystem's callables, built once: h and mu over the state
+    variables, the symbolic gradient of h, and the drift layer lf and lg."""
+
+    __slots__ = ("h", "grad", "lf", "lg", "mu")
 
     def __init__(self, s: "Subsystem"):
         sv = s.state_vars
-        self.state_vars = sv
         self.h = compile_expression(s.h, sv)
-        self.grad_exprs = tuple(differentiate(s.h, v) for v in sv)
-        self.grad = tuple(compile_expression(e, sv) for e in self.grad_exprs)
-        self.f = tuple(compile_expression(e, sv) for e in s.f)
-        self.g = tuple(tuple(compile_expression(e, sv) for e in row) for row in s.g)
+        self.grad = tuple(differentiate(s.h, v) for v in sv)
+        self.lf = compile_reads(grad_dot(self.grad, s.f))
+        self.lg = tuple(compile_reads(grad_dot(self.grad, [row[k] for row in s.g]))
+                        for k in range(s.n_inputs))
         self.mu = tuple(compile_expression(e, sv) for e in s.mu)
 
 
@@ -146,28 +173,3 @@ class Subsystem:
         comp = self.compiled
         return self.clamp_mu([fn(*state_cols) for fn in comp.mu])
 
-
-def shifted_h(s: Subsystem, d: float, x) -> float:
-    """h(x) - d, the safety margin relative to the buffered boundary."""
-    return float(s.compiled.h(*x)) - d
-
-
-def drift_rate(s: Subsystem, x, u) -> float:
-    """grad h(x) . (f(x) + g(x) u) for a concrete state and input."""
-    comp = s.compiled
-    total = 0.0
-    for i in range(s.n_states):
-        gi = comp.grad[i]
-        if _is_structural_zero(comp.grad_exprs[i]):
-            continue
-        row = comp.f[i](*x)
-        for k in range(s.n_inputs):
-            row = row + comp.g[i][k](*x) * u[k]
-        total += float(gi(*x)) * float(row)
-    return total
-
-
-def closed_loop_drift(s: Subsystem, x) -> float:
-    """Drift under the subsystem's own (saturated) feedback law."""
-    u = [float(v) for v in s.mu_values(tuple(x))]
-    return drift_rate(s, x, u)

@@ -260,3 +260,24 @@ def test_sim_run_unsafe_exit_code(capsys, tmp_path):
     assert summary["safe_count"] < 3
     assert summary["min_h"] < 0
     assert "safe" in printed
+
+
+def test_numeric_error_exits_2(capsys, tmp_path):
+    # f = 1/x1 divides by zero at the grid node x1 = 0: a numeric error in
+    # the model, reported like a model error rather than as a traceback.
+    model = {
+        "alpha_z": 1.0,
+        "subsystems": [{"name": "S1", "states": ["x1"], "inputs": ["u1"],
+                        "f": ["1/x1"], "g": [["1"]], "h": "1 - x1*x1",
+                        "mu": ["0"], "state_box": [[-1, 1]],
+                        "input_box": [[-1, 1]]}],
+        "couplings": [],
+    }
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(model))
+    code = main(["index", "compute", "--model", str(mpath), "--subsystem", "S1",
+                 "--grid", "201"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "division by zero" in captured.err

@@ -7,13 +7,12 @@ import resil.oracle as oracle_mod
 from resil.oracle import (
     EmptyRegionError,
     OracleSettings,
+    StateGrid,
     argmax_h,
     grid_minimize,
-    maximize,
     min_invariance_margin,
     min_offline_drift,
     min_recovery_drift,
-    minimize,
     sup_h,
 )
 from resil.subsystem import SAFE_SET, buffer_region, safe_minus_buffer
@@ -90,9 +89,10 @@ def test_refinement_improves_monotonically():
 def test_minimize_region_membership():
     s = make_cstr()
     st = settings(101, 1)
+    grid = StateGrid((s,), s.state_vars)
     for region in (SAFE_SET, safe_minus_buffer(1000.0), buffer_region(1000.0)):
-        ex = minimize(lambda T, c: (T - 377.0) ** 2 + c, region, s, st)
-        T, c = ex.arg
+        _, (T, c) = grid_minimize(lambda b: (b[0] - 377.0) ** 2 + b[1], grid.axes,
+                                  grid.predicate(st.margin_tolerance, s, region), st)
         hval = (T - 300) * (400 - T)
         assert 300 <= T <= 400 and 0 <= c <= 5
         if region.kind == "safe_set":
@@ -105,10 +105,12 @@ def test_minimize_region_membership():
 
 def test_maximize_toy_h():
     s = make_toy()
-    ex = maximize(lambda x: 1 - x, SAFE_SET, s, settings())
-    assert ex.value == pytest.approx(2.0)
-    assert ex.kind == "max"
-    assert ex.arg == (-1.0,)
+    st = settings()
+    grid = StateGrid((s,), ())
+    neg, arg = grid_minimize(lambda b: -(1 - b[0]), grid.axes,
+                             grid.predicate(st.margin_tolerance), st)
+    assert -neg == pytest.approx(2.0)
+    assert arg == (-1.0,)
 
 
 def test_sup_h_toy_and_cstr():

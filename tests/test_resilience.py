@@ -1,10 +1,13 @@
 """Index type, verification, and depth-sweep computation tests."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from resil.interconnect import Network, verify_network
+from resil.model_io import load_model
 from resil.oracle import OracleSettings
 from resil.resilience import (
     DEFAULT_PHI_MIN,
@@ -178,3 +181,22 @@ def test_cstr_reference_scale_index_recorded_failing():
     assert rep.margin_offline == pytest.approx(-1070939.97, rel=1e-6)
     assert rep.margin_recovery == pytest.approx(333505.43, rel=1e-6)
     assert rep.margin_invariance == pytest.approx(728.53029, rel=1e-6)
+
+
+def test_verify_index_is_one_node_network_verify():
+    # verify_index runs the network verifier on a coupling-free one-node
+    # network, so the two agree exactly on the indices compute_index returns
+    # (they once summed the closed-loop drift in different orders).
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    settings = OracleSettings(grid_points_per_dim=201)
+    for s in model.network.subsystems:
+        idx = compute_index(s, model.alpha_z, eps=25, settings=settings,
+                            maximize_tau=True)
+        assert isinstance(idx, ResilienceIndex)
+        alone = verify_index(s, idx, model.alpha_z, settings)
+        (joint,) = verify_network(Network(subsystems=(s,)), {0: idx}, model.alpha_z,
+                                  settings).values()
+        margins = [(r.margin_offline, r.margin_recovery, r.margin_invariance)
+                   for r in (alone, joint)]
+        assert margins[0] == margins[1], s.name
+        assert alone.worst_points == joint.worst_points
