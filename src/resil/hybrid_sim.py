@@ -253,6 +253,42 @@ def _rk4_step(cnet, X, h_seg, offline, held_u):
     return X + (h_seg / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _switches(schedules, t_end):
+    """Every location switch up to t_end as (time, row, subsystem,
+    to_offline), in schedule order: each interval's start, then its end."""
+    return [(t, b, j, to_off)
+            for b, sched in enumerate(schedules)
+            for j, ivs in enumerate(sched.intervals)
+            for interval in ivs
+            for t, to_off in zip(interval, (True, False)) if t <= t_end]
+
+
+def _integrate(cnet, adversary, T, X, offline, held_u, switches, bits, bit_rows,
+               visit=None):
+    """The one stepping loop over the time grid T, which holds every switch
+    time.  At each grid time: apply its switches (the constant adversary
+    picks its vertex on entry), refresh the held inputs with the random bits
+    bits[:, bit_rows[m]], show the state to visit, then take one RK4 step to
+    the next grid time.  Returns the state at T[-1]."""
+    flips_at: dict[int, list[tuple[int, int, bool]]] = {}
+    for (time, row, j, to_off) in switches:
+        flips_at.setdefault(int(np.searchsorted(T, time)), []).append((row, j, to_off))
+    for m in range(len(T)):
+        t = float(T[m])
+        for (row, j, to_off) in flips_at.get(m, ()):
+            offline[row, j] = to_off
+            if to_off and adversary.kind == "constant":
+                cols = [X[row:row + 1, c] for c in range(cnet.n_total)]
+                held_u[j][row] = cnet.vertex_u(j, cols)[0]
+        _refresh_held(cnet, adversary, X, offline, held_u,
+                      bits[:, bit_rows[m]] if bits is not None else None)
+        if visit is not None:
+            visit(m, X)
+        if m + 1 < len(T):
+            X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held_u)
+    return X
+
+
 def _resolve_x0(net, indices, x0):
     if x0 is None:
         settings = OracleSettings()
@@ -299,26 +335,13 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
 
     n_steps = max(1, int(round(horizon / dt)))
     samples = np.arange(n_steps + 1) * dt
-    t_end = samples[-1]
-    bounds = [t for sched in schedules for ivs in sched.intervals
-              for (s, e) in ivs for t in (s, e) if t <= t_end]
-    T = np.unique(np.concatenate([samples, np.array(bounds, dtype=float)])) \
-        if bounds else samples
+    switches = _switches(schedules, samples[-1])
+    T = np.unique(np.concatenate([samples, np.array([sw[0] for sw in switches])]))
     sample_pos = np.searchsorted(T, samples)
     is_sample = np.zeros(len(T), dtype=bool)
     is_sample[sample_pos] = True
     sample_index = np.cumsum(is_sample) - 1
     N = len(samples)
-
-    # Location flips, grouped by grid segment.
-    flips_at: dict[int, list[tuple[int, int, bool]]] = {}
-    for b, sched in enumerate(schedules):
-        for j, ivs in enumerate(sched.intervals):
-            for (s, e) in ivs:
-                if s <= t_end:
-                    flips_at.setdefault(int(np.searchsorted(T, s)), []).append((b, j, True))
-                if e <= t_end:
-                    flips_at.setdefault(int(np.searchsorted(T, e)), []).append((b, j, False))
 
     rand_bits = None
     if adversary.kind == "random":
@@ -329,7 +352,6 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
             per_trace.append(rng.integers(0, 2, size=(N, width), dtype=np.uint8))
         rand_bits = np.stack(per_trace)
 
-    X = np.tile(x0_row, (B, 1))
     offline = np.zeros((B, n_sub), dtype=bool)
     held_u = [np.zeros((B, s.n_inputs)) for s in net.subsystems]
 
@@ -342,46 +364,36 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     lo_lim = cnet.box_lo - width10
     hi_lim = cnet.box_hi + width10
 
-    for m in range(len(T)):
-        t = float(T[m])
-        for (b, j, to_off) in flips_at.get(m, ()):
-            offline[b, j] = to_off
-            if to_off and adversary.kind == "constant":
-                cols = [X[b:b + 1, c] for c in range(cnet.n_total)]
-                held_u[j][b] = cnet.vertex_u(j, cols)[0]
-        bits = rand_bits[:, int(sample_index[m])] if rand_bits is not None else None
-        _refresh_held(cnet, adversary, X, offline, held_u, bits)
-        if is_sample[m]:
-            k = int(sample_index[m])
-            if not np.isfinite(X).all() or (X < lo_lim).any() or (X > hi_lim).any():
-                bad = ~np.isfinite(X) | (X < lo_lim) | (X > hi_lim)
-                b, c = np.argwhere(bad)[0]
-                raise NonFiniteStateError(t, net.subsystems[cnet.owner[c]].name, int(b))
-            rec_states[:, k] = X
-            cols = [X[:, c] for c in range(cnet.n_total)]
-            u_eff = cnet.effective_u(cols, offline, held_u)
-            for j in range(n_sub):
-                rec_u[j][:, k] = u_eff[j]
-                rec_h[:, k, j] = cnet.h(j, cols)
-                rec_loc[:, k, j] = np.where(offline[:, j], 0, 1)
-        if m + 1 < len(T):
-            X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held_u)
+    def record(m, X):
+        if not is_sample[m]:
+            return
+        k = int(sample_index[m])
+        if not np.isfinite(X).all() or (X < lo_lim).any() or (X > hi_lim).any():
+            bad = ~np.isfinite(X) | (X < lo_lim) | (X > hi_lim)
+            b, c = np.argwhere(bad)[0]
+            raise NonFiniteStateError(float(T[m]), net.subsystems[cnet.owner[c]].name, int(b))
+        rec_states[:, k] = X
+        cols = [X[:, c] for c in range(cnet.n_total)]
+        u_eff = cnet.effective_u(cols, offline, held_u)
+        for j in range(n_sub):
+            rec_u[j][:, k] = u_eff[j]
+            rec_h[:, k, j] = cnet.h(j, cols)
+            rec_loc[:, k, j] = np.where(offline[:, j], 0, 1)
 
+    _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held_u, switches,
+               rand_bits, sample_index, record)
+
+    own: list[list] = [[] for _ in range(B)]
+    for sw in switches:
+        own[sw[1]].append(sw)
     traces = []
     for b in range(B):
-        events = []
-        for j, ivs in enumerate(schedules[b].intervals):
-            name = net.subsystems[j].name
-            for (s, e) in ivs:
-                if s <= t_end:
-                    events.append((s, name, "offline"))
-                if e <= t_end:
-                    events.append((e, name, "online"))
-        events.sort()
-        violations = _refine_violations(cnet, schedules[b], adversary, indices,
-                                        samples, rec_states[b], rec_h[b],
-                                        rec_loc[b], [rec_u[j][b] for j in range(n_sub)],
-                                        rand_bits[b] if rand_bits is not None else None)
+        events = sorted((t, cnet.names[j], "offline" if to_off else "online")
+                        for (t, _, j, to_off) in own[b])
+        violations = _refine_violations(cnet, own[b], adversary, samples, rec_states[b],
+                                        rec_h[b], rec_loc[b],
+                                        [rec_u[j][b] for j in range(n_sub)],
+                                        rand_bits[b:b + 1] if rand_bits is not None else None)
         states = {}
         inputs = {}
         h = {}
@@ -402,58 +414,30 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     return traces
 
 
-def _refine_violations(cnet, schedule, adversary, indices, samples, states_b,
-                       h_b, loc_b, u_b, bits_b):
+def _refine_violations(cnet, switches, adversary, samples, states_b, h_b, loc_b,
+                       u_b, bits_b):
     """One bisection per h sign change between consecutive samples: the first
-    half-step is re-integrated to decide which half holds the crossing."""
+    half-step is re-integrated from the recorded sample, through the trace's
+    own switches inside it, to decide which half holds the crossing."""
     out = []
-    n_sub = h_b.shape[1]
-    for j in range(n_sub):
+    for j in range(h_b.shape[1]):
         hs = h_b[:, j]
-        crossings = np.nonzero((hs[:-1] >= 0) & (hs[1:] < 0))[0]
-        for k in crossings:
+        for k in np.nonzero((hs[:-1] >= 0) & (hs[1:] < 0))[0]:
             t0, t1 = float(samples[k]), float(samples[k + 1])
             tm = 0.5 * (t0 + t1)
-            h_mid = _h_at(cnet, schedule, adversary, indices, samples, states_b,
-                          loc_b, u_b, bits_b, int(k), tm, j)
+            window = [(t, 0, i, to_off) for (t, _, i, to_off) in switches if t0 < t <= tm]
+            T = np.unique(np.array([t0, tm] + [sw[0] for sw in window]))
+            offline = loc_b[k:k + 1] == 0
+            held_u = [u[k:k + 1].copy() for u in u_b]
+            X = _integrate(cnet, adversary, T, states_b[k:k + 1].copy(), offline, held_u,
+                           window, bits_b, np.full(len(T), k))
+            h_mid = float(np.asarray(cnet.h(j, [X[:, c] for c in range(cnet.n_total)]))
+                          .reshape(()))
             if h_mid < 0:
-                out.append((tm, cnet.names[j], float(h_mid)))
+                out.append((tm, cnet.names[j], h_mid))
             else:
-                out.append((0.5 * (tm + t1), cnet.names[j],
-                            0.5 * (float(h_mid) + float(hs[k + 1]))))
+                out.append((0.5 * (tm + t1), cnet.names[j], 0.5 * (h_mid + float(hs[k + 1]))))
     return tuple(out)
-
-
-def _h_at(cnet, schedule, adversary, indices, samples, states_b, loc_b, u_b,
-          bits_b, k, t_target, j_watch):
-    """Re-integrate one trace from sample k to t_target and evaluate h there."""
-    n_sub = len(cnet.net.subsystems)
-    X = states_b[k:k + 1].copy()
-    offline = np.array([[loc_b[k, j] == 0 for j in range(n_sub)]])
-    held_u = [u_b[j][k:k + 1].copy() for j in range(n_sub)]
-    t0 = float(samples[k])
-    cuts = {t_target}
-    flips = []
-    for j, ivs in enumerate(schedule.intervals):
-        for (s, e) in ivs:
-            for time, to_off in ((s, True), (e, False)):
-                if t0 < time <= t_target:
-                    cuts.add(time)
-                    flips.append((time, j, to_off))
-    grid = sorted(cuts | {t0})
-    bits = bits_b[k:k + 1] if bits_b is not None else None
-    for m, t in enumerate(grid):
-        for (time, j, to_off) in flips:
-            if abs(time - t) <= 1e-12 * max(1.0, abs(time)):
-                offline[0, j] = to_off
-                if to_off and adversary.kind == "constant":
-                    cols = [X[:, c] for c in range(cnet.n_total)]
-                    held_u[j][0] = cnet.vertex_u(j, cols)[0]
-        _refresh_held(cnet, adversary, X, offline, held_u, bits)
-        if m + 1 < len(grid):
-            X = _rk4_step(cnet, X, grid[m + 1] - t, offline, held_u)
-    cols = [X[:, c] for c in range(cnet.n_total)]
-    return float(np.asarray(cnet.h(j_watch, cols)).reshape(()))
 
 
 def validate_trace(trace: HybridTrace, max_h_rate: float | None = None):

@@ -105,13 +105,8 @@ class Feasibility:
     delta: float
 
 
-@dataclass(frozen=True)
-class ScanPolicy:
-    grid_points: int = 1000
-
-    def __post_init__(self):
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be positive")
+# Depths tried by the R1 / R2 scans between d and their far end.
+_SCAN_POINTS = 1000
 
 
 def _coupling_drift_expr(net: Network, j: int) -> Expression:
@@ -172,13 +167,11 @@ def _check_rsys_args(idx: ResilienceIndex, z: float, sup: float):
 
 
 def solve_r1(idx: ResilienceIndex, delta: float, z: float, sup: float,
-             tau_max: float = DEFAULT_TAU_MAX,
-             policy: ScanPolicy | None = None) -> ResilienceIndex | Infeasible:
+             tau_max: float = DEFAULT_TAU_MAX) -> ResilienceIndex | Infeasible:
     """Shrink the buffer: scan d' from d down to 0 and return the first depth
     whose induced bounds are consistent.  tau' and eta' sit at their upper
     bounds, phi' at its lower bound."""
     _check_rsys_args(idx, z, sup)
-    policy = policy or ScanPolicy()
     d, tau, phi, eta = idx.as_tuple()
     denom = d + phi * delta
     if denom <= 0:
@@ -186,7 +179,7 @@ def solve_r1(idx: ResilienceIndex, delta: float, z: float, sup: float,
             f"d + phi*delta = {denom:.6g} <= 0; no buffer shrink can absorb the coupling",
             {"delta": delta, "denom": denom})
     a = d / tau - delta
-    for dp in np.linspace(d, 0.0, policy.grid_points):
+    for dp in np.linspace(d, 0.0, _SCAN_POINTS):
         dp = float(dp)
         if a > 0:
             if dp <= 0:
@@ -204,13 +197,11 @@ def solve_r1(idx: ResilienceIndex, delta: float, z: float, sup: float,
 
 
 def solve_r2(idx: ResilienceIndex, delta: float, z: float, sup: float,
-             tau_max: float = DEFAULT_TAU_MAX,
-             policy: ScanPolicy | None = None) -> ResilienceIndex | Infeasible:
+             tau_max: float = DEFAULT_TAU_MAX) -> ResilienceIndex | Infeasible:
     """Grow the buffer: scan d' from d up to sup and return the first depth
     whose induced bounds are consistent.  The recovery-rate bound is
     independent of d'; when it is not strictly positive no finite phi' exists."""
     _check_rsys_args(idx, z, sup)
-    policy = policy or ScanPolicy()
     d, tau, phi, eta = idx.as_tuple()
     rhs = delta + min(d / phi, eta - z * (sup - d))
     if rhs <= 0:
@@ -218,7 +209,7 @@ def solve_r2(idx: ResilienceIndex, delta: float, z: float, sup: float,
             f"recovery-rate bound {rhs:.6g} <= 0; no finite recovery deadline exists",
             {"delta": delta, "rhs": rhs})
     a = d / tau - delta
-    grid = np.linspace(d, sup, policy.grid_points) if sup > d else np.array([d])
+    grid = np.linspace(d, sup, _SCAN_POINTS) if sup > d else np.array([d])
     for dp in grid:
         dp = float(dp)
         if dp <= 0:
@@ -304,12 +295,11 @@ def propagate_indices(net: Network, indices: dict[int, ResilienceIndex], z: floa
                       tau_max: float = DEFAULT_TAU_MAX,
                       settings: OracleSettings | None = None,
                       delta_method: str = "pairwise",
-                      prefer: str = "r1",
-                      policy: ScanPolicy | None = None
-                      ) -> dict[int, PropagationOutcome]:
+                      prefer: str = "r1") -> dict[int, PropagationOutcome]:
     """Convert standalone indices into network-valid ones, one subsystem at a
-    time.  Guaranteed-feasible dispatch is tried first; otherwise both systems
-    are attempted and the verdict stays Unknown even on success."""
+    time.  The preferred system is tried first unless only the other one is
+    guaranteed feasible; each is solved at most once, and a success by a
+    system that is not guaranteed keeps the verdict Unknown."""
     settings = settings or OracleSettings()
     if delta_method not in ("pairwise", "exact"):
         raise ValueError("delta_method must be 'pairwise' or 'exact'")
@@ -336,33 +326,21 @@ def propagate_indices(net: Network, indices: dict[int, ResilienceIndex], z: floa
                                         Infeasible("index depth exceeds the reach of h",
                                                    {"d": idx.d, "sup_h": sup}))
             continue
-        f1 = feasibility_r1(idx, dest.value, z)
-        f2 = feasibility_r2(idx, dest.value, z, sup)
-        result = None
-        if prefer == "r2" and f2.verdict == GUARANTEED:
-            res = solve_r2(idx, dest.value, z, sup, tau_max, policy)
+        systems = {"R1": (solve_r1, feasibility_r1(idx, dest.value, z)),
+                   "R2": (solve_r2, feasibility_r2(idx, dest.value, z, sup))}
+        order = ["R1", "R2"] if prefer == "r1" else ["R2", "R1"]
+        failures = {}
+        for name in sorted(order, key=lambda n: systems[n][1].verdict != GUARANTEED):
+            solver, feas = systems[name]
+            res = solver(idx, dest.value, z, sup, tau_max)
             if isinstance(res, ResilienceIndex):
-                result = PropagationOutcome(res, f2, "R2", dest)
-        elif f1.verdict == GUARANTEED:
-            res = solve_r1(idx, dest.value, z, sup, tau_max, policy)
-            if isinstance(res, ResilienceIndex):
-                result = PropagationOutcome(res, f1, "R1", dest)
-        if result is None:
-            attempts = [("R1", solve_r1, f1), ("R2", solve_r2, f2)]
-            if prefer == "r2":
-                attempts.reverse()
-            failures = []
-            for name, solver, feas in attempts:
-                res = solver(idx, dest.value, z, sup, tau_max, policy)
-                if isinstance(res, ResilienceIndex):
-                    result = PropagationOutcome(res, feas, name, dest)
-                    break
-                failures.append(f"{name}: {res.reason}")
-            if result is None:
-                result = PropagationOutcome(
-                    None, f1 if prefer == "r1" else f2, None, dest,
-                    Infeasible("; ".join(failures), {"delta": dest.value}))
-        out[j] = result
+                out[j] = PropagationOutcome(res, feas, name, dest)
+                break
+            failures[name] = f"{name}: {res.reason}"
+        else:
+            out[j] = PropagationOutcome(
+                None, systems[order[0]][1], None, dest,
+                Infeasible("; ".join(failures[n] for n in order), {"delta": dest.value}))
     return out
 
 

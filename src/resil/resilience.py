@@ -111,35 +111,38 @@ def _verify_one(target: Subsystem, participants, coupling: Expression,
         worst[label] = grid.witness(arg)
         return value
 
-    margin_offline = scan("offline", SAFE_SET, False) + index.d / index.tau
+    offline = scan("offline", SAFE_SET, False)
 
-    margin_recovery = math.inf
+    recovery = None
     worst["recovery"] = None
     if index.d == 0:
         notes.append("recovery vacuous: zero buffer depth")
     else:
         try:
-            margin_recovery = (scan("recovery", safe_minus_buffer(index.d), True)
-                               - index.d / index.phi)
+            recovery = scan("recovery", safe_minus_buffer(index.d), True)
         except EmptyRegionError:
             notes.append("recovery band is empty at this grid resolution")
 
     try:
-        margin_invariance = scan("invariance", buffer_region(index.d), True, z) - index.eta
+        invariance = scan("invariance", buffer_region(index.d), True, z)
     except EmptyRegionError:
-        margin_invariance = -math.inf
+        invariance = -math.inf
         worst["invariance"] = None
         notes.append("buffer region is empty: d exceeds the reach of h")
 
-    tol = settings.margin_tolerance
-    passed = (margin_offline >= -tol and margin_recovery >= -tol
-              and margin_invariance >= -tol)
-    return VerificationReport(passed=passed,
-                              margin_offline=margin_offline,
-                              margin_recovery=margin_recovery,
-                              margin_invariance=margin_invariance,
-                              worst_points=worst,
-                              notes=tuple(notes))
+    passed, margins = _margin_rule(index, offline, recovery, invariance, settings)
+    return VerificationReport(passed, *margins, worst_points=worst, notes=tuple(notes))
+
+
+def _margin_rule(index: ResilienceIndex, offline: float, recovery: float | None,
+                 invariance: float, settings: OracleSettings):
+    """Slack of the offline, recovery and invariance conditions from the
+    minima of their drift scans (recovery None: not scanned, vacuous), and
+    whether all three hold up to the margin tolerance."""
+    margins = (offline + index.d / index.tau,
+               math.inf if recovery is None else recovery - index.d / index.phi,
+               invariance - index.eta)
+    return all(m >= -settings.margin_tolerance for m in margins), margins
 
 
 def compute_index(s: Subsystem, z: float, eps: float = 0.1,
@@ -149,8 +152,9 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
                   maximize_tau: bool = False) -> ResilienceIndex | Infeasible:
     """Sweep buffer depths d = 0, eps, 2 eps, ... up to the depth of the
     safety set and return the first depth whose induced (tau, phi, eta)
-    passes verification.  With maximize_tau the sweep continues and the
-    feasible candidate with the largest tau wins.
+    passes verification: the margins of the three conditions, taken from the
+    same drift minima the candidate was built from.  With maximize_tau the
+    sweep continues and the feasible candidate with the largest tau wins.
     """
     settings = settings or OracleSettings()
     if z < 0:
@@ -169,14 +173,13 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
         k += 1
         if d > depth * (1 + 1e-12):
             break
-        candidate = _candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail)
-        if candidate is None:
+        found = _candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail)
+        if found is None:
             continue
-        report = verify_index(s, candidate, z, settings)
-        if not report.passed:
-            last_fail = {"d": d, "margins": (report.margin_offline,
-                                             report.margin_recovery,
-                                             report.margin_invariance)}
+        candidate, rec, inv = found
+        passed, margins = _margin_rule(candidate, off.value, rec, inv, settings)
+        if not passed:
+            last_fail = {"d": d, "margins": margins}
             continue
         if not maximize_tau:
             return candidate
@@ -189,6 +192,8 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
 
 
 def _candidate_at(s, d, z, off: Extremum, tau_max, phi_min, settings, last_fail):
+    """The index induced at depth d, with the recovery minimum (None at d = 0)
+    and the invariance minimum it was built from; None when d admits none."""
     if off.value >= 0:
         tau = tau_max
     elif d == 0:
@@ -197,25 +202,26 @@ def _candidate_at(s, d, z, off: Extremum, tau_max, phi_min, settings, last_fail)
     else:
         tau = min(tau_max, d / (-off.value))
 
+    rec = None
     if d == 0:
         phi = phi_min
     else:
         try:
-            rec = min_recovery_drift(s, d, settings)
+            rec = min_recovery_drift(s, d, settings).value
         except EmptyRegionError:
             last_fail.update(d=d, stage="recovery", detail="empty band")
             return None
-        if rec.value <= 0:
-            last_fail.update(d=d, stage="recovery", detail=rec.value)
+        if rec <= 0:
+            last_fail.update(d=d, stage="recovery", detail=rec)
             return None
-        phi = max(phi_min, d / rec.value)
+        phi = max(phi_min, d / rec)
 
     try:
-        inv = min_invariance_margin(s, d, z, settings)
+        inv = min_invariance_margin(s, d, z, settings).value
     except EmptyRegionError:
         last_fail.update(d=d, stage="invariance", detail="empty buffer")
         return None
-    if inv.value < 0:
-        last_fail.update(d=d, stage="invariance", detail=inv.value)
+    if inv < 0:
+        last_fail.update(d=d, stage="invariance", detail=inv)
         return None
-    return ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv.value)
+    return ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv), rec, inv

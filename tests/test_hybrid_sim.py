@@ -249,6 +249,23 @@ def test_violation_detected_and_refined():
     assert verdict.first_violation[0] == pytest.approx(0.405, abs=1e-9)
 
 
+def test_refinement_applies_switch_inside_half_step():
+    # The crossing lies between samples 0.30 and 0.31 and the fault starts
+    # at 0.302, inside the re-integrated half-step [0.30, 0.305].  Offline,
+    # x rises at rate 1 from 0.499, so h(0.305) = 0.5 - 0.502 = -0.002 and
+    # the first half holds the crossing.  A refinement that stayed online
+    # through the half-step would keep h = 0.001 there and report the
+    # second half, (0.3075, -0.003).
+    net = single_net(h="0.5 - x1", mu="0")
+    idx = ResilienceIndex(0.0, 0.5, 0.1, 1.0)
+    for kind in ("bang-bang", "constant"):
+        trace = simulate(net, {0: idx}, sched(1.0, (0.302, 0.6)), AdversaryPolicy(kind),
+                         dt=0.01, horizon=1.0, x0=[(0.499,)])
+        ((t_v, name, h_v),) = trace.violations
+        assert (t_v, name) == (0.305, "S1"), kind
+        assert h_v == pytest.approx(-0.002, abs=1e-12), kind
+
+
 def test_recovery_deadline_miss_detected():
     net, idx, trace = violation_fixture()
     # Recovery starts at t=0.6 from h=-0.2 and needs 0.3 time units to

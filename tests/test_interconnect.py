@@ -10,7 +10,6 @@ from resil.interconnect import (
     DeltaEstimate,
     DimensionMismatchError,
     Network,
-    ScanPolicy,
     compute_delta_exact,
     compute_delta_pairwise,
     feasibility_r1,
@@ -168,8 +167,6 @@ def test_rsys_argument_checks():
         solve_r2(IDX, 0.0, 1.0, sup=0.05)
     with pytest.raises(ValueError):
         feasibility_r2(IDX, 0.0, 1.0, sup=0.05)
-    with pytest.raises(ValueError):
-        ScanPolicy(grid_points=0)
 
 
 def test_feasibility_r1_threshold():

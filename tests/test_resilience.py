@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from resil import oracle, resilience
 from resil.interconnect import Network, verify_network
 from resil.model_io import load_model
 from resil.oracle import OracleSettings
@@ -126,6 +127,29 @@ def test_compute_maximize_tau_prefers_deepest_buffer():
     assert isinstance(idx, ResilienceIndex)
     assert idx.d == pytest.approx(2.0)
     assert idx.tau == pytest.approx(2.0)
+
+
+def test_compute_scans_each_region_and_depth_once(monkeypatch):
+    # Candidates are checked against the minima they were built from, so
+    # the sweep makes the one offline scan plus one recovery and one
+    # invariance scan per depth, and no verification rescans.
+    scans = []
+    drift_minimum = oracle.drift_minimum
+
+    def counted(s, region, settings, closed_loop, z=None, *args):
+        scans.append((region.kind, region.d, closed_loop, z))
+        return drift_minimum(s, region, settings, closed_loop, z, *args)
+
+    monkeypatch.setattr(oracle, "drift_minimum", counted)
+    monkeypatch.setattr(resilience, "drift_minimum", counted)
+    idx = compute_index(make_toy(), 1.0, eps=0.5, settings=TOY_SETTINGS,
+                        maximize_tau=True)
+    assert isinstance(idx, ResilienceIndex)
+    # d = 0 fails the offline stage before any scan (the offline drift is -1).
+    depths = (0.5, 1.0, 1.5, 2.0)
+    assert scans == [("safe_set", 0.0, False, None)] + [
+        scan for d in depths
+        for scan in (("safe_minus_buffer", d, True, None), ("buffer", d, True, 1.0))]
 
 
 def test_compute_rejects_bad_parameters():
