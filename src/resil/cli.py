@@ -30,7 +30,7 @@ from .interconnect import (
     propagate_indices,
     verify_network,
 )
-from .model_io import Model, load_indices, load_model, write_indices
+from .model_io import Model, load_indices, load_model, merge_index, write_indices
 from .oracle import OracleSettings
 from .resilience import (
     DEFAULT_PHI_MIN,
@@ -91,22 +91,6 @@ def _pick_subsystem(model: Model, name: str) -> int:
         raise _UsageError(f"unknown subsystem {name!r}; model defines: {known}")
 
 
-def _merge_index_file(path: str, name: str, idx: ResilienceIndex):
-    doc = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError:
-            raise ModelError(f"{path}: existing output file is not valid JSON")
-        if not isinstance(doc, dict):
-            raise ModelError(f"{path}: existing output file is not an index map")
-    doc[name] = {"d": idx.d, "tau": idx.tau, "phi": idx.phi, "eta": idx.eta}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _cmd_index_compute(args) -> int:
     model = load_model(_resolve_model(args.model))
     j = _pick_subsystem(model, args.subsystem)
@@ -119,7 +103,7 @@ def _cmd_index_compute(args) -> int:
         return 1
     print(f"{s.name}: {_fmt_index(result)}")
     if args.out:
-        _merge_index_file(args.out, s.name, result)
+        merge_index(args.out, s.name, result)
     return 0
 
 

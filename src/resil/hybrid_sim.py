@@ -8,7 +8,12 @@ integrated with fixed-step RK4 on the union of the sample grid and all
 schedule boundaries, so location switches happen at exact times.
 
 Batches of schedules integrate together as one vectorized system; traces
-are deterministic given (seed, model, schedules, dt).
+are deterministic given (seed, model, schedules, dt).  One row per trace
+holds all states, subsystem j's in the columns xs[j]; one input row holds
+all inputs, subsystem j's in the columns us[j] (empty for a subsystem
+without inputs).  The held adversary inputs, the recorded inputs and the
+random bits all use the input rows, and each trace's arrays are views of
+the batch records.
 """
 
 from __future__ import annotations
@@ -149,27 +154,30 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
 # -- compiled network kernel ---------------------------------------------------
 
 class _CompiledNetwork:
-    """All expressions of a network compiled against one global state order."""
+    """All expressions of a network compiled against one row layout: a batch
+    row holds every state, subsystem j's in columns xs[j], and an input row
+    holds every input, subsystem j's in columns us[j]."""
 
     def __init__(self, net: Network):
         self.net = net
         self.names = net.names
-        self.state_names: tuple[str, ...] = tuple(
-            n for s in net.subsystems for n in s.state_vars)
         subs = net.subsystems
-        self.offsets = [sum(s.n_states for s in subs[:j]) for j in range(len(subs))]
-        self.u_slot = [sum(s.n_inputs for s in subs[:j]) for j in range(len(subs))]
-        self.n_total = len(self.state_names)
-        self.box_lo = np.array([lo for s in net.subsystems for lo, _ in s.state_box])
-        self.box_hi = np.array([hi for s in net.subsystems for _, hi in s.state_box])
+        self.state_names: tuple[str, ...] = tuple(n for s in subs for n in s.state_vars)
+        ends = np.cumsum([[s.n_states, s.n_inputs] for s in subs], axis=0).tolist()
+        self.xs = [slice(e - s.n_states, e) for s, (e, _) in zip(subs, ends)]
+        self.us = [slice(e - s.n_inputs, e) for s, (_, e) in zip(subs, ends)]
+        self.u_owner = np.repeat(np.arange(len(subs)), [s.n_inputs for s in subs])
+        self.box_lo = np.array([lo for s in subs for lo, _ in s.state_box])
+        self.box_hi = np.array([hi for s in subs for _, hi in s.state_box])
+        self.u_lo = np.array([lo for s in subs for lo, _ in s.input_box], dtype=float)
+        self.u_hi = np.array([hi for s in subs for _, hi in s.input_box], dtype=float)
 
-        self.deriv = []   # per global component: callable(*state_cols, *u_cols_of_its_subsystem)
-        self.owner = []   # per global component: subsystem position
         col = {name: c for c, name in enumerate(self.state_names)}
-        # per subsystem, per input: lg_k and the global columns it reads
-        self.lg = [[(fn, [col[n] for n in fn.names]) for fn in s.compiled.lg]
-                   for s in net.subsystems]
-        for j, s in enumerate(net.subsystems):
+        # per subsystem, per input: lg_k and the state columns it reads
+        self.lg = [[(fn, [col[n] for n in fn.names]) for fn in s.compiled.lg] for s in subs]
+        # per state column: its derivative over (*states, *inputs of its subsystem)
+        self.deriv = []
+        for j, s in enumerate(subs):
             inc = net.incoming(j)
             for i in range(s.n_states):
                 expr: Expression = s.f[i]
@@ -178,78 +186,65 @@ class _CompiledNetwork:
                 for _, w in inc:
                     expr = _add(expr, w[i])
                 fn = compile_expression(expr, self.state_names + s.input_vars)
-                self.deriv.append(fn)
-                self.owner.append(j)
+                self.deriv.append((fn, self.us[j]))
 
-    def local(self, j: int, cols) -> list:
-        """Subsystem j's own state columns out of the global ones."""
-        o = self.offsets[j]
-        return cols[o:o + self.net.subsystems[j].n_states]
+    def h(self, j: int, X: np.ndarray):
+        return self.net.subsystems[j].compiled.h(*X[:, self.xs[j]].T)
 
-    def h(self, j: int, cols):
-        return self.net.subsystems[j].compiled.h(*self.local(j, cols))
-
-    def mu_matrix(self, j: int, cols) -> np.ndarray:
-        u = self.net.subsystems[j].mu_values(self.local(j, cols))
-        return np.stack([np.broadcast_to(v, cols[0].shape) for v in u], axis=-1)
-
-    def vertex_u(self, j: int, cols) -> np.ndarray:
-        """Input-box vertex minimizing the instantaneous drift of h_j."""
-        s = self.net.subsystems[j]
-        parts = []
-        for (fn, reads), (lo, hi) in zip(self.lg[j], s.input_box):
-            c = np.asarray(fn(*[cols[r] for r in reads]))
-            parts.append(np.where(c * lo <= c * hi, lo, hi))
-        return np.stack([np.broadcast_to(p, cols[0].shape) for p in parts], axis=-1)
-
-    def random_vertex(self, j: int, bits: np.ndarray) -> np.ndarray:
-        """Input-box vertex of subsystem j picked by its slice of the bits rows."""
-        s = self.net.subsystems[j]
-        lo = np.array([b[0] for b in s.input_box])
-        hi = np.array([b[1] for b in s.input_box])
-        o = self.u_slot[j]
-        return lo + bits[:, o:o + s.n_inputs] * (hi - lo)
-
-    def drift(self, states: np.ndarray, offline: np.ndarray,
-              held_u: list[np.ndarray]) -> np.ndarray:
-        """Vectorized right-hand side; online traces re-evaluate mu at the
-        stage state, offline traces keep their held adversary input."""
-        cols = [states[:, c] for c in range(self.n_total)]
-        u_eff = self.effective_u(cols, offline, held_u)
-        out = np.empty_like(states)
-        for c, fn in enumerate(self.deriv):
-            j = self.owner[c]
-            u_cols = [u_eff[j][:, k] for k in range(u_eff[j].shape[1])]
-            out[:, c] = fn(*cols, *u_cols)
+    def _input_rows(self, n: int, values, which) -> np.ndarray:
+        """n input rows whose columns us[j], for each subsystem j in which,
+        hold the per-input values(j); the other columns are 0."""
+        out = np.zeros((n, len(self.u_owner)))
+        for j in which:
+            us = self.us[j]
+            for k, v in zip(range(us.start, us.stop), values(j)):
+                out[:, k] = v
         return out
 
-    def effective_u(self, cols, offline: np.ndarray,
-                    held_u: list[np.ndarray]) -> list[np.ndarray]:
-        """Per subsystem, the held adversary input where offline and the
-        clamped feedback law where online."""
-        return [np.where(offline[:, j, None], held_u[j], self.mu_matrix(j, cols))
-                for j in range(len(self.net.subsystems))]
+    def vertex_rows(self, X: np.ndarray, which) -> np.ndarray:
+        """Input rows holding, for each subsystem j in which, the input-box
+        vertex minimizing the instantaneous drift of h_j."""
+        cols = X.T
+        return self._input_rows(len(X), lambda j: self.net.subsystems[j].worst_vertex(
+            [np.asarray(fn(*cols[reads])) for fn, reads in self.lg[j]]), which)
+
+    def effective_u(self, X: np.ndarray, offline: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Input rows: the held adversary input where the owning subsystem is
+        offline, the clamped feedback law where it is online."""
+        mu = self._input_rows(len(X), lambda j: self.net.subsystems[j].mu_values(
+            X[:, self.xs[j]].T), range(len(self.us)))
+        return np.where(offline[:, self.u_owner], held, mu)
+
+    def drift(self, X: np.ndarray, offline: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Vectorized right-hand side; online traces re-evaluate mu at the
+        stage state, offline traces keep their held adversary input."""
+        cols = list(X.T)
+        u = list(self.effective_u(X, offline, held).T)
+        out = np.empty_like(X)
+        for c, (fn, us) in enumerate(self.deriv):
+            out[:, c] = fn(*cols, *u[us])
+        return out
 
 
-def _refresh_held(cnet, adversary, X, offline, held_u, bits):
-    """Per-step input of every offline subsystem: the drift-minimizing vertex
-    (bang-bang) or the vertex this step's random bits pick (one row per
-    trace).  The constant adversary keeps the vertex it chose on entry."""
-    if adversary.kind == "constant":
+def _refresh_held(cnet, adversary, X, offline, held, bits):
+    """Per-step input of every offline subsystem, written into held in place:
+    the drift-minimizing vertex (bang-bang) or the vertex this step's random
+    bits pick, u_lo + bits (u_hi - u_lo).  The constant adversary keeps the
+    vertex it chose on entry."""
+    if adversary.kind == "constant" or not offline.any():
         return
-    cols = [X[:, c] for c in range(cnet.n_total)]
-    for j in range(len(held_u)):
-        if offline[:, j].any():
-            u = (cnet.vertex_u(j, cols) if adversary.kind == "bang-bang"
-                 else cnet.random_vertex(j, bits))
-            held_u[j] = np.where(offline[:, j, None], u, held_u[j])
+    if adversary.kind == "bang-bang":
+        u = cnet.vertex_rows(X, np.flatnonzero(offline.any(axis=0)))
+    else:
+        u = cnet.u_lo + bits * (cnet.u_hi - cnet.u_lo)
+    np.copyto(held, u, where=offline[:, cnet.u_owner])
 
 
-def _rk4_step(cnet, X, h_seg, offline, held_u):
-    k1 = cnet.drift(X, offline, held_u)
-    k2 = cnet.drift(X + (0.5 * h_seg) * k1, offline, held_u)
-    k3 = cnet.drift(X + (0.5 * h_seg) * k2, offline, held_u)
-    k4 = cnet.drift(X + h_seg * k3, offline, held_u)
+def _rk4_step(cnet, X, h_seg, offline, held):
+    k1 = cnet.drift(X, offline, held)
+    k2 = cnet.drift(X + (0.5 * h_seg) * k1, offline, held)
+    k3 = cnet.drift(X + (0.5 * h_seg) * k2, offline, held)
+    k4 = cnet.drift(X + h_seg * k3, offline, held)
     return X + (h_seg / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -263,7 +258,7 @@ def _switches(schedules, t_end):
             for t, to_off in zip(interval, (True, False)) if t <= t_end]
 
 
-def _integrate(cnet, adversary, T, X, offline, held_u, switches, bits, bit_rows,
+def _integrate(cnet, adversary, T, X, offline, held, switches, bits, bit_rows,
                visit=None):
     """The one stepping loop over the time grid T, which holds every switch
     time.  At each grid time: apply its switches (the constant adversary
@@ -278,14 +273,14 @@ def _integrate(cnet, adversary, T, X, offline, held_u, switches, bits, bit_rows,
         for (row, j, to_off) in flips_at.get(m, ()):
             offline[row, j] = to_off
             if to_off and adversary.kind == "constant":
-                cols = [X[row:row + 1, c] for c in range(cnet.n_total)]
-                held_u[j][row] = cnet.vertex_u(j, cols)[0]
-        _refresh_held(cnet, adversary, X, offline, held_u,
+                us = cnet.us[j]
+                held[row, us] = cnet.vertex_rows(X[row:row + 1], (j,))[0, us]
+        _refresh_held(cnet, adversary, X, offline, held,
                       bits[:, bit_rows[m]] if bits is not None else None)
         if visit is not None:
             visit(m, X)
         if m + 1 < len(T):
-            X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held_u)
+            X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held)
     return X
 
 
@@ -323,9 +318,12 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         raise ValueError("dt must be positive")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    for sched in schedules:
-        validate_schedule(sched, indices)
     n_sub = len(net.subsystems)
+    for sched in schedules:
+        if len(sched.intervals) != n_sub:
+            raise ScheduleError(f"schedule has {len(sched.intervals)} interval tuples "
+                                f"for {n_sub} subsystems")
+        validate_schedule(sched, indices)
     B = len(schedules)
     if B == 0:
         return []
@@ -335,6 +333,7 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
 
     n_steps = max(1, int(round(horizon / dt)))
     samples = np.arange(n_steps + 1) * dt
+    samples.flags.writeable = False  # shared by every trace
     switches = _switches(schedules, samples[-1])
     T = np.unique(np.concatenate([samples, np.array([sw[0] for sw in switches])]))
     sample_pos = np.searchsorted(T, samples)
@@ -342,21 +341,17 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     is_sample[sample_pos] = True
     sample_index = np.cumsum(is_sample) - 1
     N = len(samples)
+    n_u = len(cnet.u_owner)
 
-    rand_bits = None
-    if adversary.kind == "random":
-        per_trace = []
-        width = sum(s.n_inputs for s in net.subsystems)
-        for b in range(B):
-            rng = np.random.default_rng([adversary.seed, b])
-            per_trace.append(rng.integers(0, 2, size=(N, width), dtype=np.uint8))
-        rand_bits = np.stack(per_trace)
+    rand_bits = None if adversary.kind != "random" else np.stack(
+        [np.random.default_rng([adversary.seed, b]).integers(0, 2, size=(N, n_u), dtype=np.uint8)
+         for b in range(B)])
 
     offline = np.zeros((B, n_sub), dtype=bool)
-    held_u = [np.zeros((B, s.n_inputs)) for s in net.subsystems]
+    held = np.zeros((B, n_u))
 
-    rec_states = np.empty((B, N, cnet.n_total))
-    rec_u = [np.empty((B, N, s.n_inputs)) for s in net.subsystems]
+    rec_states = np.empty((B, N, len(cnet.state_names)))
+    rec_u = np.empty((B, N, n_u))
     rec_h = np.empty((B, N, n_sub))
     rec_loc = np.empty((B, N, n_sub), dtype=np.int8)
 
@@ -368,20 +363,27 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         if not is_sample[m]:
             return
         k = int(sample_index[m])
-        if not np.isfinite(X).all() or (X < lo_lim).any() or (X > hi_lim).any():
-            bad = ~np.isfinite(X) | (X < lo_lim) | (X > hi_lim)
+        bad = ~np.isfinite(X) | (X < lo_lim) | (X > hi_lim)
+        if bad.any():
             b, c = np.argwhere(bad)[0]
-            raise NonFiniteStateError(float(T[m]), net.subsystems[cnet.owner[c]].name, int(b))
+            j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
+            raise NonFiniteStateError(float(T[m]), net.subsystems[j].name, int(b))
         rec_states[:, k] = X
-        cols = [X[:, c] for c in range(cnet.n_total)]
-        u_eff = cnet.effective_u(cols, offline, held_u)
+        rec_u[:, k] = cnet.effective_u(X, offline, held)
         for j in range(n_sub):
-            rec_u[j][:, k] = u_eff[j]
-            rec_h[:, k, j] = cnet.h(j, cols)
-            rec_loc[:, k, j] = np.where(offline[:, j], 0, 1)
+            rec_h[:, k, j] = cnet.h(j, X)
+        rec_loc[:, k] = ~offline
 
-    _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held_u, switches,
+    _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held, switches,
                rand_bits, sample_index, record)
+
+    floor = np.array([indices[j].d - 1e-9 * max(1.0, abs(indices[j].d)) for j in range(n_sub)])
+    in_buffer = rec_h >= floor
+
+    def views(rec, b, cols):
+        """Trace b's columns of a batch record, per subsystem; the traces'
+        slices never overlap, so no trace copies its data."""
+        return {name: rec[b, :, c] for name, c in zip(cnet.names, cols)}
 
     own: list[list] = [[] for _ in range(B)]
     for sw in switches:
@@ -391,26 +393,13 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         events = sorted((t, cnet.names[j], "offline" if to_off else "online")
                         for (t, _, j, to_off) in own[b])
         violations = _refine_violations(cnet, own[b], adversary, samples, rec_states[b],
-                                        rec_h[b], rec_loc[b],
-                                        [rec_u[j][b] for j in range(n_sub)],
+                                        rec_h[b], rec_loc[b], rec_u[b],
                                         rand_bits[b:b + 1] if rand_bits is not None else None)
-        states = {}
-        inputs = {}
-        h = {}
-        loc = {}
-        buf = {}
-        for j, s in enumerate(net.subsystems):
-            o = cnet.offsets[j]
-            states[s.name] = rec_states[b, :, o:o + s.n_states].copy()
-            inputs[s.name] = rec_u[j][b].copy()
-            h[s.name] = rec_h[b, :, j].copy()
-            loc[s.name] = rec_loc[b, :, j].copy()
-            d = indices[j].d
-            buf[s.name] = rec_h[b, :, j] >= d - 1e-9 * max(1.0, abs(d))
-        traces.append(HybridTrace(names=cnet.names, times=samples.copy(),
-                                  states=states, inputs=inputs, h=h, loc=loc,
-                                  in_buffer=buf, events=tuple(events),
-                                  violations=violations, dt=dt))
+        traces.append(HybridTrace(
+            names=cnet.names, times=samples, states=views(rec_states, b, cnet.xs),
+            inputs=views(rec_u, b, cnet.us), h=views(rec_h, b, range(n_sub)),
+            loc=views(rec_loc, b, range(n_sub)), in_buffer=views(in_buffer, b, range(n_sub)),
+            events=tuple(events), violations=violations, dt=dt))
     return traces
 
 
@@ -427,12 +416,10 @@ def _refine_violations(cnet, switches, adversary, samples, states_b, h_b, loc_b,
             tm = 0.5 * (t0 + t1)
             window = [(t, 0, i, to_off) for (t, _, i, to_off) in switches if t0 < t <= tm]
             T = np.unique(np.array([t0, tm] + [sw[0] for sw in window]))
-            offline = loc_b[k:k + 1] == 0
-            held_u = [u[k:k + 1].copy() for u in u_b]
-            X = _integrate(cnet, adversary, T, states_b[k:k + 1].copy(), offline, held_u,
-                           window, bits_b, np.full(len(T), k))
-            h_mid = float(np.asarray(cnet.h(j, [X[:, c] for c in range(cnet.n_total)]))
-                          .reshape(()))
+            # held is refreshed in place, and u_b is the trace's own inputs.
+            X = _integrate(cnet, adversary, T, states_b[k:k + 1], loc_b[k:k + 1] == 0,
+                           u_b[k:k + 1].copy(), window, bits_b, np.full(len(T), k))
+            h_mid = float(np.asarray(cnet.h(j, X)).reshape(()))
             if h_mid < 0:
                 out.append((tm, cnet.names[j], h_mid))
             else:

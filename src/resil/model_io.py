@@ -9,7 +9,8 @@ A model file declares the network:
                         "state_box": [[lo, hi]], "input_box": [[lo, hi]] } ],
       "couplings": [ { "from": str, "to": str, "w": [expr] } ] }
 
-An index file is a map from subsystem name to {"d", "tau", "phi", "eta"}.
+An index file is a map from subsystem name to {"d", "tau", "phi", "eta"},
+written as JSON with indent 2 and a trailing newline.
 
 Loading validates the schema with location-annotated messages, parses every
 expression against its declared variables, and checks two semantic
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from .exprs import ExpressionError, free_variables, parse_expression
@@ -215,9 +217,29 @@ def load_indices(path: str, net: Network) -> dict[int, ResilienceIndex]:
 
 
 def write_indices(path: str, net: Network, indices: dict[int, ResilienceIndex]):
-    doc = {net.subsystems[j].name: {"d": idx.d, "tau": idx.tau,
-                                    "phi": idx.phi, "eta": idx.eta}
-           for j, idx in sorted(indices.items())}
+    _write_index_doc(path, {}, {net.subsystems[j].name: idx
+                                for j, idx in sorted(indices.items())})
+
+
+def merge_index(path: str, name: str, idx: ResilienceIndex):
+    """Set one subsystem's entry in an index file, keeping every other entry
+    of an existing file as it is."""
+    doc = {}
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError:
+            raise ModelError(f"{path}: existing output file is not valid JSON")
+        if not isinstance(doc, dict):
+            raise ModelError(f"{path}: existing output file is not an index map")
+    _write_index_doc(path, doc, {name: idx})
+
+
+def _write_index_doc(path: str, doc: dict, indices: dict[str, ResilienceIndex]):
+    """Write doc with the named indices set: the one index-file format."""
+    doc.update({name: {"d": idx.d, "tau": idx.tau, "phi": idx.phi, "eta": idx.eta}
+                for name, idx in indices.items()})
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -293,11 +293,9 @@ def min_offline_drift(s: Subsystem, settings: OracleSettings) -> Extremum:
     adversarial vertex is reconstructed at the minimizer.
     """
     value, arg, grid = drift_minimum(s, SAFE_SET, settings, closed_loop=False)
-    point = grid.values(s.state_vars, arg)
-    for fn, (lo, hi) in zip(s.compiled.lg, s.input_box):
-        c = float(np.asarray(grid.bind(fn)(arg)))
-        point.append(lo if c * lo <= c * hi else hi)
-    return Extremum(value=value, arg=tuple(point), kind="min")
+    lg = [float(np.asarray(grid.bind(fn)(arg))) for fn in s.compiled.lg]
+    vertex = [float(u) for u in s.worst_vertex(lg)]
+    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg) + vertex), kind="min")
 
 
 def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings) -> Extremum:

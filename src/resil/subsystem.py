@@ -169,6 +169,12 @@ class Subsystem:
             return list(raw_values)
         return [np.clip(v, lo, hi) for v, (lo, hi) in zip(raw_values, self.mu_saturation)]
 
+    def worst_vertex(self, lg_values):
+        """Per input k, the input-box endpoint minimizing lg_values[k] * u_k,
+        the lower one on ties: the input-box vertex of steepest descent of h."""
+        return [np.where(c * lo <= c * hi, lo, hi)
+                for c, (lo, hi) in zip(lg_values, self.input_box)]
+
     def mu_values(self, state_cols):
         comp = self.compiled
         return self.clamp_mu([fn(*state_cols) for fn in comp.mu])

@@ -100,6 +100,8 @@ def test_index_compute_out_merges(capsys, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["S1"]["d"] == 9  # untouched entry survives the merge
     assert doc["S2"]["d"] == pytest.approx(0.1)
+    # The merge writes the index-file format of `net propagate --out`.
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_index_verify_pass_and_fail(capsys):

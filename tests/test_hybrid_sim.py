@@ -1,5 +1,6 @@
 """Fault-injection simulator tests: schedules, integration, verdicts, CSV."""
 
+import dataclasses
 import math
 import os
 
@@ -292,16 +293,87 @@ def test_batch_matches_single_runs():
         FaultSchedule(1.0, (((0.2, 0.3),), ())),
         FaultSchedule(1.0, (((0.15, 0.25),), ((0.45, 0.55),))),
     ]
-    batch = simulate_batch(net, indices, schedules, AdversaryPolicy(),
-                           dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
-    for schedule, got in zip(schedules, batch):
-        alone = simulate(net, indices, schedule, AdversaryPolicy(),
-                         dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
-        for name in net.names:
-            np.testing.assert_allclose(got.states[name], alone.states[name],
-                                       atol=1e-10)
-            np.testing.assert_array_equal(got.loc[name], alone.loc[name])
-        assert got.events == alone.events
+    for kind in ("bang-bang", "constant"):
+        batch = simulate_batch(net, indices, schedules, AdversaryPolicy(kind),
+                               dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
+        for schedule, got in zip(schedules, batch):
+            alone = simulate(net, indices, schedule, AdversaryPolicy(kind),
+                             dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
+            for name in net.names:
+                for field in ("states", "inputs", "h"):
+                    np.testing.assert_allclose(getattr(got, field)[name],
+                                               getattr(alone, field)[name], atol=1e-10)
+                np.testing.assert_array_equal(got.loc[name], alone.loc[name])
+            assert got.events == alone.events
+
+
+def test_random_adversary_uses_each_subsystems_own_box():
+    # S2's input box differs from S1's, so an input row whose columns were
+    # paired with the wrong subsystem's bounds would leave {-1, 1} for S2.
+    pair = make_pair()
+    s1, s2 = pair.subsystems
+    s2 = dataclasses.replace(s2, input_box=((-3.0, -0.5),))
+    net = Network((s1, s2), pair.couplings)
+    schedule = FaultSchedule(0.5, (((0.1, 0.2), (0.3, 0.4)), ((0.15, 0.25), (0.35, 0.45))))
+    trace = simulate(net, {0: IDX, 1: IDX}, schedule, AdversaryPolicy("random", seed=2),
+                     dt=0.01, horizon=0.5, x0=[(0.5,), (0.5,)])
+    for name, vertices in (("S1", {-1.0, 1.0}), ("S2", {-3.0, -0.5})):
+        u = trace.inputs[name][:, 0]
+        offline = trace.loc[name] == 0
+        assert set(np.unique(u[offline])) == vertices, name
+        assert (u[~offline] == -1.0).all(), name  # the online law mu = -1
+
+
+def test_schedule_needs_one_interval_tuple_per_subsystem():
+    net = make_pair()
+    for intervals in ((((0.2, 0.3),),), ((), (), ((0.2, 0.3),))):
+        with pytest.raises(ScheduleError,
+                           match=f"{len(intervals)} interval tuples for 2 subsystems"):
+            simulate(net, {0: IDX, 1: IDX}, FaultSchedule(1.0, intervals),
+                     AdversaryPolicy(), dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
+
+
+def no_input_block(name="S0", x="x0"):
+    sv = (x,)
+    return Subsystem(
+        name=name, state_vars=sv, input_vars=(),
+        f=(parse_expression(f"-{x}", sv),), g=((),),
+        h=parse_expression(f"1 - {x}", sv), mu=(),
+        state_box=((-1.0, 1.0),), input_box=(),
+    )
+
+
+@pytest.mark.parametrize("kind", ["bang-bang", "constant", "random"])
+def test_subsystem_without_inputs(tmp_path, kind):
+    adversary = AdversaryPolicy(kind, seed=1)
+    alone = simulate(Network((no_input_block(),)), {0: IDX}, sched(1.0, (0.2, 0.3)),
+                     adversary, dt=0.01, horizon=1.0, x0=[(0.5,)])
+    assert alone.inputs["S0"].shape == (101, 0)
+    # Going offline changes nothing when there is no input to attack.
+    np.testing.assert_allclose(alone.states["S0"][:, 0], 0.5 * np.exp(-alone.times),
+                               atol=1e-9)
+
+    # Beside the pair (the coupling S1 -> S2 kept), the pair's traces are
+    # those of the pair alone.
+    pair = make_pair()
+    s1, s2 = pair.subsystems
+    net = Network((s1, no_input_block(), s2), {(0, 2): pair.couplings[(0, 1)]})
+    indices = {0: IDX, 1: IDX, 2: IDX}
+    intervals = (((0.2, 0.3),), ((0.1, 0.2),), ((0.45, 0.55),))
+    trace = simulate(net, indices, FaultSchedule(1.0, intervals), adversary,
+                     dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,), (0.5,)])
+    ref = simulate(pair, {0: IDX, 1: IDX}, FaultSchedule(1.0, intervals[::2]), adversary,
+                   dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
+    assert trace.inputs["S0"].shape == (101, 0)
+    for name in ("S1", "S2"):
+        for field in ("states", "inputs", "h", "loc"):
+            np.testing.assert_array_equal(getattr(trace, field)[name],
+                                          getattr(ref, field)[name])
+    path = os.path.join(tmp_path, "trace.csv")
+    export_trace_csv(trace, path)
+    with open(path) as fh:
+        header = fh.readline().strip()
+    assert header == "t,loc_1,x_1_1,u_1_1,h_1,loc_2,x_2_1,h_2,loc_3,x_3_1,u_3_1,h_3"
 
 
 def test_multi_subsystem_schedules_are_positional():

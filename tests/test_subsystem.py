@@ -174,6 +174,15 @@ def test_mu_values_clamped():
     assert float(u[0]) == -2.7e6
 
 
+def test_worst_vertex_picks_descent_endpoint_lo_on_ties():
+    s = make_cstr()  # input box [-2.7e6, 2.7e6]
+    c = np.array([2.0, -3.0, 0.0])
+    (u,) = s.worst_vertex([c])
+    np.testing.assert_array_equal(u, [-2.7e6, 2.7e6, -2.7e6])
+    (u,) = s.worst_vertex([-1.0])
+    assert float(u) == 2.7e6
+
+
 def test_region_constructors():
     assert SAFE_SET == Region("safe_set")
     assert safe_minus_buffer(0.5) == Region("safe_minus_buffer", 0.5)
