@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 infeasible result / failed verification / unsafe
 simulation, 2 usage, model or numeric errors (division by zero or nan while
-evaluating a model).  `RESIL_WORKERS` sets the default
-oracle worker count; an explicit --workers wins.
+evaluating a model).
 """
 
 from __future__ import annotations
@@ -66,21 +65,19 @@ def _resolve_model(path: str) -> str:
 
 
 def _settings(args) -> OracleSettings:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("RESIL_WORKERS", "1"))
     return OracleSettings(grid_points_per_dim=args.grid,
                           refinement_rounds=args.refine,
-                          workers=workers)
+                          workers=args.workers)
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser):
-    p.add_argument("--grid", type=int, default=200,
-                   help="grid points per axis (default 200)")
-    p.add_argument("--refine", type=int, default=2,
-                   help="refinement rounds around the incumbent (default 2)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="oracle worker threads (default RESIL_WORKERS or 1)")
+    default = OracleSettings()
+    p.add_argument("--grid", type=int, default=default.grid_points_per_dim,
+                   help="grid points per axis (default %(default)s)")
+    p.add_argument("--refine", type=int, default=default.refinement_rounds,
+                   help="refinement rounds around the incumbent (default %(default)s)")
+    p.add_argument("--workers", type=int, default=default.workers,
+                   help="oracle worker threads (default %(default)s)")
 
 
 def _pick_subsystem(model: Model, name: str) -> int:

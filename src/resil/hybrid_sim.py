@@ -117,6 +117,8 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
                       count: int, align_dt: float | None = None) -> list[FaultSchedule]:
     """Random admissible schedules: offline lengths uniform in (0, tau],
     online gaps uniform in [phi, 3 phi], first start uniform in [0, 3 phi).
+    An infinite tau draws no length: its first offline interval runs to the
+    horizon.
 
     With align_dt, boundaries snap inward to the integration grid (starts up,
     ends down); snapping only shortens intervals and widens gaps, so the
@@ -136,7 +138,8 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
             ivs = []
             t = rng.uniform(0.0, 3.0 * idx.phi)
             while t < horizon:
-                length = idx.tau - rng.uniform(0.0, idx.tau)  # lands in (0, tau]
+                length = (idx.tau - rng.uniform(0.0, idx.tau)  # lands in (0, tau]
+                          if math.isfinite(idx.tau) else math.inf)
                 start, end = t, min(t + length, horizon)
                 if align_dt is not None:
                     i0 = math.ceil(start / align_dt - 1e-9)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprs import Expression, free_variables
-from .oracle import OracleSettings, StateGrid, grid_minimize, sup_h
+from .oracle import OracleSettings, StateGrid, sup_h
 from .resilience import (
     DEFAULT_TAU_MAX,
     Infeasible,
@@ -119,8 +119,7 @@ def _min_coupling(net: Network, participants, obj: Expression,
     """Minimize obj over the product of the participants' safety sets."""
     fn = compile_reads(obj)
     grid = StateGrid([net.subsystems[p] for p in participants], fn.names)
-    value, arg = grid_minimize(grid.bind(fn), grid.axes,
-                               grid.predicate(settings.margin_tolerance), settings)
+    value, arg = grid.minimize(grid.bind(fn), settings)
     return value, grid.witness(arg)
 
 

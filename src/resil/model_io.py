@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .exprs import ExpressionError, free_variables, parse_expression
 from .interconnect import Network
-from .oracle import EmptyRegionError, OracleSettings, StateGrid, grid_minimize, sup_h
+from .oracle import EmptyRegionError, OracleSettings, StateGrid, sup_h
 from .resilience import ResilienceIndex
 from .subsystem import ModelError, Subsystem
 
@@ -132,13 +132,11 @@ def _semantic_checks(s: Subsystem):
     if s.mu_saturation is not None:
         return  # the clamp keeps mu inside the box by construction
     grid = StateGrid((s,), set().union(*map(free_variables, s.mu)))
-    safe = grid.predicate(_CHECK_SETTINGS.margin_tolerance)
     for k, fn in enumerate(s.compiled.mu):
         lo_box, hi_box = s.input_box[k]
         mu = grid.bind(fn)
-        low, _ = grid_minimize(mu, grid.axes, safe, _CHECK_SETTINGS)
-        neg_high, _ = grid_minimize(lambda b: -mu(b), grid.axes, safe, _CHECK_SETTINGS)
-        high = -neg_high
+        low, _ = grid.minimize(mu, _CHECK_SETTINGS)
+        high = -grid.minimize(lambda b: -mu(b), _CHECK_SETTINGS)[0]
         slack = 1e-9 * max(1.0, abs(lo_box), abs(hi_box))
         if low < lo_box - slack or high > hi_box + slack:
             raise ModelError(

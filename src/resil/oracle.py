@@ -8,12 +8,12 @@ axis-aligned grid with vectorized numpy broadcasting, then shrinks the box
 around the incumbent for a fixed number of refinement rounds.
 
 ``StateGrid`` lays the axes out over the state variables an objective
-reads, for one subsystem or several coupled ones, and turns a ``Region``
-into the grid predicate.  ``drift_minimum`` builds the drift objectives
-from the subsystem's drift layer (``lf``, ``lg``, see ``subsystem``) in two
-forms, worst input-box vertex and closed loop, plus an optional coupling
-term; the index computations here and the verifier in ``resilience`` both
-call it.
+reads, for one subsystem or several coupled ones.  ``StateGrid.minimize``,
+the one caller of ``grid_minimize``, scans it where each subsystem lies in
+its safety set and a target in a ``Region`` (an interval of its h values).
+``drift_minimum`` builds the drift objectives from the drift layer (``lf``,
+``lg``, see ``subsystem``): worst input-box vertex or closed loop, plus an
+optional coupling term.
 
 Determinism: ties on the grid resolve to the lexicographically smallest
 point in axis order, regardless of chunking or worker count.  Refinement
@@ -41,6 +41,9 @@ from .subsystem import (
 # Cap on grid points evaluated per chunk; keeps peak memory near ~200 MB.
 _CHUNK_BUDGET = 4_000_000
 
+# Absolute slack on region boundaries and on index-condition margins.
+MARGIN_TOLERANCE = 1e-9
+
 
 class EmptyRegionError(Exception):
     """No grid point satisfied the region predicate."""
@@ -50,7 +53,6 @@ class EmptyRegionError(Exception):
 class OracleSettings:
     grid_points_per_dim: int = 200
     refinement_rounds: int = 2
-    margin_tolerance: float = 1e-9
     workers: int = 1
 
     def __post_init__(self):
@@ -66,7 +68,6 @@ class OracleSettings:
 class Extremum:
     value: float
     arg: tuple[float, ...]
-    kind: str  # 'min' or 'max'
     rigor: str = "sampled"
 
 
@@ -76,7 +77,7 @@ def _shaped(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _scan_chunk(objective, predicate, grids, lo_index):
+def _scan_chunk(objective, predicate, grids):
     """Evaluate one slab (a slice along axis 0) and return its best point."""
     ndim = len(grids)
     shape = tuple(g.size for g in grids)
@@ -95,8 +96,7 @@ def _scan_chunk(objective, predicate, grids, lo_index):
     if not np.isfinite(best):
         return None if predicate is not None else _raise_nonfinite(best)
     idx = np.unravel_index(flat, shape)
-    coords = tuple(float(grids[i][idx[i]]) for i in range(ndim))
-    return best, (lo_index + idx[0],) + idx[1:], coords
+    return best, tuple(float(g[i]) for g, i in zip(grids, idx))
 
 
 def _raise_nonfinite(v):
@@ -126,7 +126,7 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
             if round_no == 0:
                 raise EmptyRegionError("region contains no grid point")
         else:
-            val, _, coords = best
+            val, coords = best
             if val < incumbent_val or incumbent_arg is None:
                 incumbent_val, incumbent_arg = val, coords
         if incumbent_arg is None:
@@ -149,13 +149,13 @@ def _scan_round(objective, predicate, grids, settings):
     for c in range(n_chunks):
         lo = c * rows_per_chunk
         hi = min(axis0.size, lo + rows_per_chunk)
-        tasks.append(([axis0[lo:hi]] + grids[1:], lo))
+        tasks.append([axis0[lo:hi]] + grids[1:])
     if settings.workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=settings.workers) as pool:
             results = list(pool.map(
-                lambda t: _scan_chunk(objective, predicate, t[0], t[1]), tasks))
+                lambda g: _scan_chunk(objective, predicate, g), tasks))
     else:
-        results = [_scan_chunk(objective, predicate, g, lo) for g, lo in tasks]
+        results = [_scan_chunk(objective, predicate, g) for g in tasks]
     best = None
     for r in results:  # chunk order preserves the C-order tie-break
         if r is None:
@@ -210,19 +210,22 @@ class StateGrid:
         """Closure of a compiled expression over bindings."""
         return lambda b: fn(*self.values(fn.names, b))
 
-    def predicate(self, tol: float, target: Subsystem | None = None,
-                  region: Region = SAFE_SET):
-        """Every subsystem stays in its safety set; target lies in region."""
-        h_fns = [(s is target, self.bind(s.compiled.h)) for s in self.subsystems]
+    def minimize(self, objective, settings: OracleSettings,
+                 target: Subsystem | None = None, region: Region = SAFE_SET):
+        """Minimize objective (a function of the bindings) over the grid
+        points where every subsystem lies in its safety set and target in
+        region.  Returns (value, arg), arg in axis order."""
+        regions = [(region if s is target else SAFE_SET, self.bind(s.compiled.h))
+                   for s in self.subsystems]
 
-        def pred(bindings):
+        def predicate(bindings):
             out = None
-            for is_target, h in h_fns:
-                cond = (region if is_target else SAFE_SET).contains(h(bindings), tol)
+            for r, h in regions:
+                cond = r.contains(h(bindings), MARGIN_TOLERANCE)
                 out = cond if out is None else (out & cond)
             return out
 
-        return pred
+        return grid_minimize(objective, self.axes, predicate, settings)
 
     def witness(self, arg) -> tuple:
         return tuple(zip(self.axis_names, arg))
@@ -236,7 +239,7 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
     """Minimize the drift of h_s, lf + coupling + sum_k lg_k u_k, over region
     (with every other participant in its safety set).  u is the clamped
     feedback law when closed_loop, else the worst input-box vertex at each
-    grid point; z adds z (h - region.d).  Returns (value, arg, grid)."""
+    grid point; z adds z (h - region.lo).  Returns (value, arg, grid)."""
     comp = s.compiled
     coupling_fn = None if _is_zero(coupling) else compile_reads(coupling)
     fns = [comp.lf, *comp.lg] + ([coupling_fn] if coupling_fn else [])
@@ -258,10 +261,9 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
             for c_fn, (lo, hi) in zip(lg, s.input_box):
                 c = np.asarray(c_fn(b))
                 total = total + np.minimum(c * lo, c * hi)
-        return total if z is None else total + z * (h(b) - region.d)
+        return total if z is None else total + z * (h(b) - region.lo)
 
-    predicate = grid.predicate(settings.margin_tolerance, s, region)
-    value, arg = grid_minimize(objective, grid.axes, predicate, settings)
+    value, arg = grid.minimize(objective, settings, s, region)
     return value, arg, grid
 
 
@@ -280,8 +282,7 @@ def _h_peak(s: Subsystem, settings: OracleSettings):
     """(min of -h over the safety set, full state at the minimizer)."""
     grid = StateGrid((s,), ())
     h = grid.bind(s.compiled.h)
-    value, arg = grid_minimize(lambda b: -h(b), grid.axes,
-                               grid.predicate(settings.margin_tolerance), settings)
+    value, arg = grid.minimize(lambda b: -h(b), settings)
     return value, tuple(grid.values(s.state_vars, arg))
 
 
@@ -295,17 +296,17 @@ def min_offline_drift(s: Subsystem, settings: OracleSettings) -> Extremum:
     value, arg, grid = drift_minimum(s, SAFE_SET, settings, closed_loop=False)
     lg = [float(np.asarray(grid.bind(fn)(arg))) for fn in s.compiled.lg]
     vertex = [float(u) for u in s.worst_vertex(lg)]
-    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg) + vertex), kind="min")
+    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg) + vertex))
 
 
 def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings) -> Extremum:
     """min of the closed-loop drift over the band 0 <= h < d."""
     value, arg, grid = drift_minimum(s, safe_minus_buffer(d), settings, closed_loop=True)
-    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)), kind="min")
+    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)))
 
 
 def min_invariance_margin(s: Subsystem, d: float, z: float,
                           settings: OracleSettings) -> Extremum:
     """min over h >= d of closed-loop drift + z * (h - d)."""
     value, arg, grid = drift_minimum(s, buffer_region(d), settings, closed_loop=True, z=z)
-    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)), kind="min")
+    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)))

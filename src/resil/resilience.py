@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .exprs import _ZERO, Expression
 from .oracle import (
+    MARGIN_TOLERANCE,
     EmptyRegionError,
     Extremum,
     OracleSettings,
@@ -130,19 +131,19 @@ def _verify_one(target: Subsystem, participants, coupling: Expression,
         worst["invariance"] = None
         notes.append("buffer region is empty: d exceeds the reach of h")
 
-    passed, margins = _margin_rule(index, offline, recovery, invariance, settings)
+    passed, margins = _margin_rule(index, offline, recovery, invariance)
     return VerificationReport(passed, *margins, worst_points=worst, notes=tuple(notes))
 
 
 def _margin_rule(index: ResilienceIndex, offline: float, recovery: float | None,
-                 invariance: float, settings: OracleSettings):
+                 invariance: float):
     """Slack of the offline, recovery and invariance conditions from the
     minima of their drift scans (recovery None: not scanned, vacuous), and
     whether all three hold up to the margin tolerance."""
     margins = (offline + index.d / index.tau,
                math.inf if recovery is None else recovery - index.d / index.phi,
                invariance - index.eta)
-    return all(m >= -settings.margin_tolerance for m in margins), margins
+    return all(m >= -MARGIN_TOLERANCE for m in margins), margins
 
 
 def compute_index(s: Subsystem, z: float, eps: float = 0.1,
@@ -177,7 +178,7 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
         if found is None:
             continue
         candidate, rec, inv = found
-        passed, margins = _margin_rule(candidate, off.value, rec, inv, settings)
+        passed, margins = _margin_rule(candidate, off.value, rec, inv)
         if not passed:
             last_fail = {"d": d, "margins": margins}
             continue
@@ -193,7 +194,9 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
 
 def _candidate_at(s, d, z, off: Extremum, tau_max, phi_min, settings, last_fail):
     """The index induced at depth d, with the recovery minimum (None at d = 0)
-    and the invariance minimum it was built from; None when d admits none."""
+    and the invariance minimum it was built from; None when d admits none.
+    tau and phi step by ulps (tau down, phi up) until the margins _margin_rule
+    recomputes from them are nonnegative in floating point."""
     if off.value >= 0:
         tau = tau_max
     elif d == 0:
@@ -201,6 +204,8 @@ def _candidate_at(s, d, z, off: Extremum, tau_max, phi_min, settings, last_fail)
         return None
     else:
         tau = min(tau_max, d / (-off.value))
+    while off.value + d / tau < 0:
+        tau = math.nextafter(tau, 0.0)
 
     rec = None
     if d == 0:
@@ -215,6 +220,8 @@ def _candidate_at(s, d, z, off: Extremum, tau_max, phi_min, settings, last_fail)
             last_fail.update(d=d, stage="recovery", detail=rec)
             return None
         phi = max(phi_min, d / rec)
+        while rec - d / phi < 0:
+            phi = math.nextafter(phi, math.inf)
 
     try:
         inv = min_invariance_margin(s, d, z, settings).value

@@ -16,6 +16,7 @@ add ``grad_dot(grad h, W)`` on top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,38 +39,30 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class Region:
-    """Analysis region of one subsystem's state box.
+    """The states of a subsystem's box with lo <= h(x) <= hi: the safety set
+    h >= 0, the recovery band 0 <= h < d or the buffer h >= d."""
 
-    kind:
-      - ``safe_set``: h(x) >= 0
-      - ``safe_minus_buffer``: 0 <= h(x) < d (the recovery band)
-      - ``buffer``: h(x) >= d
-    """
-
-    kind: str
-    d: float = 0.0
+    lo: float = 0.0
+    hi: float = math.inf
 
     def contains(self, h, tol: float):
-        """Membership mask for values h of the safety function, with the
-        boundaries relaxed by tol."""
-        if self.kind == "safe_set":
-            return h >= -tol
-        if self.kind == "buffer":
-            return h >= self.d - tol
-        if self.kind == "safe_minus_buffer":
-            return (h >= -tol) & (h <= self.d - tol)
-        raise ValueError(f"unknown region kind {self.kind!r}")
+        """Membership mask for values h of the safety function: h >= lo - tol,
+        and h <= hi - tol when hi is finite."""
+        mask = h >= self.lo - tol
+        if math.isfinite(self.hi):
+            mask = mask & (h <= self.hi - tol)
+        return mask
 
 
-SAFE_SET = Region("safe_set")
+SAFE_SET = Region()
 
 
 def safe_minus_buffer(d: float) -> Region:
-    return Region("safe_minus_buffer", float(d))
+    return Region(0.0, float(d))
 
 
 def buffer_region(d: float) -> Region:
-    return Region("buffer", float(d))
+    return Region(float(d))
 
 
 def grad_dot(grad, *fields) -> Expression:

@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import re
 import shutil
@@ -173,12 +174,15 @@ def test_model_resolution_prefers_filesystem(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("ONLY:")
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("RESIL_WORKERS", "2")
-    code = main(["index", "compute", "--model", "toy_linear",
-                 "--subsystem", "S1", *FAST])
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "S1: (0.1, 0.1, 0.1, 1)"
+def test_workers_do_not_change_index(capsys):
+    printed = []
+    for workers in ("1", "2"):
+        code = main(["index", "compute", "--model", "cstr_series", "--subsystem", "S1",
+                     "--eps", "250", "--workers", workers, *FAST])
+        assert code == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith("S1: (")
 
 
 def test_net_delta(capsys):
@@ -336,3 +340,29 @@ def test_numeric_error_exits_2(capsys, tmp_path):
     assert code == 2
     assert captured.err.startswith("error:")
     assert "division by zero" in captured.err
+
+
+def test_sim_run_with_unbounded_tau(capsys, tmp_path):
+    # h = 1 - x^2 never decreases, whatever the input in [0, 1], so the
+    # index has tau = inf and a schedule may hold S1 offline to the horizon.
+    model = {
+        "alpha_z": 1.0,
+        "subsystems": [{"name": "S1", "states": ["x1"], "inputs": ["u1"],
+                        "f": ["-x1"], "g": [["x1"]], "h": "1 - x1^2", "mu": ["0"],
+                        "state_box": [[-1, 1]], "input_box": [[0, 1]]}],
+    }
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(model))
+    idx = tmp_path / "idx.json"
+    code = main(["index", "compute", "--model", str(mpath), "--subsystem", "S1",
+                 "--tau-max", "inf", "--out", str(idx), *FAST])
+    assert code == 0
+    assert json.loads(idx.read_text())["S1"]["tau"] == math.inf
+    capsys.readouterr()
+    out = tmp_path / "sim"
+    code = main(["sim", "run", "--model", str(mpath), "--indices", str(idx),
+                 "--horizon", "1", "--schedules", "3", "--seed", "2",
+                 "--dt", "0.01", "--out", str(out)])
+    assert code in (0, 1)
+    assert capsys.readouterr().out.startswith("safe ")
+    assert json.loads((out / "summary.json").read_text())["schedules"] == 3

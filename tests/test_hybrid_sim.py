@@ -127,6 +127,21 @@ def test_generate_schedule_argument_validation():
         generate_schedule(1, 1.0, {0: IDX}, -1)
 
 
+def test_generate_schedule_infinite_tau_stays_offline_to_horizon():
+    # No length is drawn for tau = inf: the first start is the only draw
+    # before the interval runs to the horizon.
+    indices = {0: ResilienceIndex(0.0, math.inf, 0.1, 1.0), 1: IDX}
+    free = generate_schedule(5, 2.0, indices, 10)
+    aligned = generate_schedule(5, 2.0, indices, 10, align_dt=0.01)
+    for k, (s, snapped) in enumerate(zip(free, aligned)):
+        validate_schedule(s, indices)
+        start = np.random.default_rng([5, k]).uniform(0.0, 3.0 * 0.1)
+        assert s.intervals[0] == ((start, 2.0),)
+        assert s.intervals[1]
+        ((a, b),) = snapped.intervals[0]
+        assert 0 <= a - start < 0.01 and b == pytest.approx(2.0)
+
+
 def test_simulate_toy_piecewise_trajectory():
     # Online drift -1, offline bang-bang drift +1; both are state-constant,
     # so RK4 reproduces the kinked line exactly.

@@ -91,24 +91,17 @@ def test_minimize_region_membership():
     st = settings(101, 1)
     grid = StateGrid((s,), s.state_vars)
     for region in (SAFE_SET, safe_minus_buffer(1000.0), buffer_region(1000.0)):
-        _, (T, c) = grid_minimize(lambda b: (b[0] - 377.0) ** 2 + b[1], grid.axes,
-                                  grid.predicate(st.margin_tolerance, s, region), st)
+        _, (T, c) = grid.minimize(lambda b: (b[0] - 377.0) ** 2 + b[1], st, s, region)
         hval = (T - 300) * (400 - T)
         assert 300 <= T <= 400 and 0 <= c <= 5
-        if region.kind == "safe_set":
-            assert hval >= -1e-9
-        elif region.kind == "buffer":
-            assert hval >= 1000.0 - 1e-9
-        else:
-            assert -1e-9 <= hval <= 1000.0
+        assert region.lo - 1e-9 <= hval <= region.hi
 
 
 def test_maximize_toy_h():
     s = make_toy()
     st = settings()
     grid = StateGrid((s,), ())
-    neg, arg = grid_minimize(lambda b: -(1 - b[0]), grid.axes,
-                             grid.predicate(st.margin_tolerance), st)
+    neg, arg = grid.minimize(lambda b: -(1 - b[0]), st)
     assert -neg == pytest.approx(2.0)
     assert arg == (-1.0,)
 

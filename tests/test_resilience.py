@@ -5,8 +5,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from resil import oracle, resilience
+from resil.exprs import parse_expression
 from resil.interconnect import Network, verify_network
 from resil.model_io import load_model
 from resil.oracle import OracleSettings
@@ -18,6 +20,7 @@ from resil.resilience import (
     compute_index,
     verify_index,
 )
+from resil.subsystem import SAFE_SET, Subsystem, buffer_region, safe_minus_buffer
 
 from test_oracle import make_toy_variant
 from test_subsystem import make_cstr, make_toy
@@ -137,7 +140,7 @@ def test_compute_scans_each_region_and_depth_once(monkeypatch):
     drift_minimum = oracle.drift_minimum
 
     def counted(s, region, settings, closed_loop, z=None, *args):
-        scans.append((region.kind, region.d, closed_loop, z))
+        scans.append((region, closed_loop, z))
         return drift_minimum(s, region, settings, closed_loop, z, *args)
 
     monkeypatch.setattr(oracle, "drift_minimum", counted)
@@ -147,9 +150,9 @@ def test_compute_scans_each_region_and_depth_once(monkeypatch):
     assert isinstance(idx, ResilienceIndex)
     # d = 0 fails the offline stage before any scan (the offline drift is -1).
     depths = (0.5, 1.0, 1.5, 2.0)
-    assert scans == [("safe_set", 0.0, False, None)] + [
+    assert scans == [(SAFE_SET, False, None)] + [
         scan for d in depths
-        for scan in (("safe_minus_buffer", d, True, None), ("buffer", d, True, 1.0))]
+        for scan in ((safe_minus_buffer(d), True, None), (buffer_region(d), True, 1.0))]
 
 
 def test_compute_rejects_bad_parameters():
@@ -224,3 +227,44 @@ def test_verify_index_is_one_node_network_verify():
                    for r in (alone, joint)]
         assert margins[0] == margins[1], s.name
         assert alone.worst_points == joint.worst_points
+
+
+def make_scaled(f: float, mu: float, u_max: float) -> Subsystem:
+    """x' = f + u on [-100, 100] with h = 100 - x, the constant law mu and the
+    input box [-u_max, u_max]: drifts of size f, u_max and mu."""
+    sv = ("x1",)
+    return Subsystem(
+        name="S1", state_vars=sv, input_vars=("u1",),
+        f=(parse_expression(repr(f), sv),), g=((parse_expression("1", sv),),),
+        h=parse_expression("100 - x1", sv), mu=(parse_expression(repr(mu), sv),),
+        state_box=((-100.0, 100.0),), input_box=((-u_max, u_max),))
+
+
+COARSE = OracleSettings(grid_points_per_dim=21, refinement_rounds=0)
+
+
+def test_large_drift_candidate_survives_its_own_rounding():
+    # d / (d / -off) need not give back -off: with tau = d / -off taken as
+    # is, the offline margin recomputed from tau is -1.49e-8 at d = 1 and 2,
+    # below the absolute tolerance, and the sweep would go on to d = 3.
+    s = make_scaled(42249000.0, -84498000.0, 84498000.0)
+    idx = compute_index(s, 1.0, eps=1.0, settings=COARSE)
+    assert isinstance(idx, ResilienceIndex)
+    assert idx.d == 1.0
+    rep = verify_index(s, idx, 1.0, COARSE)
+    assert min(rep.margin_offline, rep.margin_recovery, rep.margin_invariance) >= 0
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(exponent=st.floats(0.0, 9.0), f=st.floats(0.1, 1.0), pull=st.floats(0.1, 1.0),
+       room=st.floats(0.0, 1.0))
+def test_returned_index_margins_are_nonnegative(exponent, f, pull, room):
+    scale = 10.0 ** exponent
+    mu = -(f + pull) * scale  # closed loop x' = -pull * scale: recovers
+    s = make_scaled(f * scale, mu, -mu * (1.0 + room))
+    idx = compute_index(s, 1.0, eps=1.0, settings=COARSE)
+    assert isinstance(idx, ResilienceIndex)
+    rep = verify_index(s, idx, 1.0, COARSE)
+    assert rep.margin_offline >= 0
+    assert rep.margin_recovery >= 0
+    assert rep.margin_invariance >= 0

@@ -1,5 +1,6 @@
 """Subsystem construction, validation, and drift-layer evaluation tests."""
 
+import math
 from importlib import resources
 
 import numpy as np
@@ -184,9 +185,32 @@ def test_worst_vertex_picks_descent_endpoint_lo_on_ties():
 
 
 def test_region_constructors():
-    assert SAFE_SET == Region("safe_set")
-    assert safe_minus_buffer(0.5) == Region("safe_minus_buffer", 0.5)
-    assert buffer_region(2.0) == Region("buffer", 2.0)
+    assert SAFE_SET == Region(0.0, math.inf)
+    assert safe_minus_buffer(0.5) == Region(0.0, 0.5)
+    assert buffer_region(2.0) == Region(2.0, math.inf)
+
+
+def kind_mask(kind, d, h, tol):
+    """The membership rule of the regions when they were named by kind."""
+    if kind == "safe_set":
+        return h >= -tol
+    if kind == "buffer":
+        return h >= d - tol
+    return (h >= -tol) & (h <= d - tol)  # safe_minus_buffer
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_region_interval_masks_match_kind_masks(data):
+    kind = data.draw(st.sampled_from(["safe_set", "safe_minus_buffer", "buffer"]))
+    d = 0.0 if kind == "safe_set" else data.draw(st.floats(0.0, 1e6))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    region = {"safe_set": SAFE_SET, "safe_minus_buffer": safe_minus_buffer(d),
+              "buffer": buffer_region(d)}[kind]
+    edges = [e + s for e in (0.0, d) for s in (-2 * tol, -tol, 0.0, tol, 2 * tol)]
+    h = np.array(edges + [math.inf, -math.inf, math.nan]
+                 + data.draw(st.lists(st.floats(allow_nan=True), max_size=20)))
+    np.testing.assert_array_equal(region.contains(h, tol), kind_mask(kind, d, h, tol))
 
 
 def test_validation_rejects_bad_shapes():
