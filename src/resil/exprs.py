@@ -290,12 +290,45 @@ def _to_python_source(e: Expression) -> str:
     return f"({_to_python_source(e.left)} {op} {_to_python_source(e.right)})"
 
 
+def straight_line(trees, names, lines: list[str], temps: dict[str, str]) -> list[str]:
+    """The source of each tree's value, appending to lines one assignment per
+    distinct subtree that reads a variable.  names maps variables to their
+    identifiers; temps, one per generated function, maps each right-hand side
+    to its temporary, keyed on text since Literal(0.0) == Literal(-0.0) as
+    nodes.  Literal-only subtrees stay inline, where Python folds them as in
+    compile_expression."""
+
+    def emit(e) -> str:
+        if isinstance(e, Variable):
+            return names[e.name]
+        if not free_variables(e):
+            return _to_python_source(e)
+        if isinstance(e, BinaryOp):
+            rhs = f"{emit(e.left)} {'**' if e.op == '^' else e.op} {emit(e.right)}"
+        else:
+            rhs = f"-{emit(e.operand)}" if isinstance(e, Negate) else f"exp({emit(e.operand)})"
+        if rhs not in temps:
+            temps[rhs] = f"t{len(temps)}"
+            lines.append(f"{temps[rhs]} = {rhs}")
+        return temps[rhs]
+
+    return [emit(e) for e in trees]
+
+
 @lru_cache(maxsize=4096)
-def _compile_source(source: str, names: tuple[str, ...]):
-    code = f"def _f({', '.join(names)}):\n    return {source}"
-    namespace: dict = {"exp": np.exp, "__builtins__": {}}
-    exec(code, namespace)  # noqa: S102 - source is generated from a parsed tree
+def _compile_source(body: str, names: tuple[str, ...]):
+    code = f"def _f({', '.join(names)}):\n{body}"
+    namespace = {"exp": np.exp, "clip": np.clip, "where": np.where, "__builtins__": {}}
+    exec(code, namespace)  # noqa: S102 - source is generated from parsed trees
     return namespace["_f"]
+
+
+def compile_lines(lines, names, label: str) -> "CompiledExpression":
+    """Compile source lines, a function body, to a function of the positional
+    arguments names; a division by zero in it names label."""
+    names = tuple(names)
+    return CompiledExpression(_compile_source("".join(f"    {ln}\n" for ln in lines), names),
+                              names, label)
 
 
 def compile_expression(e: Expression, names) -> "CompiledExpression":
@@ -304,7 +337,7 @@ def compile_expression(e: Expression, names) -> "CompiledExpression":
     missing = free_variables(e) - set(names)
     if missing:
         raise EvaluationError(f"unbound variables: {sorted(missing)}")
-    return CompiledExpression(_compile_source(_to_python_source(e), names), names, str(e))
+    return compile_lines([f"return {_to_python_source(e)}"], names, str(e))
 
 
 class CompiledExpression:

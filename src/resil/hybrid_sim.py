@@ -8,12 +8,12 @@ integrated with fixed-step RK4 on the union of the sample grid and all
 schedule boundaries, so location switches happen at exact times.
 
 Batches of schedules integrate together as one vectorized system; traces
-are deterministic given (seed, model, schedules, dt).  One row per trace
-holds all states, subsystem j's in the columns xs[j]; one input row holds
-all inputs, subsystem j's in the columns us[j] (empty for a subsystem
-without inputs).  The held adversary inputs, the recorded inputs and the
-random bits all use the input rows, and each trace's arrays are views of
-the batch records.
+are deterministic given (seed, model, schedules, dt).  A state row holds
+every state, subsystem j's in columns xs[j], and an input row (held,
+recorded, random bits) every input, subsystem j's in columns us[j]; each
+trace's arrays are views of the batch records.  The network's expressions
+run as generated straight-line kernels that compute a shared subexpression
+once, with one kernel call per RK4 stage and one per recorded sample.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import Expression, Variable, _add, _mul, compile_expression
+from .exprs import Variable, _add, _mul, compile_lines, straight_line
 from .interconnect import Network
 from .oracle import OracleSettings, argmax_h
 from .resilience import ResilienceIndex
+from .subsystem import grad_dot
 
 # States may wander this fraction of a box width outside the box before the
 # run is aborted as a modeling error rather than scored as unsafe.
@@ -157,9 +158,14 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
 # -- compiled network kernel ---------------------------------------------------
 
 class _CompiledNetwork:
-    """All expressions of a network compiled against one row layout: a batch
-    row holds every state, subsystem j's in columns xs[j], and an input row
-    holds every input, subsystem j's in columns us[j]."""
+    """A network's expressions as straight-line kernels over one row layout:
+    a batch row holds every state, subsystem j's in columns xs[j], and an
+    input row holds every input, subsystem j's in columns us[j].
+    rhs(X, offline, held, out) writes the right-hand side into out and
+    returns it, record(X, offline, held, u_out, h_out) writes the effective
+    input rows and every h, and lg(X) returns every input's lg value.  An
+    effective input is the held adversary input where its subsystem is
+    offline, the saturated feedback law where it is online."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -175,57 +181,54 @@ class _CompiledNetwork:
         self.u_lo = np.array([lo for s in subs for lo, _ in s.input_box], dtype=float)
         self.u_hi = np.array([hi for s in subs for _, hi in s.input_box], dtype=float)
 
-        col = {name: c for c, name in enumerate(self.state_names)}
-        # per subsystem, per input: lg_k and the state columns it reads
-        self.lg = [[(fn, [col[n] for n in fn.names]) for fn in s.compiled.lg] for s in subs]
-        # per state column: its derivative over (*states, *inputs of its subsystem)
-        self.deriv = []
+        ids = {n: f"x{c}" for c, n in enumerate(self.state_names)}
+        unpack = [f"{x} = X[:, {c}]" for c, x in enumerate(ids.values())]
+        head, temps, drift = list(unpack), {}, []  # head ends with the inputs u{k}
         for j, s in enumerate(subs):
-            inc = net.incoming(j)
-            for i in range(s.n_states):
-                expr: Expression = s.f[i]
-                for k, u_name in enumerate(s.input_vars):
-                    expr = _add(expr, _mul(s.g[i][k], Variable(u_name)))
-                for _, w in inc:
+            ks = range(self.us[j].start, self.us[j].stop)
+            laws = straight_line(s.mu, ids, head, temps)
+            for k, law, sat in zip(ks, laws, s.mu_saturation or [None] * s.n_inputs):
+                if sat is not None:
+                    law = f"clip({law}, {float(sat[0])!r}, {float(sat[1])!r})"
+                head.append(f"u{k} = where(offline[:, {j}], held[:, {k}], {law})")
+            names = {**ids, **{u: f"u{k}" for u, k in zip(s.input_vars, ks)}}
+            for i, expr in enumerate(s.f):
+                for g, u in zip(s.g[i], s.input_vars):
+                    expr = _add(expr, _mul(g, Variable(u)))
+                for _, w in net.incoming(j):
                     expr = _add(expr, w[i])
-                fn = compile_expression(expr, self.state_names + s.input_vars)
-                self.deriv.append((fn, self.us[j]))
+                drift.append((expr, names))
+        label = ", ".join(self.names)
+
+        lines, rhs_temps = list(head), dict(temps)
+        for c, (expr, names) in enumerate(drift):
+            lines.append(f"out[:, {c}] = {straight_line([expr], names, lines, rhs_temps)[0]}")
+        self.rhs = compile_lines(lines + ["return out"], ("X", "offline", "held", "out"),
+                                 f"drift of {label}")
+        lines = head + [f"u_out[:, {k}] = u{k}" for k in range(len(self.u_owner))]
+        hs = straight_line([s.h for s in subs], ids, lines, temps)
+        self.record = compile_lines(lines + [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)],
+                                    ("X", "offline", "held", "u_out", "h_out"),
+                                    f"inputs and h of {label}")
+        lines = list(unpack)
+        lg = straight_line([grad_dot(s.compiled.grad, [row[k] for row in s.g])
+                            for s in subs for k in range(s.n_inputs)], ids, lines, {})
+        self.lg = compile_lines(lines + [f"return ({''.join(v + ', ' for v in lg)})"], ("X",),
+                                f"lg of {label}")
 
     def h(self, j: int, X: np.ndarray):
         return self.net.subsystems[j].compiled.h(*X[:, self.xs[j]].T)
 
-    def _input_rows(self, n: int, values, which) -> np.ndarray:
-        """n input rows whose columns us[j], for each subsystem j in which,
-        hold the per-input values(j); the other columns are 0."""
-        out = np.zeros((n, len(self.u_owner)))
-        for j in which:
-            us = self.us[j]
-            for k, v in zip(range(us.start, us.stop), values(j)):
-                out[:, k] = v
-        return out
-
     def vertex_rows(self, X: np.ndarray, which) -> np.ndarray:
         """Input rows holding, for each subsystem j in which, the input-box
-        vertex minimizing the instantaneous drift of h_j."""
-        cols = X.T
-        return self._input_rows(len(X), lambda j: self.net.subsystems[j].worst_vertex(
-            [np.asarray(fn(*cols[reads])) for fn, reads in self.lg[j]]), which)
-
-    def effective_u(self, X: np.ndarray, offline: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """Input rows: the held adversary input where the owning subsystem is
-        offline, the clamped feedback law where it is online."""
-        mu = self._input_rows(len(X), lambda j: self.net.subsystems[j].mu_values(
-            X[:, self.xs[j]].T), range(len(self.us)))
-        return np.where(offline[:, self.u_owner], held, mu)
-
-    def drift(self, X: np.ndarray, offline: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """Vectorized right-hand side; online traces re-evaluate mu at the
-        stage state, offline traces keep their held adversary input."""
-        cols = list(X.T)
-        u = list(self.effective_u(X, offline, held).T)
-        out = np.empty_like(X)
-        for c, (fn, us) in enumerate(self.deriv):
-            out[:, c] = fn(*cols, *u[us])
+        vertex minimizing the instantaneous drift of h_j; other columns 0."""
+        lg = self.lg(X)
+        out = np.zeros((len(X), len(self.u_owner)))
+        for j in which:
+            us = self.us[j]
+            for k, v in zip(range(us.start, us.stop),
+                            self.net.subsystems[j].worst_vertex(lg[us])):
+                out[:, k] = v
         return out
 
 
@@ -244,10 +247,12 @@ def _refresh_held(cnet, adversary, X, offline, held, bits):
 
 
 def _rk4_step(cnet, X, h_seg, offline, held):
-    k1 = cnet.drift(X, offline, held)
-    k2 = cnet.drift(X + (0.5 * h_seg) * k1, offline, held)
-    k3 = cnet.drift(X + (0.5 * h_seg) * k2, offline, held)
-    k4 = cnet.drift(X + h_seg * k3, offline, held)
+    """One RK4 step, one kernel call per stage; online traces re-evaluate mu
+    at each stage state, offline traces keep their held adversary input."""
+    k1 = cnet.rhs(X, offline, held, np.empty_like(X))
+    k2 = cnet.rhs(X + (0.5 * h_seg) * k1, offline, held, np.empty_like(X))
+    k3 = cnet.rhs(X + (0.5 * h_seg) * k2, offline, held, np.empty_like(X))
+    k4 = cnet.rhs(X + h_seg * k3, offline, held, np.empty_like(X))
     return X + (h_seg / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -372,9 +377,7 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
             j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
             raise NonFiniteStateError(float(T[m]), net.subsystems[j].name, int(b))
         rec_states[:, k] = X
-        rec_u[:, k] = cnet.effective_u(X, offline, held)
-        for j in range(n_sub):
-            rec_h[:, k, j] = cnet.h(j, X)
+        cnet.record(X, offline, held, rec_u[:, k], rec_h[:, k])
         rec_loc[:, k] = ~offline
 
     _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held, switches,
@@ -493,22 +496,16 @@ def check_trace_safety(trace: HybridTrace, net: Network,
 
 def export_trace_csv(trace: HybridTrace, path: str):
     """Columns: t, then per subsystem j (1-based position): loc_j, the state
-    components x_j_1.., the inputs u_j_1.., and h_j; 9 significant digits."""
-    cols = ["t"]
-    arrays = [trace.times]
+    components x_j_1.., the inputs u_j_1.., and h_j; 9 significant digits,
+    written as np.savetxt(fmt="%.9g", delimiter=",") writes them."""
+    cols, arrays = ["t"], [trace.times]
     for pos, name in enumerate(trace.names, start=1):
-        cols.append(f"loc_{pos}")
-        arrays.append(trace.loc[name].astype(float))
-        st = trace.states[name]
-        for i in range(st.shape[1]):
-            cols.append(f"x_{pos}_{i + 1}")
-            arrays.append(st[:, i])
-        u = trace.inputs[name]
-        for i in range(u.shape[1]):
-            cols.append(f"u_{pos}_{i + 1}")
-            arrays.append(u[:, i])
-        cols.append(f"h_{pos}")
-        arrays.append(trace.h[name])
-    mat = np.column_stack(arrays) if len(trace.times) else np.empty((0, len(cols)))
-    np.savetxt(path, mat, fmt="%.9g", delimiter=",",
-               header=",".join(cols), comments="")
+        st, u = trace.states[name], trace.inputs[name]
+        cols += [f"loc_{pos}", *(f"x_{pos}_{i + 1}" for i in range(st.shape[1])),
+                 *(f"u_{pos}_{i + 1}" for i in range(u.shape[1])), f"h_{pos}"]
+        arrays += [trace.loc[name], st, u, trace.h[name]]
+    mat, row = np.column_stack(arrays), ",".join(["%.9g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(0, len(mat), 256):  # a block at a time keeps the lists small
+            fh.writelines(row % tuple(r) for r in mat[i:i + 256].tolist())

@@ -366,3 +366,23 @@ def test_sim_run_with_unbounded_tau(capsys, tmp_path):
     assert code in (0, 1)
     assert capsys.readouterr().out.startswith("safe ")
     assert json.loads((out / "summary.json").read_text())["schedules"] == 3
+
+
+def test_sim_run_division_by_zero_exits_2(capsys, tmp_path):
+    # Loading never evaluates f, so the pole first shows in the simulator.
+    model = {
+        "alpha_z": 1.0,
+        "subsystems": [{"name": "S1", "states": ["x1"], "inputs": ["u1"],
+                        "f": ["1/(x1 - x1)"], "g": [["1"]], "h": "1 - x1^2",
+                        "mu": ["0"], "state_box": [[-1, 1]], "input_box": [[-1, 1]]}],
+    }
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(model))
+    idx = tmp_path / "idx.json"
+    idx.write_text(json.dumps({"S1": {"d": 0.1, "tau": 0.1, "phi": 0.1, "eta": 1.0}}))
+    code = main(["sim", "run", "--model", str(mpath), "--indices", str(idx),
+                 "--horizon", "0.1", "--schedules", "1", "--seed", "1", "--dt", "0.01",
+                 "--out", str(tmp_path / "sim")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "division by zero" in err and "S1" in err

@@ -12,11 +12,13 @@ from resil.exprs import (
     UndeclaredVariableError,
     Variable,
     compile_expression,
+    compile_lines,
     differentiate,
     eval_expression,
     format_expression,
     free_variables,
     parse_expression,
+    straight_line,
 )
 
 VARS = ("x1", "x2", "T1", "c1", "u1")
@@ -213,3 +215,29 @@ def test_quotient_rule():
     e = parse_expression("x1/(x2+2)", VARS)
     de = differentiate(e, "x2")
     assert eval_expression(de, {"x1": 6.0, "x2": 1.0}) == pytest.approx(-6.0 / 9.0)
+
+
+def test_straight_line_shares_subexpressions():
+    names = ("a", "b", "x")
+    trees = [parse_expression("(50000/231)*3000000*exp(-a/(b*x)) + x", names),
+             parse_expression("exp(-a/(b*x))*x - 2^2", names),
+             # equal as nodes, since 0.0 == -0.0, but not as values
+             BinaryOp("*", Variable("x"), Literal(-0.0)),
+             BinaryOp("*", Variable("x"), Literal(0.0))]
+    lines = []
+    values = straight_line(trees, {n: n for n in names}, lines, {})
+    assert sum(line.count("exp(") for line in lines) == 1
+    assert len(set(values)) == len(trees)
+    fn = compile_lines(lines + [f"return ({', '.join(values)},)"], names, "shared")
+    rng = np.random.default_rng(3)
+    args = (rng.uniform(1.0, 8e4, 50), rng.uniform(1.0, 10.0, 50), rng.uniform(300.0, 400.0, 50))
+    for got, tree in zip(fn(*args), trees):
+        assert got.tobytes() == compile_expression(tree, names)(*args).tobytes()
+
+
+def test_straight_line_division_by_zero_names_label():
+    lines = []
+    (value,) = straight_line([parse_expression("1/(x1 - x1)", VARS)], {"x1": "x"}, lines, {})
+    fn = compile_lines(lines + [f"return {value}"], ("x",), "drift of S9")
+    with pytest.raises(ZeroDivisionError, match="division by zero evaluating 'drift of S9'"):
+        fn(np.ones(3))

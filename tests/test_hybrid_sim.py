@@ -3,16 +3,28 @@
 import dataclasses
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from resil.exprs import parse_expression
+from resil.exprs import (
+    BinaryOp,
+    Literal,
+    Variable,
+    _add,
+    _mul,
+    compile_expression,
+    parse_expression,
+)
 from resil.hybrid_sim import (
     AdversaryPolicy,
     FaultSchedule,
+    HybridTrace,
     NonFiniteStateError,
     ScheduleError,
+    _CompiledNetwork,
     check_trace_safety,
     export_trace_csv,
     generate_schedule,
@@ -22,6 +34,7 @@ from resil.hybrid_sim import (
     validate_trace,
 )
 from resil.interconnect import Network
+from resil.model_io import load_model
 from resil.resilience import ResilienceIndex
 from resil.subsystem import Subsystem
 
@@ -474,3 +487,121 @@ def test_export_trace_csv_pair_column_order(tmp_path):
     with open(path) as fh:
         header = fh.readline().strip()
     assert header == "t,loc_1,x_1_1,u_1_1,h_1,loc_2,x_2_1,u_2_1,h_2"
+
+
+@pytest.mark.parametrize("rows", [0, 8])
+def test_export_trace_csv_bytes_match_savetxt(tmp_path, rows):
+    special = np.array([-0.0, 1e-300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e7, 5e-324])
+    rng = np.random.default_rng(1)
+
+    def col(n=None):
+        """Every special value once per column, in a random order."""
+        cols = np.stack([rng.permutation(special) for _ in range(n or 1)], axis=1)[:rows]
+        return cols if n else cols[:, 0]
+
+    trace = HybridTrace(
+        names=("A", "B"), times=np.arange(rows) * 0.25,
+        states={"A": col(2), "B": col(1)}, inputs={"A": col(1), "B": np.empty((rows, 0))},
+        h={"A": col(), "B": col()},
+        loc={"A": rng.integers(0, 2, rows, dtype=np.int8), "B": np.ones(rows, np.int8)},
+        in_buffer={}, events=(), violations=(), dt=0.25)
+    path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+    export_trace_csv(trace, str(path))
+    mat = np.column_stack([trace.times, trace.loc["A"].astype(float), trace.states["A"],
+                           trace.inputs["A"], trace.h["A"], trace.loc["B"].astype(float),
+                           trace.states["B"], trace.h["B"]])
+    np.savetxt(ref, mat, fmt="%.9g", delimiter=",", comments="",
+               header="t,loc_1,x_1_1,x_1_2,u_1_1,h_1,loc_2,x_2_1,h_2")
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_division_by_zero_in_simulator_names_subsystem():
+    net = single_net(f="1/(x1 - x1)")
+    with pytest.raises(ZeroDivisionError, match="division by zero") as err:
+        simulate_batch(net, {0: IDX}, [sched(1.0)], AdversaryPolicy(), dt=0.01,
+                       horizon=1.0, x0=[(0.5,)])
+    assert "S1" in str(err.value)
+
+
+def coupled_model():
+    """Two coupled subsystems with ^, Negate and hand-built negative literals,
+    no saturation, and one input name, v, in both."""
+    sv1, sv2 = ("p", "q"), ("r",)
+    s1 = Subsystem(
+        name="P", state_vars=sv1, input_vars=("v",),
+        f=(parse_expression("-p^3 + q*exp(-p)", sv1),
+           BinaryOp("^", BinaryOp("*", Literal(-2.0), Variable("p")), Literal(2.0))),
+        g=((parse_expression("1 + p^2", sv1),), (Literal(-0.5),)),
+        h=parse_expression("4 - p^2 - q^2", sv1), mu=(parse_expression("-p - q^2", sv1),),
+        state_box=((-2.0, 2.0), (-2.0, 2.0)), input_box=((-10.0, 10.0),))
+    s2 = Subsystem(
+        name="R", state_vars=sv2, input_vars=("v",),
+        f=(parse_expression("-r + 0.5*r^2", sv2),), g=((parse_expression("2", sv2),),),
+        h=parse_expression("1 - r^2", sv2), mu=(parse_expression("-(r - -1)", sv2),),
+        state_box=((-1.0, 1.0),), input_box=((-3.0, 3.0),))
+    return Network((s1, s2), {(0, 1): (parse_expression("0.25*(p - r)", ("p", "r")),),
+                              (1, 0): (Literal(0.0), parse_expression("-q*r", ("q", "r")))})
+
+
+NETWORKS = {
+    "cstr_series": load_model(str(resources.files("resil") / "models" / "cstr_series.json")
+                              ).network,
+    "coupled": coupled_model(),
+}
+
+
+def reference_rhs(net, X, offline, held):
+    """The right-hand side as one compiled expression per state column,
+    f_i + g_i u + the incoming couplings, with u the where-select of the held
+    input and Subsystem.mu_values."""
+    cols = list(X.T)
+    state_names = tuple(n for s in net.subsystems for n in s.state_vars)
+    out, c, k0 = np.empty_like(X), 0, 0
+    for j, s in enumerate(net.subsystems):
+        mu = s.mu_values(cols[c:c + s.n_states])
+        u = [np.where(offline[:, j], held[:, k0 + k], m) for k, m in enumerate(mu)]
+        for i in range(s.n_states):
+            expr = s.f[i]
+            for k, name in enumerate(s.input_vars):
+                expr = _add(expr, _mul(s.g[i][k], Variable(name)))
+            for _, w in net.incoming(j):
+                expr = _add(expr, w[i])
+            out[:, c + i] = compile_expression(expr, state_names + s.input_vars)(*cols, *u)
+        c, k0 = c + s.n_states, k0 + s.n_inputs
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_is_bit_equal_to_per_expression_reference(data):
+    net = NETWORKS[data.draw(st.sampled_from(sorted(NETWORKS)), label="network")]
+    cnet = _CompiledNetwork(net)
+    rows = data.draw(st.integers(1, 5), label="rows")
+    subs = net.subsystems
+    # states inside the box and its 10 % excursion band, any held input
+    # inside the input box, any offline mask
+    X = np.array([[data.draw(st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
+                   for s in subs for lo, hi in s.state_box] for _ in range(rows)])
+    held = np.array([[data.draw(st.floats(lo, hi)) for s in subs for lo, hi in s.input_box]
+                     for _ in range(rows)])
+    offline = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=len(subs),
+                                                   max_size=len(subs)),
+                                          min_size=rows, max_size=rows)), dtype=bool)
+
+    got = cnet.rhs(X, offline, held, np.empty_like(X))
+    assert got.tobytes() == reference_rhs(net, X, offline, held).tobytes()
+
+    u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
+    cnet.record(X, offline, held, u_out, h_out)
+    lg = cnet.lg(X)
+    for j, s in enumerate(subs):
+        cols = list(X[:, cnet.xs[j]].T)
+        on = ~offline[:, j]
+        for k, mu in zip(range(cnet.us[j].start, cnet.us[j].stop), s.mu_values(cols)):
+            assert u_out[on, k].tobytes() == np.broadcast_to(mu, rows)[on].tobytes()
+            assert u_out[~on, k].tobytes() == held[~on, k].tobytes()
+        assert h_out[:, j].tobytes() == s.compiled.h(*cols).tobytes()
+        by_name = dict(zip(s.state_vars, cols))
+        for k, fn in zip(range(cnet.us[j].start, cnet.us[j].stop), s.compiled.lg):
+            want = np.broadcast_to(fn(*(by_name[n] for n in fn.names)), rows)
+            assert np.broadcast_to(lg[k], rows).tobytes() == want.tobytes()
