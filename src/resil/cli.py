@@ -248,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=DEFAULT_TAU_MAX)
     p.add_argument("--phi-min", type=float, default=DEFAULT_PHI_MIN)
     p.add_argument("--maximize-tau", action="store_true",
-                   help="keep sweeping and return the largest-tau index")
+                   help="depths are tried by decreasing tau; the first that passes "
+                        "is returned")
     _add_oracle_flags(p)
     p.add_argument("--out", help="index file to create or update")
     p.set_defaults(func=_cmd_index_compute)

@@ -13,6 +13,7 @@ plain floats or numpy arrays in the bindings; overflow propagates as
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,6 +105,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _literal(token: str, offset: int) -> Literal:
+    # A token past the float range reads as inf, which no generated code can name.
+    value = float(token)
+    if not math.isfinite(value):
+        raise ExpressionSyntaxError("number out of range", offset)
+    return Literal(value)
+
+
 class _Parser:
     def __init__(self, text: str, declared: tuple[str, ...]):
         self.text = text
@@ -175,12 +184,12 @@ class _Parser:
         if kind != "num" or any(c in value for c in ".eE"):
             raise ExpressionSyntaxError("exponent must be a non-negative integer", offset)
         self.advance()
-        return Literal(float(int(value)))
+        return _literal(value, offset)
 
     def atom(self) -> Expression:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Literal(float(value))
+            return _literal(value, offset)
         if kind == "name":
             if value == "exp":
                 self.expect_op("(")

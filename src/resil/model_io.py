@@ -152,8 +152,8 @@ def load_model(path: str) -> Model:
     except json.JSONDecodeError as err:
         raise ModelError(f"{path}: not valid JSON ({err})") from None
     alpha_z = _number(_get(doc, "alpha_z", "model"), "model.alpha_z")
-    if alpha_z <= 0:
-        _fail("model.alpha_z", "must be positive")
+    if not 0 < alpha_z < math.inf:
+        _fail("model.alpha_z", "must be positive and finite")
     subs_raw = _get(doc, "subsystems", "model", list)
     if not subs_raw:
         _fail("model.subsystems", "at least one subsystem required")

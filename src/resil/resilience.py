@@ -11,6 +11,7 @@ linear-rate margin eta.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,6 @@ from .exprs import _ZERO, Expression
 from .oracle import (
     MARGIN_TOLERANCE,
     EmptyRegionError,
-    Extremum,
     OracleSettings,
     drift_minimum,
     min_invariance_margin,
@@ -151,84 +151,70 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
                   phi_min: float = DEFAULT_PHI_MIN,
                   settings: OracleSettings | None = None,
                   maximize_tau: bool = False) -> ResilienceIndex | Infeasible:
-    """Sweep buffer depths d = 0, eps, 2 eps, ... up to the depth of the
-    safety set and return the first depth whose induced (tau, phi, eta)
-    passes verification: the margins of the three conditions, taken from the
-    same drift minima the candidate was built from.  With maximize_tau the
-    sweep continues and the feasible candidate with the largest tau wins.
+    """Search buffer depths d = 0, eps, 2 eps, ... up to the depth of the
+    safety set and return the first whose induced (tau, phi, eta) passes
+    verification: the margins of the three conditions, taken from the same
+    drift minima the candidate was built from.  Depths are tried in ascending
+    order, or with maximize_tau by decreasing tau (known from d and the
+    offline minimum before any scan; ties stay ascending), so the first that
+    passes is the answer.  phi steps up by ulps, as tau steps down in _tau,
+    until its margin is nonnegative in floating point.
     """
     settings = settings or OracleSettings()
     if z < 0:
         raise ValueError("z must be nonnegative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
 
     depth = sup_h(s, settings)
-    off = min_offline_drift(s, settings)  # independent of d
-    last_fail: dict = {"sup_h": depth, "min_offline_drift": off.value}
-    best: ResilienceIndex | None = None
+    off = min_offline_drift(s, settings).value  # independent of d
+    last_fail: dict = {"sup_h": depth, "min_offline_drift": off}
+    depths = itertools.takewhile(lambda d: d <= depth * (1 + 1e-12),
+                                 (k * eps for k in itertools.count()))
+    if off < 0 and next(depths, None) is not None:  # drops d = 0: it admits no tau
+        last_fail.update(d=0.0, stage="offline", detail="zero depth with negative drift")
+    order = ((d, _tau(d, off, tau_max)) for d in depths)
+    if maximize_tau:
+        order = sorted(order, key=lambda d_tau: -d_tau[1])
 
-    k = 0
-    while True:
-        d = k * eps
-        k += 1
-        if d > depth * (1 + 1e-12):
-            break
-        found = _candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail)
-        if found is None:
-            continue
-        candidate, rec, inv = found
-        passed, margins = _margin_rule(candidate, off.value, rec, inv)
-        if not passed:
-            last_fail = {"d": d, "margins": margins}
-            continue
-        if not maximize_tau:
-            return candidate
-        if best is None or candidate.tau > best.tau:
-            best = candidate
-    if best is not None:
-        return best
-    return Infeasible("no buffer depth in the sweep admits a valid index",
-                      dict(last_fail))
-
-
-def _candidate_at(s, d, z, off: Extremum, tau_max, phi_min, settings, last_fail):
-    """The index induced at depth d, with the recovery minimum (None at d = 0)
-    and the invariance minimum it was built from; None when d admits none.
-    tau and phi step by ulps (tau down, phi up) until the margins _margin_rule
-    recomputes from them are nonnegative in floating point."""
-    if off.value >= 0:
-        tau = tau_max
-    elif d == 0:
-        last_fail.update(d=d, stage="offline", detail="zero depth with negative drift")
-        return None
-    else:
-        tau = min(tau_max, d / (-off.value))
-    while off.value + d / tau < 0:
-        tau = math.nextafter(tau, 0.0)
-
-    rec = None
-    if d == 0:
-        phi = phi_min
-    else:
+    for d, tau in order:
+        rec, phi = None, phi_min
+        if d > 0:
+            try:
+                rec = min_recovery_drift(s, d, settings).value
+            except EmptyRegionError:
+                last_fail.update(d=d, stage="recovery", detail="empty band")
+                continue
+            if rec <= 0:
+                last_fail.update(d=d, stage="recovery", detail=rec)
+                continue
+            phi = max(phi_min, d / rec)
+            while rec - d / phi < 0:
+                phi = math.nextafter(phi, math.inf)
         try:
-            rec = min_recovery_drift(s, d, settings).value
+            inv = min_invariance_margin(s, d, z, settings).value
         except EmptyRegionError:
-            last_fail.update(d=d, stage="recovery", detail="empty band")
-            return None
-        if rec <= 0:
-            last_fail.update(d=d, stage="recovery", detail=rec)
-            return None
-        phi = max(phi_min, d / rec)
-        while rec - d / phi < 0:
-            phi = math.nextafter(phi, math.inf)
+            last_fail.update(d=d, stage="invariance", detail="empty buffer")
+            continue
+        if inv < 0:
+            last_fail.update(d=d, stage="invariance", detail=inv)
+            continue
+        candidate = ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv)
+        passed, margins = _margin_rule(candidate, off, rec, inv)
+        if passed:
+            return candidate
+        last_fail = {"d": d, "margins": margins}
+    return Infeasible("no buffer depth in the sweep admits a valid index", last_fail)
 
-    try:
-        inv = min_invariance_margin(s, d, z, settings).value
-    except EmptyRegionError:
-        last_fail.update(d=d, stage="invariance", detail="empty buffer")
-        return None
-    if inv < 0:
-        last_fail.update(d=d, stage="invariance", detail=inv)
-        return None
-    return ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv), rec, inv
+
+def _tau(d: float, off: float, tau_max: float) -> float:
+    """The offline time at depth d for the offline drift minimum off:
+    tau_max when off >= 0, else min(tau_max, d / -off) stepped down by ulps
+    until off + d / tau, as _margin_rule recomputes it, is nonnegative in
+    floating point.  Not called at d = 0 with off < 0, which admits none."""
+    if off >= 0:
+        return tau_max
+    tau = min(tau_max, d / -off)
+    while off + d / tau < 0:
+        tau = math.nextafter(tau, 0.0)
+    return tau

@@ -157,6 +157,30 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_out_of_range_numbers_exit_2(capsys, tmp_path):
+    # Each reaches the oracle as inf or nan unless rejected, so each is an
+    # input error that names its input.
+    for eps in ("inf", "nan"):
+        code = main(["index", "compute", "--model", "toy_linear", "--subsystem", "S1",
+                     "--eps", eps, *FAST])
+        assert code == 2
+        assert "eps must be positive and finite" in capsys.readouterr().err
+
+    base = json.loads((ROOT / "src" / "resil" / "models" / "toy_linear.json").read_text())
+    mpath = tmp_path / "m.json"
+    for key, value, where in (("alpha_z", math.inf, "model.alpha_z"),
+                              ("alpha_z", math.nan, "model.alpha_z"),
+                              ("h", "1 - 1e999*x1*x1", "model.subsystems[0].h")):
+        doc = json.loads(json.dumps(base))
+        (doc["subsystems"][0] if key == "h" else doc)[key] = value
+        mpath.write_text(json.dumps(doc))
+        code = main(["index", "compute", "--model", str(mpath), "--subsystem", "S1",
+                     *FAST])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and where in err
+
+
 def test_model_resolution_prefers_filesystem(capsys, tmp_path):
     # A file whose name shadows a bundled model must win the lookup.
     model = {

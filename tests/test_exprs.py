@@ -72,6 +72,16 @@ def test_syntax_errors_carry_offset():
         parse_expression("1 2", VARS)
 
 
+def test_number_out_of_range_is_a_syntax_error():
+    # Past the float range a number token reads as inf, which no generated
+    # code can name; the parser rejects it where it stands.
+    for text, offset in (("1 - 1e999*x1", 4), ("x1^" + "9" * 400, 3)):
+        with pytest.raises(ExpressionSyntaxError, match="number out of range") as err:
+            parse_expression(text, VARS)
+        assert err.value.offset == offset
+    assert ev("1e308*x1", x1=1.0) == 1e308
+
+
 def test_exponent_must_be_plain_integer():
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("x1^2.5", VARS)

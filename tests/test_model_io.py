@@ -1,6 +1,7 @@
 """Model/index file loading: schema errors, semantic checks, round trips."""
 
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -82,9 +83,10 @@ def test_schema_errors_carry_location(tmp_path):
     del doc["alpha_z"]
     fails_with(tmp_path, doc, "alpha_z")
 
-    doc = doc_single()
-    doc["alpha_z"] = 0
-    fails_with(tmp_path, doc, "model.alpha_z")
+    for bad in (0, math.inf, math.nan):
+        doc = doc_single()
+        doc["alpha_z"] = bad
+        fails_with(tmp_path, doc, "model.alpha_z")
 
     doc = doc_single()
     doc["subsystems"] = []

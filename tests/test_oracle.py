@@ -169,15 +169,15 @@ def test_settings_validation():
         OracleSettings(workers=0)
 
 
-def make_toy_variant(mu, input_box=((-1.0, 1.0),)):
+def make_toy_variant(mu, input_box=((-1.0, 1.0),), f="0", h="1 - x1"):
     from resil.exprs import parse_expression
     from resil.subsystem import Subsystem
     sv = ("x1",)
     return Subsystem(
         name="S1", state_vars=sv, input_vars=("u1",),
-        f=(parse_expression("0", sv),),
+        f=(parse_expression(f, sv),),
         g=((parse_expression("1", sv),),),
-        h=parse_expression("1 - x1", sv),
+        h=parse_expression(h, sv),
         mu=(parse_expression(mu, sv),),
         state_box=((-1.0, 1.0),), input_box=input_box,
     )

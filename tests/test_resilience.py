@@ -11,12 +11,20 @@ from resil import oracle, resilience
 from resil.exprs import parse_expression
 from resil.interconnect import Network, verify_network
 from resil.model_io import load_model
-from resil.oracle import OracleSettings
+from resil.oracle import (
+    EmptyRegionError,
+    OracleSettings,
+    min_invariance_margin,
+    min_offline_drift,
+    min_recovery_drift,
+    sup_h,
+)
 from resil.resilience import (
     DEFAULT_PHI_MIN,
     DEFAULT_TAU_MAX,
     Infeasible,
     ResilienceIndex,
+    _margin_rule,
     compute_index,
     verify_index,
 )
@@ -132,10 +140,8 @@ def test_compute_maximize_tau_prefers_deepest_buffer():
     assert idx.tau == pytest.approx(2.0)
 
 
-def test_compute_scans_each_region_and_depth_once(monkeypatch):
-    # Candidates are checked against the minima they were built from, so
-    # the sweep makes the one offline scan plus one recovery and one
-    # invariance scan per depth, and no verification rescans.
+def record_scans(monkeypatch):
+    """The (region, closed_loop, z) of every drift scan made from now on."""
     scans = []
     drift_minimum = oracle.drift_minimum
 
@@ -145,19 +151,56 @@ def test_compute_scans_each_region_and_depth_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "drift_minimum", counted)
     monkeypatch.setattr(resilience, "drift_minimum", counted)
+    return scans
+
+
+OFFLINE_SCAN = (SAFE_SET, False, None)
+
+
+def depth_scans(d, z=1.0):
+    """The recovery and the invariance scan of a candidate at depth d."""
+    return [(safe_minus_buffer(d), True, None), (buffer_region(d), True, z)]
+
+
+def test_compute_scans_each_region_and_depth_once(monkeypatch):
+    # Candidates are checked against the minima they were built from, and
+    # tau is known from d before any scan, so the search for the largest tau
+    # starts at d = 2 (tau = 2) and stops there: the one offline scan plus
+    # one recovery and one invariance scan, and no verification rescans.
+    scans = record_scans(monkeypatch)
     idx = compute_index(make_toy(), 1.0, eps=0.5, settings=TOY_SETTINGS,
                         maximize_tau=True)
     assert isinstance(idx, ResilienceIndex)
-    # d = 0 fails the offline stage before any scan (the offline drift is -1).
-    depths = (0.5, 1.0, 1.5, 2.0)
-    assert scans == [(SAFE_SET, False, None)] + [
-        scan for d in depths
-        for scan in ((safe_minus_buffer(d), True, None), (buffer_region(d), True, 1.0))]
+    assert idx.d == 2.0
+    assert scans == [OFFLINE_SCAN] + depth_scans(2.0)
+
+
+def test_compute_scans_ascending_to_first_pass(monkeypatch):
+    # On a 5-point grid no node has 0 <= h < 0.25, so d = 0.25 is dropped
+    # when its recovery scan finds the band empty and d = 0.5 passes.  d = 0
+    # makes no scan: the offline drift is -1.
+    scans = record_scans(monkeypatch)
+    idx = compute_index(make_toy_variant("-1", h="0.75 - x1"), 1.0, eps=0.25,
+                        settings=OracleSettings(grid_points_per_dim=5, refinement_rounds=0))
+    assert isinstance(idx, ResilienceIndex)
+    assert idx.d == 0.5
+    assert scans == [OFFLINE_SCAN, (safe_minus_buffer(0.25), True, None)] + depth_scans(0.5)
+
+
+def test_compute_depths_are_generated_lazily(monkeypatch):
+    # A tiny step returns at the first passing depth without visiting the
+    # billion depths behind it.
+    scans = record_scans(monkeypatch)
+    idx = compute_index(make_toy(), 1.0, eps=1e-9, settings=TOY_SETTINGS)
+    assert isinstance(idx, ResilienceIndex)
+    assert idx.d == 1e-9
+    assert scans == [OFFLINE_SCAN] + depth_scans(1e-9)
 
 
 def test_compute_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        compute_index(make_toy(), 1.0, eps=0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            compute_index(make_toy(), 1.0, eps=eps)
     with pytest.raises(ValueError):
         compute_index(make_toy(), -1.0)
 
@@ -268,3 +311,111 @@ def test_returned_index_margins_are_nonnegative(exponent, f, pull, room):
     assert rep.margin_offline >= 0
     assert rep.margin_recovery >= 0
     assert rep.margin_invariance >= 0
+
+
+def test_cstr_series_maximize_tau_golden():
+    # The indices the certify pipeline starts from (index compute --eps 25
+    # --grid 201 --maximize-tau), pinned to the bit.
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    got = [compute_index(s, model.alpha_z, eps=25,
+                         settings=OracleSettings(grid_points_per_dim=201),
+                         maximize_tau=True).as_tuple()
+           for s in model.network.subsystems]
+    assert got == [
+        (2450.0, 0.0020168334142945323, 0.060858535413394164, 28.53028843504775),
+        (2075.0, 0.005135625, 0.018771411200458894, 34.60611655896071)]
+
+
+def reference_compute_index(s, z, eps, tau_max, phi_min, settings, maximize_tau):
+    """The depth sweep that builds and checks a candidate at every depth and,
+    with maximize_tau, keeps the first one with the largest tau: the
+    reference the ordered search must agree with."""
+    depth = sup_h(s, settings)
+    off = min_offline_drift(s, settings)
+    last_fail: dict = {"sup_h": depth, "min_offline_drift": off.value}
+    best = None
+    k = 0
+    while True:
+        d = k * eps
+        k += 1
+        if d > depth * (1 + 1e-12):
+            break
+        found = reference_candidate_at(s, d, z, off, tau_max, phi_min, settings,
+                                       last_fail)
+        if found is None:
+            continue
+        candidate, rec, inv = found
+        passed, margins = _margin_rule(candidate, off.value, rec, inv)
+        if not passed:
+            last_fail = {"d": d, "margins": margins}
+            continue
+        if not maximize_tau:
+            return candidate
+        if best is None or candidate.tau > best.tau:
+            best = candidate
+    if best is not None:
+        return best
+    return Infeasible("no buffer depth in the sweep admits a valid index",
+                      dict(last_fail))
+
+
+def reference_candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail):
+    if off.value >= 0:
+        tau = tau_max
+    elif d == 0:
+        last_fail.update(d=d, stage="offline", detail="zero depth with negative drift")
+        return None
+    else:
+        tau = min(tau_max, d / (-off.value))
+    while off.value + d / tau < 0:
+        tau = math.nextafter(tau, 0.0)
+
+    rec = None
+    if d == 0:
+        phi = phi_min
+    else:
+        try:
+            rec = min_recovery_drift(s, d, settings).value
+        except EmptyRegionError:
+            last_fail.update(d=d, stage="recovery", detail="empty band")
+            return None
+        if rec <= 0:
+            last_fail.update(d=d, stage="recovery", detail=rec)
+            return None
+        phi = max(phi_min, d / rec)
+        while rec - d / phi < 0:
+            phi = math.nextafter(phi, math.inf)
+
+    try:
+        inv = min_invariance_margin(s, d, z, settings).value
+    except EmptyRegionError:
+        last_fail.update(d=d, stage="invariance", detail="empty buffer")
+        return None
+    if inv < 0:
+        last_fail.update(d=d, stage="invariance", detail=inv)
+        return None
+    return ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv), rec, inv
+
+
+@hsettings(max_examples=150, deadline=None)
+@given(scale=st.sampled_from((1.0, 1e3, 1e7)), f=st.floats(-1.0, 1.0),
+       lo=st.floats(-2.0, 1.0), width=st.floats(0.1, 2.0),
+       law=st.sampled_from(("-1", "-x1", "0", "x1", "-0.5 - x1")),
+       h=st.sampled_from(("1 - x1", "0.75 - x1", "1 - x1^2")),
+       eps=st.floats(0.05, 1.0), cap=st.one_of(st.none(), st.floats(0.01, 2.0)),
+       z=st.floats(0.0, 2.0), grid=st.integers(5, 41), maximize_tau=st.booleans())
+def test_search_returns_what_the_full_sweep_returned(scale, f, lo, width, law, h, eps,
+                                                     cap, z, grid, maximize_tau):
+    # x' = scale * (f + u) with u in scale * [lo, lo + width] under the law
+    # scale * law;
+    # h = 0.75 - x1 leaves the shallow bands empty on most grids, and a tau
+    # cap of order 1 / scale makes many depths tie at tau_max.
+    s = make_toy_variant(f"{scale!r}*({law})", ((lo * scale, (lo + width) * scale),),
+                         f=repr(f * scale), h=h)
+    tau_max = DEFAULT_TAU_MAX if cap is None else cap / scale
+    settings = OracleSettings(grid_points_per_dim=grid)
+    got = compute_index(s, z, eps, tau_max, DEFAULT_PHI_MIN, settings, maximize_tau)
+    want = reference_compute_index(s, z, eps, tau_max, DEFAULT_PHI_MIN, settings,
+                                   maximize_tau)
+    assert type(got) is type(want)
+    assert got == want
