@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -48,6 +49,14 @@ class _UsageError(Exception):
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _fmt_diagnostic(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_fmt, value)) + ")"
+    return _fmt(value)
 
 
 def _fmt_index(idx: ResilienceIndex) -> str:
@@ -97,6 +106,8 @@ def _cmd_index_compute(args) -> int:
                            maximize_tau=args.maximize_tau)
     if isinstance(result, Infeasible):
         print(f"{s.name}: infeasible: {result.reason}")
+        for key, value in result.diagnostics.items():
+            print(f"{s.name}: {key} = {_fmt_diagnostic(value)}")
         return 1
     print(f"{s.name}: {_fmt_index(result)}")
     if args.out:
@@ -188,9 +199,11 @@ def _cmd_sim_run(args) -> int:
     model = load_model(_resolve_model(args.model))
     net = model.network
     indices = load_indices(args.indices, net)
+    if not 0 < args.horizon < math.inf:
+        raise _UsageError("--horizon must be positive and finite")
     dt = args.dt if args.dt is not None else args.horizon / 20000.0
-    if dt <= 0 or args.horizon <= 0:
-        raise _UsageError("--horizon and --dt must be positive")
+    if not 0 < dt < math.inf:
+        raise _UsageError("--dt must be positive and finite")
     os.makedirs(args.out, exist_ok=True)
     schedules = generate_schedule(args.seed, args.horizon, indices,
                                   args.schedules, align_dt=dt)

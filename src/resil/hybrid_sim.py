@@ -125,8 +125,8 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
     ends down); snapping only shortens intervals and widens gaps, so the
     dwell invariants survive.  Intervals shorter than one step are dropped.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if count < 0:
         raise ValueError("count must be nonnegative")
     order = sorted(indices)
@@ -322,10 +322,10 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     """Integrate every schedule over a shared time grid.  x0 (per-subsystem
     tuples) defaults to each subsystem's deepest safe point and must lie in
     every buffer region."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     n_sub = len(net.subsystems)
     for sched in schedules:
         if len(sched.intervals) != n_sub:

@@ -7,17 +7,25 @@ function over a box, possibly restricted by safety-function inequalities.
 axis-aligned grid with vectorized numpy broadcasting, then shrinks the box
 around the incumbent for a fixed number of refinement rounds.
 
+An objective is one callable, or a sum of ``Term``s: callables that each
+declare the axes they read, added left to right.  A trailing axis that one
+term reads, and no region, is minimized out of that term before the terms
+are added, so a scan costs the grid of the axes the terms share, not the
+product of all axes.  Rounded addition is monotone in each operand, so
+this gives the same values and the same minimizer as the full grid.
+
 ``StateGrid`` lays the axes out over the state variables an objective
 reads, for one subsystem or several coupled ones.  ``StateGrid.minimize``,
 the one caller of ``grid_minimize``, scans it where each subsystem lies in
 its safety set and a target in a ``Region`` (an interval of its h values).
 ``drift_minimum`` builds the drift objectives from the drift layer (``lf``,
-``lg``, see ``subsystem``): worst input-box vertex or closed loop, plus an
-optional coupling term.
+``lg``, see ``subsystem``) as terms: coupling, ``lf``, one per input (worst
+input-box vertex or closed loop), and an optional ``z (h - lo)``.
 
 Determinism: ties on the grid resolve to the lexicographically smallest
-point in axis order, regardless of chunking or worker count.  Refinement
-never loses the incumbent, so reported values improve monotonically.
+point in axis order, regardless of chunking, eliminated axes or worker
+count.  Refinement never loses the incumbent, so reported values improve
+monotonically.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +47,9 @@ from .subsystem import (
     safe_minus_buffer,
 )
 
-# Cap on grid points evaluated per chunk; keeps peak memory near ~200 MB.
+# Cap on the points of the largest array a chunk builds: the grid left after
+# elimination, or a term over an eliminated axis before it is reduced.
+# 4M float64 points are 32 MB per array.
 _CHUNK_BUDGET = 4_000_000
 
 # Absolute slack on region boundaries and on index-condition margins.
@@ -71,23 +82,71 @@ class Extremum:
     rigor: str = "sampled"
 
 
+class Term(NamedTuple):
+    """A callable over the bindings and the positions of the axes it reads.
+    The value must not depend on any other axis."""
+
+    fn: Callable
+    reads: frozenset
+
+
+def _as_term(fn, ndim: int) -> Term:
+    """fn itself if it is a Term, else a term reading every axis."""
+    return fn if isinstance(fn, Term) else Term(fn, frozenset(range(ndim)))
+
+
 def _shaped(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     shape = [1] * ndim
     shape[axis] = values.size
     return values.reshape(shape)
 
 
-def _scan_chunk(objective, predicate, grids):
-    """Evaluate one slab (a slice along axis 0) and return its best point."""
+def _kept_axes(terms, predicate: Term | None, ndim: int) -> int:
+    """Number k of leading axes a scan keeps.  Axes k, ..., ndim - 1 are each
+    read by at most one term and not by the predicate, so each can be
+    minimized out of its term before the terms are added.  Only a suffix is
+    eliminated, which keeps the C-order tie-break; axis 0 stays, because the
+    scan is chunked along it."""
+    k = ndim
+    while (k > 1 and (predicate is None or k - 1 not in predicate.reads)
+           and sum(k - 1 in t.reads for t in terms) <= 1):
+        k -= 1
+    return k
+
+
+def _fold(terms, bindings, k: int):
+    """Left-to-right sum of the terms at the bindings, each term that reads
+    an axis from k on minimized over those axes first."""
+    ndim = len(bindings)
+    total = None
+    for t in terms:
+        v = t.fn(bindings)
+        if any(i >= k for i in t.reads):
+            v = np.asarray(v, dtype=float)
+            v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
+            v = v.min(axis=tuple(range(k, ndim)), keepdims=True)
+        total = v if total is None else total + v
+    return total
+
+
+def _scan_chunk(terms, predicate, grids, k):
+    """Evaluate one slab (a slice along axis 0) and return its best point
+    over the first k axes.  Values, mask and argmin live on those axes; the
+    rest are minimized out of their terms (see _fold).  Where that sum is
+    finite, every term is finite at the minimizing points, so the full grid
+    holds no nan and has the same minimum.  Elsewhere the slab is scanned
+    again with nothing eliminated, so nan and inf behave exactly as on the
+    full grid."""
     ndim = len(grids)
-    shape = tuple(g.size for g in grids)
+    shape = tuple(g.size for g in grids[:k]) + (1,) * (ndim - k)
     bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
-    vals = np.asarray(objective(bindings), dtype=float)
-    vals = np.broadcast_to(vals, shape)
+    vals = np.broadcast_to(np.asarray(_fold(terms, bindings, k), dtype=float), shape)
+    if k < ndim and not np.isfinite(vals).all():
+        return _scan_round(terms, predicate, grids, 1, ndim)
     if np.isnan(vals).any():
         raise FloatingPointError("objective produced nan on the grid")
     if predicate is not None:
-        mask = np.broadcast_to(predicate(bindings), shape)
+        mask = np.broadcast_to(predicate.fn(bindings), shape)
         if not mask.any():
             return None
         vals = np.where(mask, vals, np.inf)
@@ -96,7 +155,7 @@ def _scan_chunk(objective, predicate, grids):
     if not np.isfinite(best):
         return None if predicate is not None else _raise_nonfinite(best)
     idx = np.unravel_index(flat, shape)
-    return best, tuple(float(g[i]) for g, i in zip(grids, idx))
+    return best, tuple(float(g[i]) for g, i in zip(grids[:k], idx))
 
 
 def _raise_nonfinite(v):
@@ -106,14 +165,21 @@ def _raise_nonfinite(v):
 def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     """Minimize objective over the box spanned by axes.
 
-    objective and predicate receive a list of broadcast-shaped arrays, one
-    per axis, in axis order.  Returns (value, arg) where arg is a tuple of
+    objective is a callable or a sequence of Terms whose sum is minimized;
+    predicate is None, a callable or a Term.  Each receives a list of
+    broadcast-shaped arrays, one per axis, in axis order; a plain callable
+    reads every axis.  Returns (value, arg) where arg is a tuple of
     coordinates in axis order.  Raises EmptyRegionError when the predicate
     rejects the entire initial grid.
     """
+    ndim = len(axes)
+    terms = [_as_term(objective, ndim)] if callable(objective) else list(objective)
+    if predicate is not None:
+        predicate = _as_term(predicate, ndim)
     if not axes:
-        vals = np.asarray(objective([]), dtype=float).reshape(())
+        vals = np.asarray(_fold(terms, [], 0), dtype=float).reshape(())
         return float(vals), ()
+    k = _kept_axes(terms, predicate, ndim)
     n = settings.grid_points_per_dim
     bounds = [(float(lo), float(hi)) for lo, hi in axes]
     orig = list(bounds)
@@ -121,7 +187,7 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     incumbent_arg = None
     for round_no in range(settings.refinement_rounds + 1):
         grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
-        best = _scan_round(objective, predicate, grids, settings)
+        best = _scan_round(terms, predicate, grids, settings.workers, k)
         if best is None:
             if round_no == 0:
                 raise EmptyRegionError("region contains no grid point")
@@ -135,14 +201,18 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     return incumbent_val, incumbent_arg
 
 
-def _scan_round(objective, predicate, grids, settings):
+def _scan_round(terms, predicate, grids, workers, k):
+    """Best (value, point) on one grid, scanning the first k axes in chunks
+    along axis 0; the coordinates on the eliminated axes are found for the
+    winner alone."""
     axis0 = grids[0]
-    total = math.prod(g.size for g in grids)
-    per_row = max(1, total // axis0.size)
+    sizes = [g.size for g in grids]
+    per_row = max([math.prod(sizes[1:k])]
+                  + [math.prod(sizes[i] for i in t.reads if i) for t in terms if 0 in t.reads])
     rows_per_chunk = max(1, _CHUNK_BUDGET // per_row)
     n_chunks = math.ceil(axis0.size / rows_per_chunk)
-    if settings.workers > 1:
-        n_chunks = max(n_chunks, min(axis0.size, settings.workers))
+    if workers > 1:
+        n_chunks = max(n_chunks, min(axis0.size, workers))
         rows_per_chunk = math.ceil(axis0.size / n_chunks)
         n_chunks = math.ceil(axis0.size / rows_per_chunk)
     tasks = []
@@ -150,19 +220,25 @@ def _scan_round(objective, predicate, grids, settings):
         lo = c * rows_per_chunk
         hi = min(axis0.size, lo + rows_per_chunk)
         tasks.append([axis0[lo:hi]] + grids[1:])
-    if settings.workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool:
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                lambda g: _scan_chunk(objective, predicate, g), tasks))
+                lambda g: _scan_chunk(terms, predicate, g, k), tasks))
     else:
-        results = [_scan_chunk(objective, predicate, g) for g in tasks]
+        results = [_scan_chunk(terms, predicate, g, k) for g in tasks]
     best = None
     for r in results:  # chunk order preserves the C-order tie-break
         if r is None:
             continue
         if best is None or r[0] < best[0]:
             best = r
-    return best
+    if best is None or len(best[1]) == len(grids):
+        return best
+    # The winner is a point on the first k axes.  Its line through the
+    # eliminated axes, scanned in full, has the same minimum; the first
+    # point in C order that reaches it completes the coordinates.
+    line = [np.array([c]) for c in best[1]] + grids[k:]
+    return best[0], _scan_chunk(terms, None, line, len(grids))[1]
 
 
 def _shrink(orig, bounds, arg, n):
@@ -210,11 +286,18 @@ class StateGrid:
         """Closure of a compiled expression over bindings."""
         return lambda b: fn(*self.values(fn.names, b))
 
+    def term(self, fn, names) -> Term:
+        """fn (a function of the bindings) as a Term reading the axes of the
+        named variables."""
+        slots = (self.slots[n] for n in names)
+        return Term(fn, frozenset(slot for slot in slots if isinstance(slot, int)))
+
     def minimize(self, objective, settings: OracleSettings,
                  target: Subsystem | None = None, region: Region = SAFE_SET):
-        """Minimize objective (a function of the bindings) over the grid
-        points where every subsystem lies in its safety set and target in
-        region.  Returns (value, arg), arg in axis order."""
+        """Minimize objective (a function of the bindings, or a sequence of
+        Terms to add) over the grid points where every subsystem lies in its
+        safety set and target in region.  Returns (value, arg), arg in axis
+        order."""
         regions = [(region if s is target else SAFE_SET, self.bind(s.compiled.h))
                    for s in self.subsystems]
 
@@ -225,7 +308,9 @@ class StateGrid:
                 out = cond if out is None else (out & cond)
             return out
 
-        return grid_minimize(objective, self.axes, predicate, settings)
+        h_reads = set().union(*(free_variables(s.h) for s in self.subsystems))
+        return grid_minimize(objective, self.axes, self.term(predicate, h_reads),
+                             settings)
 
     def witness(self, arg) -> tuple:
         return tuple(zip(self.axis_names, arg))
@@ -236,34 +321,41 @@ class StateGrid:
 def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
                   closed_loop: bool, z: float | None = None,
                   participants=None, coupling: Expression = _ZERO):
-    """Minimize the drift of h_s, lf + coupling + sum_k lg_k u_k, over region
+    """Minimize the drift of h_s, coupling + lf + sum_k lg_k u_k, over region
     (with every other participant in its safety set).  u is the clamped
     feedback law when closed_loop, else the worst input-box vertex at each
-    grid point; z adds z (h - region.lo).  Returns (value, arg, grid)."""
+    grid point; z adds z (h - region.lo).  The sum is handed to the grid as
+    Terms in that order, each reading the free variables of its expressions
+    (h and mu are compiled over every state variable, so their compiled
+    names would overstate what they read).  Returns (value, arg, grid)."""
     comp = s.compiled
     coupling_fn = None if _is_zero(coupling) else compile_reads(coupling)
-    fns = [comp.lf, *comp.lg] + ([coupling_fn] if coupling_fn else [])
-    needed = {n for fn in fns for n in fn.names}
+    mu_reads = [free_variables(e) for e in s.mu]
+    drift = ([coupling_fn] if coupling_fn else []) + [comp.lf]
+    needed = {n for fn in (*drift, *comp.lg) for n in fn.names}
     if closed_loop:
-        needed.update(*map(free_variables, s.mu))
+        needed.update(*mu_reads)
     grid = StateGrid(participants or (s,), needed)
-    lf, *lg = [grid.bind(fn) for fn in (comp.lf, *comp.lg)]
-    extra = None if coupling_fn is None else grid.bind(coupling_fn)
     h, mu = grid.bind(comp.h), [grid.bind(fn) for fn in comp.mu]
 
-    def objective(b):
-        total = lf(b) if extra is None else extra(b) + lf(b)
+    terms = [grid.term(grid.bind(fn), fn.names) for fn in drift]
+    for k, fn in enumerate(comp.lg):
+        c_fn = grid.bind(fn)
         if closed_loop:
-            for c_fn, uk in zip(lg, s.clamp_mu([fn(b) for fn in mu])):
-                total = total + c_fn(b) * uk
+            def u_term(b, c_fn=c_fn, k=k):
+                # clamp_mu is the one saturation rule; it clamps every law.
+                return c_fn(b) * s.clamp_mu([m(b) for m in mu])[k]
+            terms.append(grid.term(u_term, {*fn.names, *mu_reads[k]}))
         else:
-            # Affine in u: each input's worst value is a box endpoint.
-            for c_fn, (lo, hi) in zip(lg, s.input_box):
+            def u_term(b, c_fn=c_fn, box=s.input_box[k]):
+                # Affine in u: the input's worst value is a box endpoint.
                 c = np.asarray(c_fn(b))
-                total = total + np.minimum(c * lo, c * hi)
-        return total if z is None else total + z * (h(b) - region.lo)
+                return np.minimum(c * box[0], c * box[1])
+            terms.append(grid.term(u_term, fn.names))
+    if z is not None:
+        terms.append(grid.term(lambda b: z * (h(b) - region.lo), free_variables(s.h)))
 
-    value, arg = grid.minimize(objective, settings, s, region)
+    value, arg = grid.minimize(terms, settings, s, region)
     return value, arg, grid
 
 

@@ -191,6 +191,9 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
             phi = max(phi_min, d / rec)
             while rec - d / phi < 0:
                 phi = math.nextafter(phi, math.inf)
+            if phi == math.inf:  # rec is too small for a finite phi
+                last_fail.update(d=d, stage="recovery", detail=rec)
+                continue
         try:
             inv = min_invariance_margin(s, d, z, settings).value
         except EmptyRegionError:

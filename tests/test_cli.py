@@ -181,6 +181,37 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path):
         assert err.startswith("error:") and where in err
 
 
+def test_sim_run_non_finite_horizon_or_dt_exits_2(capsys, tmp_path):
+    # An infinite horizon would draw fault intervals forever; nan reached
+    # int() in the step count.
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX})
+    for flag, value in (("--horizon", "inf"), ("--horizon", "nan"),
+                        ("--dt", "inf"), ("--dt", "nan")):
+        argv = {"--horizon": "1", "--dt": "0.01", flag: value}
+        code = main(["sim", "run", "--model", "toy_linear", "--indices", idx,
+                     "--horizon", argv["--horizon"], "--dt", argv["--dt"],
+                     "--schedules", "1", "--seed", "1", "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+def test_index_compute_infeasible_prints_diagnostics(capsys, tmp_path):
+    # With mu = 0 no band recovers, so every depth fails at its recovery
+    # scan; the last one tried is d = 2, the depth of h = 1 - x1 on [-1, 1].
+    base = json.loads((ROOT / "src" / "resil" / "models" / "toy_linear.json").read_text())
+    base["subsystems"][0]["mu"] = ["0"]
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(base))
+    code = main(["index", "compute", "--model", str(mpath), "--subsystem", "S1",
+                 "--eps", "0.25", *FAST])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0] == "S1: infeasible: no buffer depth in the sweep admits a valid index"
+    assert "S1: d = 2" in lines
+    assert "S1: stage = recovery" in lines
+    assert "S1: detail = 0" in lines
+
+
 def test_model_resolution_prefers_filesystem(capsys, tmp_path):
     # A file whose name shadows a bundled model must win the lookup.
     model = {

@@ -138,6 +138,10 @@ def test_generate_schedule_argument_validation():
         generate_schedule(1, 0.0, {0: IDX}, 1)
     with pytest.raises(ValueError):
         generate_schedule(1, 1.0, {0: IDX}, -1)
+    # An infinite horizon would draw intervals forever.
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            generate_schedule(1, horizon, {0: IDX}, 1)
 
 
 def test_generate_schedule_infinite_tau_stays_offline_to_horizon():
@@ -447,6 +451,11 @@ def test_simulate_argument_validation():
         simulate(net, {0: IDX}, sched(1.0), AdversaryPolicy(), dt=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         simulate(net, {0: IDX}, sched(1.0), AdversaryPolicy(), dt=0.01, horizon=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            simulate(net, {0: IDX}, sched(1.0), AdversaryPolicy(), dt=bad, horizon=1.0)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            simulate(net, {0: IDX}, sched(1.0), AdversaryPolicy(), dt=0.01, horizon=bad)
     with pytest.raises(ScheduleError):
         simulate(net, {0: IDX}, sched(1.0, (0.0, 0.5)), AdversaryPolicy(),
                  dt=0.01, horizon=1.0, x0=[(0.5,)])

@@ -1,13 +1,21 @@
 """Grid oracle tests: extremum search, regions, and the drift quantities."""
 
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 import resil.oracle as oracle_mod
+import resil.resilience as resilience_mod
+from resil.interconnect import verify_network
+from resil.model_io import load_model
 from resil.oracle import (
     EmptyRegionError,
     OracleSettings,
     StateGrid,
+    Term,
     argmax_h,
     grid_minimize,
     min_invariance_margin,
@@ -248,3 +256,141 @@ def test_grid_doubling_never_increases_minimum():
         coarse = min_offline_drift(s, settings(n, rounds=0)).value
         fine = min_offline_drift(s, settings(2 * n - 1, rounds=0)).value
         assert fine <= coarse + 1e-9
+
+
+# -- eliminated axes: a sum of terms scans the axes the terms share ----------
+
+def scan_outcome(objective, axes, predicate, st_):
+    try:
+        return grid_minimize(objective, axes, predicate, st_)
+    except (EmptyRegionError, FloatingPointError) as err:
+        return type(err), str(err)
+
+
+def record_kept_axes(monkeypatch):
+    kept = []
+    inner = oracle_mod._kept_axes
+
+    def recorded(terms, predicate, ndim):
+        kept.append(inner(terms, predicate, ndim))
+        return kept[-1]
+
+    monkeypatch.setattr(oracle_mod, "_kept_axes", recorded)
+    return kept
+
+
+def poly_term(reads, coefs, levels, special):
+    """sum_i c_i b_i + q_i b_i^2 over the read axes, optionally floored to a
+    step of 1/levels (plateaus that tie), and set to the value v where axis
+    i exceeds 0.5 when special is (i, v)."""
+    order = sorted(reads)
+
+    def fn(b):
+        v = 0.25
+        for i, (c, q) in zip(order, coefs):
+            v = v + c * b[i] + q * b[i] ** 2
+        if levels is not None:
+            v = np.floor(np.asarray(v) * levels) / levels
+        if special is not None:
+            v = np.where(b[special[0]] > 0.5, special[1], v)
+        return v
+
+    return Term(fn, frozenset(reads))
+
+
+@st.composite
+def separable_problems(draw):
+    ndim = draw(st.integers(2, 4))
+    axis = st.integers(0, ndim - 1)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        reads = draw(st.sets(axis, max_size=ndim))
+        # Zero coefficients make terms constant along the axes they read.
+        coefs = [(draw(st.sampled_from([0.0, -1.0, 0.5, 2.0])),
+                  draw(st.sampled_from([0.0, 1.0, -1.0]))) for _ in reads]
+        levels = draw(st.sampled_from([None, 1.0, 4.0]))
+        special = None
+        if reads and draw(st.booleans()):
+            special = (draw(st.sampled_from(sorted(reads))),
+                       draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+        terms.append(poly_term(reads, coefs, levels, special))
+    mask_reads = sorted(draw(st.sets(axis, max_size=2)))
+    bound = draw(st.sampled_from([-0.5, 0.0, 0.8, 5.0]))
+    predicate = None
+    if mask_reads:
+        predicate = Term(lambda b: sum(b[i] for i in mask_reads) <= bound,
+                         frozenset(mask_reads))
+    axes = [draw(st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5)]))
+            for _ in range(ndim)]
+    st_ = settings(draw(st.integers(2, 7)), draw(st.integers(0, 2)),
+                   draw(st.integers(1, 2)))
+    return terms, predicate, axes, st_, draw(st.sampled_from([1, 7, 50, 4_000_000]))
+
+
+# inf + (-inf) is part of what is tested; worker threads do not inherit
+# np.errstate, so the warning is filtered instead.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@hsettings(max_examples=300, deadline=None)
+@given(separable_problems())
+def test_eliminated_axes_give_the_full_scan_result(problem):
+    # Exact equality with the scan that eliminates nothing: the same value,
+    # the same minimizer, the same error.
+    terms, predicate, axes, st_, budget = problem
+    saved = oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes
+    oracle_mod._CHUNK_BUDGET = budget
+    try:
+        split = scan_outcome(terms, axes, predicate, st_)
+        oracle_mod._kept_axes = lambda terms, predicate, ndim: ndim
+        full = scan_outcome(terms, axes, predicate, st_)
+    finally:
+        oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes = saved
+    assert split == full
+
+
+def test_nan_in_eliminated_term_raises(monkeypatch):
+    kept = record_kept_axes(monkeypatch)
+    terms = [Term(lambda b: b[0], frozenset({0})),
+             Term(lambda b: np.where(b[1] > 0.5, np.nan, b[1]), frozenset({1}))]
+    with pytest.raises(FloatingPointError):
+        grid_minimize(terms, [(-1, 1), (-1, 1)], None, settings(11, 0))
+    assert kept == [1]
+
+
+def test_axis_read_by_h_is_never_eliminated(monkeypatch):
+    # x2 is read by one term only, but h reads it too: the region mask
+    # depends on x2, so x2 stays a scanned axis.
+    from resil.exprs import parse_expression
+    from resil.subsystem import Subsystem
+    sv = ("x1", "x2")
+    s = Subsystem(
+        name="S1", state_vars=sv, input_vars=("u1",),
+        f=tuple(parse_expression("0", sv) for _ in sv),
+        g=tuple((parse_expression("1", sv),) for _ in sv),
+        h=parse_expression("x2 - 0.5", sv), mu=(parse_expression("0", sv),),
+        state_box=((-1.0, 1.0), (-1.0, 1.0)), input_box=((-1.0, 1.0),),
+    )
+    kept = record_kept_axes(monkeypatch)
+    grid = StateGrid((s,), sv)
+    value, arg = grid.minimize([Term(lambda b: b[0], frozenset({0})),
+                                Term(lambda b: b[1], frozenset({1}))], settings(21, 0))
+    assert kept == [2]
+    assert (value, arg) == (-0.5, (-1.0, 0.5))
+
+
+def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    net = model.network
+    kept = record_kept_axes(monkeypatch)
+    eliminated = []
+    inner = resilience_mod.drift_minimum
+
+    def recorded(s, *args):
+        value, arg, grid = inner(s, *args)
+        eliminated.append((s.name, grid.axis_names[kept[-1]:]))
+        return value, arg, grid
+
+    monkeypatch.setattr(resilience_mod, "drift_minimum", recorded)
+    idx = resilience_mod.ResilienceIndex(d=25, tau=1e-5, phi=1e-4, eta=1.0)
+    verify_network(net, {0: idx, 1: idx}, model.alpha_z, settings(21, 0))
+    assert [names for name, names in eliminated if name == "S2"] == [["c2"]] * 3
+    assert [names for name, names in eliminated if name == "S1"] == [["c1"]] * 3

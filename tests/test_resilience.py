@@ -119,6 +119,16 @@ def test_compute_zero_law_infeasible():
     assert out.diagnostics
 
 
+def test_compute_recovery_too_slow_for_a_finite_phi_is_infeasible():
+    # The band drift is the smallest subnormal, so d / rec overflows: no
+    # finite phi exists and the depth fails instead of raising.
+    s = make_toy_variant("0", ((0.0, 1.0),), f="-5e-324")
+    out = compute_index(s, 0.0, eps=1.0, settings=OracleSettings(grid_points_per_dim=5))
+    assert isinstance(out, Infeasible)
+    assert out.diagnostics == {"sup_h": 2.0, "min_offline_drift": -1.0,
+                               "d": 2.0, "stage": "recovery", "detail": 5e-324}
+
+
 def test_compute_nonnegative_offline_drift_returns_depth_zero():
     # Heating is impossible when the input box sits at or above the drift
     # balance, so tau is unbounded and the sweep accepts d = 0 immediately.
@@ -385,6 +395,9 @@ def reference_candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail):
         phi = max(phi_min, d / rec)
         while rec - d / phi < 0:
             phi = math.nextafter(phi, math.inf)
+        if phi == math.inf:
+            last_fail.update(d=d, stage="recovery", detail=rec)
+            return None
 
     try:
         inv = min_invariance_margin(s, d, z, settings).value
