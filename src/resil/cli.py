@@ -74,9 +74,10 @@ def _resolve_model(path: str) -> str:
 
 
 def _settings(args) -> OracleSettings:
+    if args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
     return OracleSettings(grid_points_per_dim=args.grid,
-                          refinement_rounds=args.refine,
-                          workers=args.workers)
+                          refinement_rounds=args.refine)
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser):
@@ -85,8 +86,9 @@ def _add_oracle_flags(p: argparse.ArgumentParser):
                    help="grid points per axis (default %(default)s)")
     p.add_argument("--refine", type=int, default=default.refinement_rounds,
                    help="refinement rounds around the incumbent (default %(default)s)")
-    p.add_argument("--workers", type=int, default=default.workers,
-                   help="oracle worker threads (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect (the scan is "
+                        "single-threaded)")
 
 
 def _pick_subsystem(model: Model, name: str) -> int:

@@ -326,6 +326,9 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         raise ValueError("dt must be positive and finite")
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
+    n_steps = round(horizon / dt)
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"dt = {dt:g} does not divide the horizon {horizon:g}")
     n_sub = len(net.subsystems)
     for sched in schedules:
         if len(sched.intervals) != n_sub:
@@ -339,7 +342,6 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     cnet = _CompiledNetwork(net)
     x0_row = _resolve_x0(net, indices, x0)
 
-    n_steps = max(1, int(round(horizon / dt)))
     samples = np.arange(n_steps + 1) * dt
     samples.flags.writeable = False  # shared by every trace
     switches = _switches(schedules, samples[-1])

@@ -23,15 +23,14 @@ its safety set and a target in a ``Region`` (an interval of its h values).
 input-box vertex or closed loop), and an optional ``z (h - lo)``.
 
 Determinism: ties on the grid resolve to the lexicographically smallest
-point in axis order, regardless of chunking, eliminated axes or worker
-count.  Refinement never loses the incumbent, so reported values improve
+point in axis order, regardless of chunking or eliminated axes.
+Refinement never loses the incumbent, so reported values improve
 monotonically.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -64,15 +63,12 @@ class EmptyRegionError(Exception):
 class OracleSettings:
     grid_points_per_dim: int = 200
     refinement_rounds: int = 2
-    workers: int = 1
 
     def __post_init__(self):
         if self.grid_points_per_dim < 2:
             raise ValueError("grid_points_per_dim must be at least 2")
         if self.refinement_rounds < 0:
             raise ValueError("refinement_rounds must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def _scan_chunk(terms, predicate, grids, k):
     bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
     vals = np.broadcast_to(np.asarray(_fold(terms, bindings, k), dtype=float), shape)
     if k < ndim and not np.isfinite(vals).all():
-        return _scan_round(terms, predicate, grids, 1, ndim)
+        return _scan_round(terms, predicate, grids, ndim)
     if np.isnan(vals).any():
         raise FloatingPointError("objective produced nan on the grid")
     if predicate is not None:
@@ -187,7 +183,7 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     incumbent_arg = None
     for round_no in range(settings.refinement_rounds + 1):
         grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
-        best = _scan_round(terms, predicate, grids, settings.workers, k)
+        best = _scan_round(terms, predicate, grids, k)
         if best is None:
             if round_no == 0:
                 raise EmptyRegionError("region contains no grid point")
@@ -201,7 +197,7 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     return incumbent_val, incumbent_arg
 
 
-def _scan_round(terms, predicate, grids, workers, k):
+def _scan_round(terms, predicate, grids, k):
     """Best (value, point) on one grid, scanning the first k axes in chunks
     along axis 0; the coordinates on the eliminated axes are found for the
     winner alone."""
@@ -210,27 +206,11 @@ def _scan_round(terms, predicate, grids, workers, k):
     per_row = max([math.prod(sizes[1:k])]
                   + [math.prod(sizes[i] for i in t.reads if i) for t in terms if 0 in t.reads])
     rows_per_chunk = max(1, _CHUNK_BUDGET // per_row)
-    n_chunks = math.ceil(axis0.size / rows_per_chunk)
-    if workers > 1:
-        n_chunks = max(n_chunks, min(axis0.size, workers))
-        rows_per_chunk = math.ceil(axis0.size / n_chunks)
-        n_chunks = math.ceil(axis0.size / rows_per_chunk)
-    tasks = []
-    for c in range(n_chunks):
-        lo = c * rows_per_chunk
-        hi = min(axis0.size, lo + rows_per_chunk)
-        tasks.append([axis0[lo:hi]] + grids[1:])
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda g: _scan_chunk(terms, predicate, g, k), tasks))
-    else:
-        results = [_scan_chunk(terms, predicate, g, k) for g in tasks]
     best = None
-    for r in results:  # chunk order preserves the C-order tie-break
-        if r is None:
-            continue
-        if best is None or r[0] < best[0]:
+    for lo in range(0, axis0.size, rows_per_chunk):
+        r = _scan_chunk(terms, predicate, [axis0[lo:lo + rows_per_chunk]] + grids[1:], k)
+        # Strict <, in chunk order: ties keep the C-order first point.
+        if r is not None and (best is None or r[0] < best[0]):
             best = r
     if best is None or len(best[1]) == len(grids):
         return best

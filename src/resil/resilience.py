@@ -165,6 +165,10 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
         raise ValueError("z must be nonnegative")
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
+    if not tau_max > 0:
+        raise ValueError("tau_max must be positive")
+    if not 0 < phi_min < math.inf:
+        raise ValueError("phi_min must be positive and finite")
 
     depth = sup_h(s, settings)
     off = min_offline_drift(s, settings).value  # independent of d

@@ -1,26 +1,36 @@
-"""The names the benchmark's tracer binds in resil.
+"""The names and command lines the benchmark relies on in resil.
 
 bench/tracing.py counts work by wrapping resil functions from outside.  A
 refactor that renames one of them, or a parameter a hook reads, would make
-the traced metrics read 0 without any error, so these tests pin them.
+the traced metrics read 0 without any error, so these tests pin them.  The
+command lines in bench/workloads.py must keep parsing, flags the CLI no
+longer acts on (--workers) included.
 """
 
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
+from resil.cli import _build_parser
 from resil.oracle import OracleSettings
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracing():
-    """bench/tracing.py as a module, executed from its source so that
-    nothing is written next to it."""
-    module = types.ModuleType("bench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def load_bench(stem):
+    """bench/<stem>.py as a module, executed from its source so that
+    nothing is written next to it.  It sits in sys.modules while it runs,
+    where dataclasses look up the module of a class."""
+    path = BENCH / f"{stem}.py"
+    module = types.ModuleType(f"bench_{stem}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
@@ -35,7 +45,7 @@ def resolve(tracing, dotted):
 
 
 def test_traced_names_resolve():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     names = [*tracing.HOOKS, tracing.EXPR_CALL]
     names += [f"{layer}.{qual}" for layer, quals in tracing.METHODS.items()
               for qual in quals]
@@ -48,7 +58,7 @@ def test_traced_names_resolve():
 def test_hooks_bind_their_arguments():
     # _grid_points reads grid_minimize's axes and settings; _csv_bytes reads
     # export_trace_csv's path.
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     grid_minimize = resolve(tracing, "oracle.grid_minimize")
     settings = OracleSettings(grid_points_per_dim=5, refinement_rounds=1)
     bound = inspect.signature(grid_minimize).bind(
@@ -58,3 +68,13 @@ def test_hooks_bind_their_arguments():
     assert stats["oracle.points"] == 5 ** 2 * 2
     export = inspect.signature(resolve(tracing, "hybrid_sim.export_trace_csv"))
     assert "path" in export.parameters
+
+
+def test_benchmark_command_lines_parse():
+    workloads = load_bench("workloads")
+    parser = _build_parser()
+    argvs = [argv for size, names in workloads.SIZES.items() for name in names
+             for _, argv in workloads.build(name, 7, "work", size).commands]
+    assert len(argvs) == 12
+    for argv in argvs:
+        parser.parse_args(argv)  # exits 2 on an unknown flag or a bad value

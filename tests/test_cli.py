@@ -160,11 +160,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 def test_out_of_range_numbers_exit_2(capsys, tmp_path):
     # Each reaches the oracle as inf or nan unless rejected, so each is an
     # input error that names its input.
-    for eps in ("inf", "nan"):
+    # A negative --tau-max used to loop forever; the others failed with
+    # errors that did not name the flag, or ran to a wrong verdict.
+    cases = [("--eps", v, "eps must be positive and finite") for v in ("inf", "nan")]
+    cases += [("--tau-max", v, "tau_max must be positive") for v in ("-1", "0", "nan")]
+    cases += [("--phi-min", v, "phi_min must be positive and finite")
+              for v in ("0", "-1", "nan", "inf")]
+    for flag, value, message in cases:
         code = main(["index", "compute", "--model", "toy_linear", "--subsystem", "S1",
-                     "--eps", eps, *FAST])
+                     flag, value, *FAST])
         assert code == 2
-        assert "eps must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     base = json.loads((ROOT / "src" / "resil" / "models" / "toy_linear.json").read_text())
     mpath = tmp_path / "m.json"
@@ -193,6 +199,17 @@ def test_sim_run_non_finite_horizon_or_dt_exits_2(capsys, tmp_path):
                      "--schedules", "1", "--seed", "1", "--out", str(tmp_path / "sim")])
         assert code == 2
         assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+def test_sim_run_dt_must_divide_horizon(capsys, tmp_path):
+    # 0.03 used to end the run at t = 0.09 and 0.5 ran past the horizon.
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX})
+    for dt in ("0.03", "0.5"):
+        code = main(["sim", "run", "--model", "toy_linear", "--indices", idx,
+                     "--horizon", "0.1", "--dt", dt, "--schedules", "1", "--seed", "1",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert f"dt = {dt} does not divide the horizon 0.1" in capsys.readouterr().err
 
 
 def test_index_compute_infeasible_prints_diagnostics(capsys, tmp_path):
@@ -238,6 +255,10 @@ def test_workers_do_not_change_index(capsys):
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1]
     assert printed[0].startswith("S1: (")
+    code = main(["index", "compute", "--model", "cstr_series", "--subsystem", "S1",
+                 "--eps", "250", "--workers", "0", *FAST])
+    assert code == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
 
 
 def test_net_delta(capsys):

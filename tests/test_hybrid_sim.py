@@ -478,7 +478,7 @@ def test_export_trace_csv(tmp_path):
     np.testing.assert_allclose(data[:, 2], trace.states["S1"][:, 0], rtol=1e-8)
     # 9 significant digits: a third is rendered with 9 digits, no more.
     row = simulate(net, {0: IDX}, sched(0.1), AdversaryPolicy(),
-                   dt=1.0 / 3.0, horizon=0.1, x0=[(1.0 / 3.0,)])
+                   dt=0.05, horizon=0.1, x0=[(1.0 / 3.0,)])
     export_trace_csv(row, path)
     with open(path) as fh:
         body = fh.read().splitlines()[1]
