@@ -2,20 +2,19 @@
 
 A coupling (i, j) adds a vector field W_ij(x_i, x_j) to subsystem j's
 dynamics.  The worst-case drift contribution of all couplings entering j
-is the scalar delta_j; its sign decides which of the two inequality
-systems (R1 shrinks the buffer, R2 grows it) converts j's standalone
-index into one that remains valid inside the network.  Joint-grid
-verification re-checks the final indices against the fully coupled
-dynamics: it runs the single-subsystem verifier of ``resilience`` over the
-subsystem and its coupling sources, with the coupling drift
-``grad h_j . sum_i W_ij`` built once by ``_coupling_drift_expr``.
+is the scalar delta_j.  Two systems of linear inequalities (R1 shrinks
+the buffer, R2 grows it), each solved in closed form, convert j's index
+into one that remains valid inside the network.  Joint-grid verification
+re-checks the final indices against the fully coupled dynamics: it runs
+the single-subsystem verifier of ``resilience`` over the subsystem and
+its coupling sources, with the coupling drift ``grad h_j . sum_i W_ij``
+built once by ``_coupling_drift_expr``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from dataclasses import dataclass, field, replace
 
 from .exprs import Expression, free_variables
 from .oracle import OracleSettings, StateGrid, sup_h
@@ -24,6 +23,7 @@ from .resilience import (
     Infeasible,
     ResilienceIndex,
     VerificationReport,
+    _tau,
     _verify_one,
 )
 from .subsystem import ModelError, Subsystem, compile_reads, grad_dot
@@ -105,10 +105,6 @@ class Feasibility:
     delta: float
 
 
-# Depths tried by the R1 / R2 scans between d and their far end.
-_SCAN_POINTS = 1000
-
-
 def _coupling_drift_expr(net: Network, j: int) -> Expression:
     """Symbolic grad h_j . sum of incoming couplings, with zero terms folded."""
     return grad_dot(net.subsystems[j].compiled.grad, *(w for _, w in net.incoming(j)))
@@ -167,60 +163,49 @@ def _check_rsys_args(idx: ResilienceIndex, z: float, sup: float):
 
 def solve_r1(idx: ResilienceIndex, delta: float, z: float, sup: float,
              tau_max: float = DEFAULT_TAU_MAX) -> ResilienceIndex | Infeasible:
-    """Shrink the buffer: scan d' from d down to 0 and return the first depth
-    whose induced bounds are consistent.  tau' and eta' sit at their upper
-    bounds, phi' at its lower bound."""
+    """Shrink the buffer to the deepest d' in [0, d] with eta' >= 0, which is
+    min(d, d + (delta + eta)/z), or the largest float below it where eta'
+    does not round below 0 (bisected over the floats).  tau' and eta' sit
+    at their upper bounds, phi' at its lower bound; none may underflow to 0.
+    The recovery row needs d + phi*delta > 0 only when d > 0."""
     _check_rsys_args(idx, z, sup)
     d, tau, phi, eta = idx.as_tuple()
     denom = d + phi * delta
-    if denom <= 0:
+    if d > 0 and denom <= 0:
         return Infeasible(
             f"d + phi*delta = {denom:.6g} <= 0; no buffer shrink can absorb the coupling",
             {"delta": delta, "denom": denom})
-    a = d / tau - delta
-    for dp in np.linspace(d, 0.0, _SCAN_POINTS):
-        dp = float(dp)
-        if a > 0:
-            if dp <= 0:
-                continue
-            taup = min(tau_max, dp / a)
-        else:
-            taup = tau_max
-        phip = phi if dp == 0 else phi * dp / denom
-        etap = delta + min(d / phi, eta + z * (d - dp))
-        if etap < 0:
-            continue
-        return ResilienceIndex(dp, taup, phip, etap)
-    return Infeasible("no depth in [0, d] satisfies the shrink inequalities",
-                      {"delta": delta, "eta_bound_at_0": delta + min(d / phi, eta + z * d)})
+
+    def eta_at(dp):
+        return delta + min(d / phi, eta + z * (d - dp))
+
+    hi = max(0.0, min(d, d + (delta + eta) / z))
+    lo = hi if eta_at(hi) >= 0 else 0.0
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        lo, hi = (mid, hi) if eta_at(mid) >= 0 else (lo, mid)
+    off = delta - d / tau
+    taup, phip = _tau(lo, off, tau_max), phi if lo == 0 else phi * lo / denom
+    if eta_at(lo) < 0 or taup == 0 or phip == 0:
+        return Infeasible("no depth in [0, d] satisfies the shrink inequalities",
+                          {"delta": delta, "eta_bound_at_0": eta_at(0.0),
+                           "offline_bound": -off})
+    return ResilienceIndex(lo, taup, phip, eta_at(lo))
 
 
 def solve_r2(idx: ResilienceIndex, delta: float, z: float, sup: float,
              tau_max: float = DEFAULT_TAU_MAX) -> ResilienceIndex | Infeasible:
-    """Grow the buffer: scan d' from d up to sup and return the first depth
-    whose induced bounds are consistent.  The recovery-rate bound is
-    independent of d'; when it is not strictly positive no finite phi' exists."""
+    """Grow the buffer.  The recovery-rate bound rhs is independent of d';
+    when it is positive, eta' = delta + eta + z(d' - d) is positive on all of
+    [d, sup], so d' = d, with phi' = d'/rhs and tau' as in solve_r1.  At d = 0
+    phi' needs d' > 0, so d' is sup, the far end of the range."""
     _check_rsys_args(idx, z, sup)
     d, tau, phi, eta = idx.as_tuple()
-    rhs = delta + min(d / phi, eta - z * (sup - d))
-    if rhs <= 0:
-        return Infeasible(
-            f"recovery-rate bound {rhs:.6g} <= 0; no finite recovery deadline exists",
-            {"delta": delta, "rhs": rhs})
-    a = d / tau - delta
-    grid = np.linspace(d, sup, _SCAN_POINTS) if sup > d else np.array([d])
-    for dp in grid:
-        dp = float(dp)
-        if dp <= 0:
-            continue
-        taup = tau_max if a <= 0 else min(tau_max, dp / a)
-        phip = dp / rhs
-        etap = delta + eta + z * (dp - d)
-        if etap < 0:
-            continue
-        return ResilienceIndex(dp, taup, phip, etap)
-    return Infeasible("no depth in [d, sup_h] satisfies the grow inequalities",
-                      {"delta": delta, "rhs": rhs})
+    dp, rhs = d or sup, delta + min(d / phi, eta - z * (sup - d))
+    taup = _tau(dp, delta - d / tau, tau_max)
+    if rhs <= 0 or taup == 0 or not 0 < dp / rhs < math.inf:
+        return Infeasible(f"recovery-rate bound {rhs:.6g} at depth {dp:.6g}; no finite "
+                          f"positive recovery deadline exists", {"delta": delta, "rhs": rhs})
+    return ResilienceIndex(dp, taup, dp / rhs, delta + eta + z * (dp - d))
 
 
 def feasibility_r1(idx: ResilienceIndex, delta: float, z: float) -> Feasibility:
@@ -234,29 +219,24 @@ def feasibility_r1(idx: ResilienceIndex, delta: float, z: float) -> Feasibility:
 
 def feasibility_r2(idx: ResilienceIndex, delta: float, z: float, sup: float) -> Feasibility:
     """Sufficient threshold for the grow system: delta must strictly exceed
-    max{-d/phi, -eta + z(sup - d)} so a finite recovery deadline exists."""
+    max{-d/phi, -eta + z(sup - d)} so a finite recovery deadline exists, and
+    sup must be positive so a positive depth exists."""
     _check_rsys_args(idx, z, sup)
     threshold = max(-idx.d / idx.phi, -idx.eta + z * (sup - idx.d))
-    verdict = GUARANTEED if delta > threshold else UNKNOWN
+    verdict = GUARANTEED if delta > threshold and sup > 0 else UNKNOWN
     return Feasibility(verdict, "R2", threshold, delta)
 
 
 def improve_by_interconnection(idx: ResilienceIndex, delta: float, z: float
                                ) -> ResilienceIndex:
     """Canonical shrink-system solution for a helpful coupling (delta >= 0):
-    same depth and offline budget, tighter recovery deadline, larger margin."""
+    solve_r1's, which keeps the depth, with the offline budget kept too;
+    tighter recovery deadline, larger margin."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if z <= 0:
-        raise ValueError("z must be positive")
-    d, tau, phi, eta = idx.as_tuple()
-    if d == 0:
-        out = ResilienceIndex(d, tau, phi, delta + min(0.0, eta))
-    else:
-        out = ResilienceIndex(d, tau, phi * d / (d + phi * delta),
-                              delta + min(d / phi, eta))
+    out = replace(solve_r1(idx, delta, z, idx.d), tau=idx.tau)
     _assert_r1_rows(idx, out, delta, z)
-    if out.phi > phi:
+    if out.phi > idx.phi:
         raise AssertionError("construction must not relax the recovery deadline")
     return out
 
@@ -296,10 +276,12 @@ def propagate_indices(net: Network, indices: dict[int, ResilienceIndex], z: floa
                       delta_method: str = "pairwise",
                       prefer: str = "r1") -> dict[int, PropagationOutcome]:
     """Convert standalone indices into network-valid ones, one subsystem at a
-    time.  The preferred system is tried first unless only the other one is
-    guaranteed feasible; each is solved at most once, and a success by a
-    system that is not guaranteed keeps the verdict Unknown."""
+    time.  The preferred system is tried first, then the other; a system
+    solves exactly when its verdict is GuaranteedFeasible (R1 up to the
+    boundary of its strict rows), so the outcome's verdict is the solver's."""
     settings = settings or OracleSettings()
+    if not tau_max > 0:
+        raise ValueError("tau_max must be positive")
     if delta_method not in ("pairwise", "exact"):
         raise ValueError("delta_method must be 'pairwise' or 'exact'")
     if prefer not in ("r1", "r2"):
@@ -328,18 +310,18 @@ def propagate_indices(net: Network, indices: dict[int, ResilienceIndex], z: floa
         systems = {"R1": (solve_r1, feasibility_r1(idx, dest.value, z)),
                    "R2": (solve_r2, feasibility_r2(idx, dest.value, z, sup))}
         order = ["R1", "R2"] if prefer == "r1" else ["R2", "R1"]
-        failures = {}
-        for name in sorted(order, key=lambda n: systems[n][1].verdict != GUARANTEED):
+        failures = []
+        for name in order:
             solver, feas = systems[name]
             res = solver(idx, dest.value, z, sup, tau_max)
             if isinstance(res, ResilienceIndex):
                 out[j] = PropagationOutcome(res, feas, name, dest)
                 break
-            failures[name] = f"{name}: {res.reason}"
+            failures.append(f"{name}: {res.reason}")
         else:
             out[j] = PropagationOutcome(
                 None, systems[order[0]][1], None, dest,
-                Infeasible("; ".join(failures[n] for n in order), {"delta": dest.value}))
+                Infeasible("; ".join(failures), {"delta": dest.value}))
     return out
 
 

@@ -218,10 +218,10 @@ def _tau(d: float, off: float, tau_max: float) -> float:
     """The offline time at depth d for the offline drift minimum off:
     tau_max when off >= 0, else min(tau_max, d / -off) stepped down by ulps
     until off + d / tau, as _margin_rule recomputes it, is nonnegative in
-    floating point.  Not called at d = 0 with off < 0, which admits none."""
+    floating point; 0 where no positive float is (d = 0 with off < 0)."""
     if off >= 0:
         return tau_max
     tau = min(tau_max, d / -off)
-    while off + d / tau < 0:
+    while tau > 0 and off + d / tau < 0:
         tau = math.nextafter(tau, 0.0)
     return tau

@@ -97,8 +97,9 @@ def test_03_feasibility_thresholds_are_sufficient():
         idx = random_index(rng)
         z = float(rng.uniform(0.1, 3.0))
         sup = idx.d + float(rng.uniform(0.0, 3.0))
-        # The shrink solver scans 1000 depths, so clear the threshold by
-        # more than one grid cell of the eta row: z*d/999 < 0.01 here.
+        # Clear the threshold by at least 0.01, off R1's strict boundary
+        # (d + phi*delta = 0, or d' = 0 with d/tau - delta > 0), the only
+        # place where the verdict and the solver disagree.
         delta1 = feasibility_r1(idx, 0.0, z).threshold + float(rng.uniform(0.01, 2.0))
         assert feasibility_r1(idx, delta1, z).verdict == GUARANTEED
         if isinstance(solve_r1(idx, delta1, z, sup), ResilienceIndex):

@@ -171,6 +171,13 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path):
                      flag, value, *FAST])
         assert code == 2
         assert message in capsys.readouterr().err
+    # net propagate used to fail inside the solvers with "tau must be positive".
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX, "S2": TOY_IDX})
+    for value in ("-1", "0", "nan"):
+        code = main(["net", "propagate", "--model", "toy_pair", "--indices", idx,
+                     "--tau-max", value, *FAST])
+        assert code == 2
+        assert "tau_max must be positive" in capsys.readouterr().err
 
     base = json.loads((ROOT / "src" / "resil" / "models" / "toy_linear.json").read_text())
     mpath = tmp_path / "m.json"

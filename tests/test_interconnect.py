@@ -1,7 +1,10 @@
 """Coupled-network tests: delta estimates, R1/R2 systems, propagation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from resil.exprs import parse_expression
 from resil.interconnect import (
@@ -10,6 +13,7 @@ from resil.interconnect import (
     DeltaEstimate,
     DimensionMismatchError,
     Network,
+    _assert_r1_rows,
     compute_delta_exact,
     compute_delta_pairwise,
     feasibility_r1,
@@ -21,7 +25,7 @@ from resil.interconnect import (
     verify_network,
 )
 from resil.oracle import OracleSettings
-from resil.resilience import Infeasible, ResilienceIndex
+from resil.resilience import DEFAULT_TAU_MAX, Infeasible, ResilienceIndex
 from resil.subsystem import ModelError, Subsystem
 
 SETTINGS = OracleSettings(grid_points_per_dim=501, refinement_rounds=2)
@@ -191,13 +195,166 @@ def test_feasibility_r2_threshold_strict():
 
 
 def test_r1_solver_at_exact_threshold_boundary():
-    # At delta exactly on the nonstrict R1 threshold the constructive scan
-    # has no positive-phi solution (it would need a zero recovery deadline),
+    # At delta exactly on the nonstrict R1 threshold, d + phi*delta = 0 and
+    # the recovery row phi' >= phi d'/(d + phi*delta) admits no finite phi',
     # so Guaranteed verdict and solver outcome disagree only on the boundary
     # set of measure zero.
     idx = ResilienceIndex(1, 1, 1, 1)
     assert feasibility_r1(idx, -1.0, 1.0).verdict == GUARANTEED
     assert isinstance(solve_r1(idx, -1.0, 1.0, sup=2.0), Infeasible)
+    # The other strict row: eta' >= 0 leaves only d' = 0, where the offline
+    # row d'/tau' >= d/tau - delta = 2 admits no tau'.
+    idx = ResilienceIndex(1, 1, 0.5, 0)
+    assert feasibility_r1(idx, -1.0, 1.0).verdict == GUARANTEED
+    assert isinstance(solve_r1(idx, -1.0, 1.0, sup=2.0), Infeasible)
+
+
+def test_solve_r1_at_zero_depth():
+    # The recovery row is vacuous at zero depth, so d + phi*delta = 0 does
+    # not make it infeasible: a harmless coupling keeps the zero buffer.
+    idx = ResilienceIndex(0.0, 1.0, 1.0, 0.5)
+    assert feasibility_r1(idx, 0.0, 1.0).verdict == GUARANTEED
+    out = solve_r1(idx, 0.0, 1.0, 1.0)
+    assert out == ResilienceIndex(0.0, DEFAULT_TAU_MAX, 1.0, 0.0)
+    assert improve_by_interconnection(idx, 0.0, 1.0) == ResilienceIndex(0.0, 1.0, 1.0, 0.0)
+    # A hostile coupling leaves a zero buffer no margin: eta' = delta < 0.
+    assert isinstance(solve_r1(idx, -0.1, 1.0, 1.0), Infeasible)
+
+
+def test_solve_r1_keeps_depth_below_first_lattice_step():
+    # Every feasible depth lies in (0, 0.0026), below d/999 = 0.0047: a scan
+    # of 1000 depths from d down to 0 found none and returned Infeasible.
+    idx = ResilienceIndex(4.7187296296907775, 0.4170474777753187,
+                          0.23945959450804602, 0.8783700688458784)
+    delta, z = -4.279981979379286, 0.7212568069450517
+    assert feasibility_r1(idx, delta, z).verdict == GUARANTEED
+    assert isinstance(reference_solve_r1(idx, delta, z, 10.0), Infeasible)
+    out = solve_r1(idx, delta, z, 10.0)
+    assert isinstance(out, ResilienceIndex)
+    assert 0 < out.d < 0.0026 and out.eta == 0.0
+    _assert_r1_rows(idx, out, delta, z, tol=0.0)
+
+
+def test_solve_r2_at_zero_depth_takes_sup():
+    idx = ResilienceIndex(0.0, 1.0, 1.0, 1.0)
+    out = solve_r2(idx, 0.5, 1.0, sup=0.25)
+    assert out == ResilienceIndex(0.25, DEFAULT_TAU_MAX, 0.25 / 0.5, 1.75)
+    # sup = 0 leaves no positive depth, and the verdict says so.
+    assert isinstance(solve_r2(idx, 0.5, 1.0, sup=0.0), Infeasible)
+    assert feasibility_r2(idx, 0.5, 1.0, sup=0.0).verdict == UNKNOWN
+
+
+def test_solvers_at_the_ends_of_the_float_range():
+    # A subnormal depth leaves phi' = phi d'/(d + phi delta) no positive
+    # float (this raised), and a subnormal rate bound leaves phi' = d'/rhs
+    # none below inf: both report Infeasible.
+    tiny = ResilienceIndex(5e-324, 1.0, 1.0, 0.0)
+    assert isinstance(solve_r1(tiny, 2.0, 1.0, 5e-324), Infeasible)
+    zero = ResilienceIndex(0.0, 1.0, 1.0, 20.0)
+    assert isinstance(solve_r2(zero, 2.2250738585072014e-308, 1.0, 10.0), Infeasible)
+
+
+def reference_solve_r1(idx, delta, z, sup, tau_max=DEFAULT_TAU_MAX):
+    """The shrink solver as a scan of 1000 evenly spaced depths from d down
+    to 0, returning the first that works: the lattice answer the closed
+    form must not fall below."""
+    d, tau, phi, eta = idx.as_tuple()
+    denom = d + phi * delta
+    if denom <= 0:
+        return Infeasible("denom")
+    a = d / tau - delta
+    for dp in np.linspace(d, 0.0, 1000):
+        dp = float(dp)
+        if a > 0:
+            if dp <= 0:
+                continue
+            taup = min(tau_max, dp / a)
+        else:
+            taup = tau_max
+        phip = phi if dp == 0 else phi * dp / denom
+        etap = delta + min(d / phi, eta + z * (d - dp))
+        if etap < 0:
+            continue
+        return ResilienceIndex(dp, taup, phip, etap)
+    return Infeasible("lattice")
+
+
+def reference_solve_r2(idx, delta, z, sup, tau_max=DEFAULT_TAU_MAX):
+    """The grow solver as a scan of 1000 evenly spaced depths from d up to sup."""
+    d, tau, phi, eta = idx.as_tuple()
+    rhs = delta + min(d / phi, eta - z * (sup - d))
+    if rhs <= 0:
+        return Infeasible("rhs")
+    a = d / tau - delta
+    for dp in np.linspace(d, sup, 1000) if sup > d else np.array([d]):
+        dp = float(dp)
+        if dp <= 0:
+            continue
+        taup = tau_max if a <= 0 else min(tau_max, dp / a)
+        etap = delta + eta + z * (dp - d)
+        if etap < 0:
+            continue
+        return ResilienceIndex(dp, taup, dp / rhs, etap)
+    return Infeasible("lattice")
+
+
+def moderate(top, sign=False):
+    """0 or a magnitude in [1e-6, top]: floats far from both ends of the
+    float range, where the derived bounds neither underflow nor overflow
+    (test_solvers_at_the_ends_of_the_float_range covers those)."""
+    values = st.one_of(st.just(0.0), st.floats(1e-6, top))
+    return st.one_of(values, values.map(lambda v: -v)) if sign else values
+
+
+@st.composite
+def rsys_problems(draw):
+    """An index (a third of them or more at zero depth), a coupling budget
+    delta, a rate z and the reach sup >= d of h."""
+    d = draw(moderate(10.0))
+    idx = ResilienceIndex(d, draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 10.0)),
+                          draw(moderate(10.0)))
+    return (idx, draw(moderate(30.0, sign=True)), draw(st.floats(0.01, 10.0)),
+            d + draw(moderate(10.0)))
+
+
+@hsettings(max_examples=500, deadline=None)
+@given(rsys_problems())
+def test_solve_r1_closed_form_properties(problem):
+    idx, delta, z, sup = problem
+    d, tau, phi, eta = idx.as_tuple()
+    out = solve_r1(idx, delta, z, sup)
+    if isinstance(out, ResilienceIndex):
+        _assert_r1_rows(idx, out, delta, z, tol=0.0)
+    lattice = reference_solve_r1(idx, delta, z, sup)
+    if isinstance(lattice, ResilienceIndex):
+        assert isinstance(out, ResilienceIndex) and out.d >= lattice.d
+    # Verdict and solvability agree, except on R1's strict boundary: the
+    # recovery row's d + phi*delta > 0 at d > 0, and the offline row at
+    # d' = 0, the only depth whose eta' >= 0 (in floating point).
+    boundary = (d > 0 and d + phi * delta <= 0) or (
+        d / tau - delta > 0 and delta + min(d / phi, eta + z * (d - math.ulp(0.0))) < 0)
+    if not boundary:
+        assert (feasibility_r1(idx, delta, z).verdict == GUARANTEED) == \
+            isinstance(out, ResilienceIndex)
+
+
+@hsettings(max_examples=500, deadline=None)
+@given(rsys_problems())
+def test_solve_r2_closed_form_properties(problem):
+    idx, delta, z, sup = problem
+    d, tau, phi, eta = idx.as_tuple()
+    out = solve_r2(idx, delta, z, sup)
+    if isinstance(out, ResilienceIndex):
+        rhs = delta + min(d / phi, eta - z * (sup - d))
+        assert d <= out.d <= sup
+        assert -out.d / out.tau <= -d / tau + delta
+        assert out.phi >= out.d / rhs
+        assert 0 <= out.eta <= delta + eta + z * (out.d - d)
+    lattice = reference_solve_r2(idx, delta, z, sup)
+    if isinstance(lattice, ResilienceIndex):
+        assert isinstance(out, ResilienceIndex) and out.d >= lattice.d
+    assert (feasibility_r2(idx, delta, z, sup).verdict == GUARANTEED) == \
+        isinstance(out, ResilienceIndex)
 
 
 def test_r2_guaranteed_implies_r1_guaranteed():

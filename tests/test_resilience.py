@@ -9,7 +9,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from resil import oracle, resilience
 from resil.exprs import parse_expression
-from resil.interconnect import Network, verify_network
+from resil.interconnect import Network, propagate_indices, verify_network
 from resil.model_io import load_model
 from resil.oracle import (
     EmptyRegionError,
@@ -334,6 +334,32 @@ def test_cstr_series_maximize_tau_golden():
     assert got == [
         (2450.0, 0.0020168334142945323, 0.060858535413394164, 28.53028843504775),
         (2075.0, 0.005135625, 0.018771411200458894, 34.60611655896071)]
+
+
+def test_cstr_series_propagated_golden():
+    # The indices net propagate --grid 201 writes from the golden above, the
+    # ones the certify pipeline verifies, pinned to the bit.  S2 takes R1's
+    # deepest depth, where eta' = 0.  At grid 401 S2 passes and S1, which no
+    # coupling enters, still fails: its recovery margin is negative off the
+    # grid it was computed on.
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    net = model.network
+    settings = OracleSettings(grid_points_per_dim=201)
+    standalone = {0: ResilienceIndex(2450.0, 0.0020168334142945323,
+                                     0.060858535413394164, 28.53028843504775),
+                  1: ResilienceIndex(2075.0, 0.005135625, 0.018771411200458894,
+                                     34.60611655896071)}
+    out = propagate_indices(net, standalone, model.alpha_z, settings=settings)
+    assert [(out[j].system, out[j].feasibility.verdict) for j in (0, 1)] == [
+        ("R1", "GuaranteedFeasible"), ("R1", "GuaranteedFeasible")]
+    got = {j: out[j].index for j in (0, 1)}
+    assert [got[j].as_tuple() for j in (0, 1)] == [
+        (2450.0, 0.0020168334142945323, 0.060858535413394164, 28.53028843504775),
+        (1051.0530582794802, 0.002588017193373841, 0.009690881883884235, 0.0)]
+    reports = verify_network(net, got, model.alpha_z,
+                             OracleSettings(grid_points_per_dim=401))
+    assert not reports[0].passed and reports[0].margin_recovery < 0
+    assert reports[1].passed
 
 
 def reference_compute_index(s, z, eps, tau_max, phi_min, settings, maximize_tau):
