@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 infeasible result / failed verification / unsafe
-simulation, 2 usage, model or numeric errors (division by zero or nan while
-evaluating a model).
+simulation, 2 usage, model or numeric errors (division by zero, nan or -inf
+while evaluating a model, or a region that holds no grid point).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .interconnect import (
     verify_network,
 )
 from .model_io import Model, load_indices, load_model, merge_index, write_indices
-from .oracle import OracleSettings
+from .oracle import EmptyRegionError, OracleSettings
 from .resilience import (
     DEFAULT_PHI_MIN,
     DEFAULT_TAU_MAX,
@@ -49,14 +49,6 @@ class _UsageError(Exception):
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
-
-
-def _fmt_diagnostic(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return "(" + ", ".join(map(_fmt, value)) + ")"
-    return _fmt(value)
 
 
 def _fmt_index(idx: ResilienceIndex) -> str:
@@ -109,7 +101,7 @@ def _cmd_index_compute(args) -> int:
     if isinstance(result, Infeasible):
         print(f"{s.name}: infeasible: {result.reason}")
         for key, value in result.diagnostics.items():
-            print(f"{s.name}: {key} = {_fmt_diagnostic(value)}")
+            print(f"{s.name}: {key} = {value if isinstance(value, str) else _fmt(value)}")
         return 1
     print(f"{s.name}: {_fmt_index(result)}")
     if args.out:
@@ -329,7 +321,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_UsageError, ModelError, ExpressionError, ScheduleError,
             NonFiniteStateError, FileNotFoundError, ValueError,
-            ZeroDivisionError, FloatingPointError) as err:
+            ZeroDivisionError, FloatingPointError, EmptyRegionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -5,10 +5,10 @@ arithmetic operators, ``^k`` for a non-negative integer ``k``, ``exp(...)``,
 and parentheses.  Precedence from tightest to loosest: ``^``, unary minus,
 ``*`` ``/``, ``+`` ``-``; binary operators associate to the left.
 
-Trees are frozen dataclasses and never mutated after parsing, so a single
-expression may be evaluated from many threads at once.  Evaluation accepts
-plain floats or numpy arrays in the bindings; overflow propagates as
-``inf`` while division by zero raises.
+Trees are frozen dataclasses and never mutated after parsing, so a
+derivative or a drift built from a tree can share its subtrees.
+Evaluation accepts plain floats or numpy arrays in the bindings; overflow
+propagates as ``inf`` while division by zero raises.
 """
 
 from __future__ import annotations

@@ -22,6 +22,13 @@ its safety set and a target in a ``Region`` (an interval of its h values).
 ``lg``, see ``subsystem``) as terms: coupling, ``lf``, one per input (worst
 input-box vertex or closed loop), and an optional ``z (h - lo)``.
 
+Non-finite values: a term value of nan or -inf anywhere on the scanned
+box raises FloatingPointError, and so does a sum of finite terms that
+overflows to -inf in the region.  +inf is allowed and makes a point no
+candidate, like a point outside the region; a scan whose first grid holds
+no candidate raises EmptyRegionError, or FloatingPointError when it has no
+region.
+
 Determinism: ties on the grid resolve to the lexicographically smallest
 point in axis order, regardless of chunking or eliminated axes.
 Refinement never loses the incumbent, so reported values improve
@@ -75,7 +82,6 @@ class OracleSettings:
 class Extremum:
     value: float
     arg: tuple[float, ...]
-    rigor: str = "sampled"
 
 
 class Term(NamedTuple):
@@ -112,7 +118,11 @@ def _kept_axes(terms, predicate: Term | None, ndim: int) -> int:
 
 def _fold(terms, bindings, k: int):
     """Left-to-right sum of the terms at the bindings, each term that reads
-    an axis from k on minimized over those axes first."""
+    an axis from k on minimized over those axes first.  A term value of nan
+    or -inf anywhere on the bindings raises FloatingPointError; +inf is
+    allowed.  With no term at -inf, no sum is inf + -inf unless finite
+    values overflow (_scan_chunk raises there), so the eliminated sum has
+    the minimum of the full one."""
     ndim = len(bindings)
     total = None
     for t in terms:
@@ -121,41 +131,32 @@ def _fold(terms, bindings, k: int):
             v = np.asarray(v, dtype=float)
             v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
             v = v.min(axis=tuple(range(k, ndim)), keepdims=True)
+        low = np.min(v)
+        if not low > -math.inf:  # the min propagates nan
+            raise FloatingPointError(f"objective produced {low} on the grid")
         total = v if total is None else total + v
     return total
 
 
 def _scan_chunk(terms, predicate, grids, k):
     """Evaluate one slab (a slice along axis 0) and return its best point
-    over the first k axes.  Values, mask and argmin live on those axes; the
-    rest are minimized out of their terms (see _fold).  Where that sum is
-    finite, every term is finite at the minimizing points, so the full grid
-    holds no nan and has the same minimum.  Elsewhere the slab is scanned
-    again with nothing eliminated, so nan and inf behave exactly as on the
-    full grid."""
+    over the first k axes, or None when no point of the region has a value
+    below +inf.  Values, mask and argmin live on those axes; the rest are
+    minimized out of their terms (see _fold for the non-finite rule)."""
     ndim = len(grids)
     shape = tuple(g.size for g in grids[:k]) + (1,) * (ndim - k)
     bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
     vals = np.broadcast_to(np.asarray(_fold(terms, bindings, k), dtype=float), shape)
-    if k < ndim and not np.isfinite(vals).all():
-        return _scan_round(terms, predicate, grids, ndim)
-    if np.isnan(vals).any():
-        raise FloatingPointError("objective produced nan on the grid")
     if predicate is not None:
-        mask = np.broadcast_to(predicate.fn(bindings), shape)
-        if not mask.any():
-            return None
-        vals = np.where(mask, vals, np.inf)
+        vals = np.where(predicate.fn(bindings), vals, np.inf)
     flat = int(np.argmin(vals))  # C order: ties pick the lexicographically first point
     best = float(vals.flat[flat])
-    if not np.isfinite(best):
-        return None if predicate is not None else _raise_nonfinite(best)
+    if best == math.inf:
+        return None
+    if not best > -math.inf:  # finite terms whose sum overflowed
+        raise FloatingPointError(f"objective produced {best} on the grid")
     idx = np.unravel_index(flat, shape)
     return best, tuple(float(g[i]) for g, i in zip(grids[:k], idx))
-
-
-def _raise_nonfinite(v):
-    raise FloatingPointError(f"objective produced {v} on the grid")
 
 
 def grid_minimize(objective, axes, predicate, settings: OracleSettings):
@@ -165,8 +166,9 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     predicate is None, a callable or a Term.  Each receives a list of
     broadcast-shaped arrays, one per axis, in axis order; a plain callable
     reads every axis.  Returns (value, arg) where arg is a tuple of
-    coordinates in axis order.  Raises EmptyRegionError when the predicate
-    rejects the entire initial grid.
+    coordinates in axis order.  A point valued +inf is no candidate: when
+    the initial grid holds none, raises EmptyRegionError, or with no
+    predicate FloatingPointError.  nan and -inf raise (see _fold).
     """
     ndim = len(axes)
     terms = [_as_term(objective, ndim)] if callable(objective) else list(objective)
@@ -184,14 +186,11 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     for round_no in range(settings.refinement_rounds + 1):
         grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
         best = _scan_round(terms, predicate, grids, k)
-        if best is None:
-            if round_no == 0:
-                raise EmptyRegionError("region contains no grid point")
-        else:
-            val, coords = best
-            if val < incumbent_val or incumbent_arg is None:
-                incumbent_val, incumbent_arg = val, coords
-        if incumbent_arg is None:
+        if best is not None and best[0] < incumbent_val:
+            incumbent_val, incumbent_arg = best
+        elif round_no == 0:  # no point of the region is below +inf
+            if predicate is None:
+                raise FloatingPointError("objective produced inf on the grid")
             raise EmptyRegionError("region contains no grid point")
         bounds = _shrink(orig, bounds, incumbent_arg, n)
     return incumbent_val, incumbent_arg
@@ -226,11 +225,7 @@ def _shrink(orig, bounds, arg, n):
     for (olo, ohi), (lo, hi), center in zip(orig, bounds, arg):
         step = (hi - lo) / (n - 1)
         half = max(2.0 * step, 1e-15 * max(1.0, abs(center)))
-        nlo = max(olo, center - half)
-        nhi = min(ohi, center + half)
-        if nlo >= nhi:
-            nlo, nhi = lo, hi
-        new.append((nlo, nhi))
+        new.append((max(olo, center - half), min(ohi, center + half)))
     return new
 
 

@@ -131,19 +131,11 @@ def _verify_one(target: Subsystem, participants, coupling: Expression,
         worst["invariance"] = None
         notes.append("buffer region is empty: d exceeds the reach of h")
 
-    passed, margins = _margin_rule(index, offline, recovery, invariance)
-    return VerificationReport(passed, *margins, worst_points=worst, notes=tuple(notes))
-
-
-def _margin_rule(index: ResilienceIndex, offline: float, recovery: float | None,
-                 invariance: float):
-    """Slack of the offline, recovery and invariance conditions from the
-    minima of their drift scans (recovery None: not scanned, vacuous), and
-    whether all three hold up to the margin tolerance."""
     margins = (offline + index.d / index.tau,
                math.inf if recovery is None else recovery - index.d / index.phi,
                invariance - index.eta)
-    return all(m >= -MARGIN_TOLERANCE for m in margins), margins
+    passed = all(m >= -MARGIN_TOLERANCE for m in margins)
+    return VerificationReport(passed, *margins, worst_points=worst, notes=tuple(notes))
 
 
 def compute_index(s: Subsystem, z: float, eps: float = 0.1,
@@ -152,13 +144,14 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
                   settings: OracleSettings | None = None,
                   maximize_tau: bool = False) -> ResilienceIndex | Infeasible:
     """Search buffer depths d = 0, eps, 2 eps, ... up to the depth of the
-    safety set and return the first whose induced (tau, phi, eta) passes
-    verification: the margins of the three conditions, taken from the same
-    drift minima the candidate was built from.  Depths are tried in ascending
-    order, or with maximize_tau by decreasing tau (known from d and the
-    offline minimum before any scan; ties stay ascending), so the first that
-    passes is the answer.  phi steps up by ulps, as tau steps down in _tau,
-    until its margin is nonnegative in floating point.
+    safety set and return the first that admits an index: a positive
+    recovery minimum (when d > 0) and a nonnegative invariance minimum.
+    Depths are tried in ascending order, or with maximize_tau by decreasing
+    tau (known from d and the offline minimum before any scan; ties stay
+    ascending), so the first that admits one is the answer.  The candidate
+    meets the three conditions on the drift minima it is built from: phi
+    steps up by ulps, as tau steps down in _tau, until its margin is
+    nonnegative in floating point, and eta is the invariance minimum.
     """
     settings = settings or OracleSettings()
     if z < 0:
@@ -182,7 +175,7 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
         order = sorted(order, key=lambda d_tau: -d_tau[1])
 
     for d, tau in order:
-        rec, phi = None, phi_min
+        phi = phi_min
         if d > 0:
             try:
                 rec = min_recovery_drift(s, d, settings).value
@@ -206,18 +199,14 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
         if inv < 0:
             last_fail.update(d=d, stage="invariance", detail=inv)
             continue
-        candidate = ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv)
-        passed, margins = _margin_rule(candidate, off, rec, inv)
-        if passed:
-            return candidate
-        last_fail = {"d": d, "margins": margins}
+        return ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv)
     return Infeasible("no buffer depth in the sweep admits a valid index", last_fail)
 
 
 def _tau(d: float, off: float, tau_max: float) -> float:
     """The offline time at depth d for the offline drift minimum off:
     tau_max when off >= 0, else min(tau_max, d / -off) stepped down by ulps
-    until off + d / tau, as _margin_rule recomputes it, is nonnegative in
+    until off + d / tau, as _verify_one computes it, is nonnegative in
     floating point; 0 where no positive float is (d = 0 with off < 0)."""
     if off >= 0:
         return tau_max

@@ -425,6 +425,51 @@ def test_numeric_error_exits_2(capsys, tmp_path):
     assert "division by zero" in captured.err
 
 
+def one_state_model(tmp_path, f, h):
+    """Path of a model with one subsystem x1' = f + u1 on [-1, 1], u1 in
+    [-1, 1], safety function h and the law mu = 0."""
+    model = {
+        "alpha_z": 1.0,
+        "subsystems": [{"name": "S1", "states": ["x1"], "inputs": ["u1"],
+                        "f": [f], "g": [["1"]], "h": h, "mu": ["0"],
+                        "state_box": [[-1, 1]], "input_box": [[-1, 1]]}],
+    }
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(model))
+    return str(mpath)
+
+
+def assert_error_exit(capsys, code, message):
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_empty_grid_safe_set_exits_2(capsys, tmp_path):
+    # h = 0.01 - x1^2 is positive only within 0.1 of 0: the load check, at
+    # grid 64, finds the safe set, but the two nodes x1 = -1, 1 of grid 2
+    # do not.  That is an input the grid cannot serve, not an infeasible
+    # index or a failed check (exit 1).
+    mpath = one_state_model(tmp_path, "-x1", "0.01 - x1^2")
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX})
+    for argv in (["index", "compute", "--subsystem", "S1"],
+                 ["index", "verify", "--subsystem", "S1", "--index", "0.1,0.1,0.1,1"],
+                 ["net", "verify", "--indices", idx]):
+        code = main([*argv, "--model", mpath, "--grid", "2"])
+        assert_error_exit(capsys, code, "region contains no grid point")
+
+
+def test_drift_overflowing_to_minus_inf_exits_2(capsys, tmp_path):
+    # exp(800 x1) overflows for x1 > 0.89, so the drift of h = x1 + 1 is
+    # -inf there.  That is a numeric error, not an empty region.
+    mpath = one_state_model(tmp_path, "-exp(800*x1)", "x1 + 1")
+    for argv in (["index", "compute", "--eps", "0.5"],
+                 ["index", "verify", "--index", "0.1,0.1,0.1,1"]):
+        code = main([*argv, "--model", mpath, "--subsystem", "S1", "--grid", "41"])
+        assert_error_exit(capsys, code, "objective produced -inf on the grid")
+
+
 def test_sim_run_with_unbounded_tau(capsys, tmp_path):
     # h = 1 - x^2 never decreases, whatever the input in [0, 1], so the
     # index has tau = inf and a schedule may hold S1 offline to the horizon.

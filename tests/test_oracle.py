@@ -252,10 +252,15 @@ def test_grid_doubling_never_increases_minimum():
 # -- eliminated axes: a sum of terms scans the axes the terms share ----------
 
 def scan_outcome(objective, axes, predicate, st_):
+    """The scan's (value, minimizer), or its error.  A FloatingPointError
+    is its type alone: the message names the first bad value found, and
+    which one that is depends on the chunks."""
     try:
         return grid_minimize(objective, axes, predicate, st_)
-    except (EmptyRegionError, FloatingPointError) as err:
-        return type(err), str(err)
+    except FloatingPointError:
+        return FloatingPointError
+    except EmptyRegionError as err:
+        return EmptyRegionError, str(err)
 
 
 def record_kept_axes(monkeypatch):
@@ -317,16 +322,13 @@ def separable_problems(draw):
     return terms, predicate, axes, st_, draw(st.sampled_from([1, 7, 50, 4_000_000]))
 
 
-# inf + (-inf) is part of what is tested.  The scan adds the terms' values
-# without np.errstate, so numpy warns on that sum, and the suite turns
-# warnings into errors.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @hsettings(max_examples=300, deadline=None)
 @given(separable_problems())
 def test_eliminated_axes_give_the_full_scan_result(problem):
-    # Exact equality with the scan that eliminates nothing: the same value,
-    # the same minimizer, the same error.
+    # Exact equality with the scan that eliminates nothing and with the scan
+    # in one chunk: the same value, the same minimizer, the same error.
     terms, predicate, axes, st_, budget = problem
+    one_chunk = scan_outcome(terms, axes, predicate, st_)
     saved = oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes
     oracle_mod._CHUNK_BUDGET = budget
     try:
@@ -335,7 +337,7 @@ def test_eliminated_axes_give_the_full_scan_result(problem):
         full = scan_outcome(terms, axes, predicate, st_)
     finally:
         oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes = saved
-    assert split == full
+    assert split == full == one_chunk
 
 
 def test_nan_in_eliminated_term_raises(monkeypatch):
@@ -345,6 +347,37 @@ def test_nan_in_eliminated_term_raises(monkeypatch):
     with pytest.raises(FloatingPointError):
         grid_minimize(terms, [(-1, 1), (-1, 1)], None, settings(11, 0))
     assert kept == [1]
+
+
+def test_minus_inf_in_region_raises():
+    # -inf is a numeric error wherever it lies, not a point the region
+    # drops: the drift that overflows there has no minimum to report.
+    def bad(b):
+        return np.where(b[0] > 0.5, -np.inf, b[0])
+    with pytest.raises(FloatingPointError, match="objective produced -inf"):
+        grid_minimize(bad, [(-1, 1)], lambda b: b[0] >= 0, settings(11, 0))
+
+
+def test_sum_overflowing_to_minus_inf_raises():
+    # Each term is finite; their sum overflows to -inf, and to nan once a
+    # +inf term is added.  Both are numeric errors, inside a region too.
+    big = Term(lambda b: np.full(b[0].shape, -1e308), frozenset({0}))
+    wall = Term(lambda b: np.where(b[0] > 0.5, np.inf, 0.0), frozenset({0}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="objective produced -inf"):
+            grid_minimize([big, big], [(-1, 1)], lambda b: b[0] >= 0, settings(11, 0))
+        with pytest.raises(FloatingPointError, match="objective produced nan"):
+            grid_minimize([big, big, wall], [(-1, 1)], lambda b: b[0] > 0.6,
+                          settings(11, 0))
+
+
+def test_inf_everywhere_is_no_candidate():
+    def never(b):
+        return np.full(b[0].shape, np.inf)
+    with pytest.raises(EmptyRegionError):
+        grid_minimize(never, [(-1, 1)], lambda b: b[0] >= 0, settings(11, 0))
+    with pytest.raises(FloatingPointError, match="objective produced inf"):
+        grid_minimize(never, [(-1, 1)], None, settings(11, 0))
 
 
 def test_axis_read_by_h_is_never_eliminated(monkeypatch):

@@ -24,7 +24,6 @@ from resil.resilience import (
     DEFAULT_TAU_MAX,
     Infeasible,
     ResilienceIndex,
-    _margin_rule,
     compute_index,
     verify_index,
 )
@@ -381,7 +380,7 @@ def reference_compute_index(s, z, eps, tau_max, phi_min, settings, maximize_tau)
         if found is None:
             continue
         candidate, rec, inv = found
-        passed, margins = _margin_rule(candidate, off.value, rec, inv)
+        passed, margins = reference_margin_rule(candidate, off.value, rec, inv)
         if not passed:
             last_fail = {"d": d, "margins": margins}
             continue
@@ -393,6 +392,16 @@ def reference_compute_index(s, z, eps, tau_max, phi_min, settings, maximize_tau)
         return best
     return Infeasible("no buffer depth in the sweep admits a valid index",
                       dict(last_fail))
+
+
+def reference_margin_rule(index, offline, recovery, invariance):
+    """Slack of the three index conditions from the minima of their drift
+    scans (recovery None: vacuous), and whether all hold up to the margin
+    tolerance."""
+    margins = (offline + index.d / index.tau,
+               math.inf if recovery is None else recovery - index.d / index.phi,
+               invariance - index.eta)
+    return all(m >= -oracle.MARGIN_TOLERANCE for m in margins), margins
 
 
 def reference_candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail):
