@@ -299,35 +299,53 @@ def _to_python_source(e: Expression) -> str:
     return f"({_to_python_source(e.left)} {op} {_to_python_source(e.right)})"
 
 
-def straight_line(trees, names, lines: list[str], temps: dict[str, str]) -> list[str]:
-    """The source of each tree's value, appending to lines one assignment per
-    distinct subtree that reads a variable.  names maps variables to their
-    identifiers; temps, one per generated function, maps each right-hand side
-    to its temporary, keyed on text since Literal(0.0) == Literal(-0.0) as
-    nodes.  Literal-only subtrees stay inline, where Python folds them as in
-    compile_expression."""
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
+
+
+def straight_line(trees, names, lines: list[str], temps: dict[str, str],
+                  consts: dict[str, str]) -> list[str]:
+    """The identifier of each tree's value, appending to lines one ufunc call
+    per distinct subtree that reads a variable, written into its own buffer:
+    `subtract(c1, x0, t0)`, `exp(t7, t8)`.  names maps variables to their
+    identifiers; temps, one per generated function, maps each call to its
+    buffer t<k>; consts maps the source of each literal-only subtree to its
+    constant row c<k>, to be filled with fold(source).  Both are keyed on text
+    since Literal(0.0) == Literal(-0.0) as nodes.  The caller binds every
+    buffer name to an array of the batch's row count."""
 
     def emit(e) -> str:
         if isinstance(e, Variable):
             return names[e.name]
         if not free_variables(e):
-            return _to_python_source(e)
-        if isinstance(e, BinaryOp):
-            rhs = f"{emit(e.left)} {'**' if e.op == '^' else e.op} {emit(e.right)}"
+            return consts.setdefault(_to_python_source(e), f"c{len(consts)}")
+        if isinstance(e, BinaryOp) and e.op == "^":
+            # The exponent stays a scalar: numpy's power rounds x ** 2.0
+            # differently for a row of 2.0 on longer arrays.
+            call = f"power({emit(e.left)}, {_to_python_source(e.right)}"
+        elif isinstance(e, BinaryOp):
+            call = f"{_UFUNCS[e.op]}({emit(e.left)}, {emit(e.right)}"
         else:
-            rhs = f"-{emit(e.operand)}" if isinstance(e, Negate) else f"exp({emit(e.operand)})"
-        if rhs not in temps:
-            temps[rhs] = f"t{len(temps)}"
-            lines.append(f"{temps[rhs]} = {rhs}")
-        return temps[rhs]
+            call = f"{'negative' if isinstance(e, Negate) else 'exp'}({emit(e.operand)}"
+        if call not in temps:
+            temps[call] = f"t{len(temps)}"
+            lines.append(f"{call}, {temps[call]})")
+        return temps[call]
 
     return [emit(e) for e in trees]
+
+
+def fold(source: str):
+    """The value of a literal-only source as compiled code computes it, which
+    Python folds at compile time where it can."""
+    return compile_lines([f"return {source}"], (), source)()
 
 
 @lru_cache(maxsize=4096)
 def _compile_source(body: str, names: tuple[str, ...]):
     code = f"def _f({', '.join(names)}):\n{body}"
-    namespace = {"exp": np.exp, "clip": np.clip, "where": np.where, "__builtins__": {}}
+    namespace = {"__builtins__": {}, "exp": np.exp, "copyto": np.copyto,
+                 **{f: getattr(np, f) for f in ("negative", "power", "maximum", "minimum",
+                                                *_UFUNCS.values())}}
     exec(code, namespace)  # noqa: S102 - source is generated from parsed trees
     return namespace["_f"]
 

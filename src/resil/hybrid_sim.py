@@ -14,16 +14,25 @@ recorded, random bits) every input, subsystem j's in columns us[j]; each
 trace's arrays are views of the batch records.  The network's expressions
 run as generated straight-line kernels that compute a shared subexpression
 once, with one kernel call per RK4 stage and one per recorded sample.
+
+The kernels and the RK4 stages allocate no arrays: every ufunc call in
+them writes into a workspace that the compiled network keeps per row
+count (the batch, and one row for refinement): temporaries, constant rows,
+the slopes, the stage state and two ping-pong states.  Each operation is
+the one the expression trees spell, in the same order, so traces are
+bit-equal to evaluating every expression on fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .exprs import Variable, _add, _mul, compile_lines, straight_line
+from .exprs import Literal, Variable, _add, _mul, compile_lines, fold, straight_line
 from .interconnect import Network
 from .oracle import OracleSettings, argmax_h
 from .resilience import ResilienceIndex
@@ -157,6 +166,33 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
 
 # -- compiled network kernel ---------------------------------------------------
 
+def _kernel(lines, args, label):
+    """A straight-line body compiled with its buffers, the names t<k>, c<k>
+    and u<k> it uses, as a first argument ws, and those names in the order
+    ws must list them."""
+    bufs = sorted(set(re.findall(r"\b[tcu]\d+\b", " ".join(lines))))
+    unpack = [f"{''.join(b + ', ' for b in bufs)}= ws"] if bufs else []
+    return compile_lines(unpack + lines, ("ws", *args), label), bufs
+
+
+class _Workspace:
+    """Every array the kernels and the RK4 step write for one row count, and
+    the kernels rhs, record and lg bound to their buffers (temporaries,
+    constant rows and inputs): the slopes k1-k4, the stage state, two
+    ping-pong states and the vertex rows.  State-shaped buffers are
+    column-contiguous, so that a state column X[:, c] is contiguous."""
+
+    def __init__(self, cnet: "_CompiledNetwork", rows: int):
+        bufs = {n: np.empty(rows) for _, names in cnet.kernels for n in names}
+        bufs.update((name, np.full(rows, fold(src))) for src, name in cnet.consts.items())
+        self.rhs, self.record, self.lg = (partial(fn, [bufs[n] for n in names])
+                                          for fn, names in cnet.kernels)
+        shape = (rows, len(cnet.state_names))
+        self.k1, self.k2, self.k3, self.k4, self.stage, *self.states = (
+            np.empty(shape, order="F") for _ in range(7))
+        self.vertex = np.empty((rows, len(cnet.u_owner)))
+
+
 class _CompiledNetwork:
     """A network's expressions as straight-line kernels over one row layout:
     a batch row holds every state, subsystem j's in columns xs[j], and an
@@ -165,7 +201,9 @@ class _CompiledNetwork:
     returns it, record(X, offline, held, u_out, h_out) writes the effective
     input rows and every h, and lg(X) returns every input's lg value.  An
     effective input is the held adversary input where its subsystem is
-    offline, the saturated feedback law where it is online."""
+    offline, the saturated feedback law where it is online.  The kernels
+    allocate nothing: each writes into the workspace of X's row count, so a
+    value lg returns lives until the next kernel call at that row count."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -180,17 +218,22 @@ class _CompiledNetwork:
         self.box_hi = np.array([hi for s in subs for _, hi in s.state_box])
         self.u_lo = np.array([lo for s in subs for lo, _ in s.input_box], dtype=float)
         self.u_hi = np.array([hi for s in subs for _, hi in s.input_box], dtype=float)
+        self._workspaces: dict[int, _Workspace] = {}
 
         ids = {n: f"x{c}" for c, n in enumerate(self.state_names)}
         unpack = [f"{x} = X[:, {c}]" for c, x in enumerate(ids.values())]
-        head, temps, drift = list(unpack), {}, []  # head ends with the inputs u{k}
+        head, temps, consts, drift = list(unpack), {}, {}, []  # head ends with the inputs u{k}
         for j, s in enumerate(subs):
             ks = range(self.us[j].start, self.us[j].stop)
-            laws = straight_line(s.mu, ids, head, temps)
+            laws = straight_line(s.mu, ids, head, temps, consts)
             for k, law, sat in zip(ks, laws, s.mu_saturation or [None] * s.n_inputs):
-                if sat is not None:
-                    law = f"clip({law}, {float(sat[0])!r}, {float(sat[1])!r})"
-                head.append(f"u{k} = where(offline[:, {j}], held[:, {k}], {law})")
+                if sat is None:
+                    head.append(f"copyto(u{k}, {law})")
+                else:  # np.clip(law, lo, hi), bit for bit
+                    lo, hi = straight_line([Literal(float(v)) for v in sat], ids, head, temps,
+                                           consts)
+                    head += [f"maximum({lo}, {law}, out=u{k})", f"minimum({hi}, u{k}, out=u{k})"]
+                head.append(f"copyto(u{k}, held[:, {k}], where=offline[:, {j}])")
             names = {**ids, **{u: f"u{k}" for u, k in zip(s.input_vars, ks)}}
             for i, expr in enumerate(s.f):
                 for g, u in zip(s.g[i], s.input_vars):
@@ -202,28 +245,46 @@ class _CompiledNetwork:
 
         lines, rhs_temps = list(head), dict(temps)
         for c, (expr, names) in enumerate(drift):
-            lines.append(f"out[:, {c}] = {straight_line([expr], names, lines, rhs_temps)[0]}")
-        self.rhs = compile_lines(lines + ["return out"], ("X", "offline", "held", "out"),
-                                 f"drift of {label}")
+            (v,) = straight_line([expr], names, lines, rhs_temps, consts)
+            lines.append(f"copyto(out[:, {c}], {v})")
+        rhs = _kernel(lines + ["return out"], ("X", "offline", "held", "out"),
+                      f"drift of {label}")
         lines = head + [f"u_out[:, {k}] = u{k}" for k in range(len(self.u_owner))]
-        hs = straight_line([s.h for s in subs], ids, lines, temps)
-        self.record = compile_lines(lines + [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)],
-                                    ("X", "offline", "held", "u_out", "h_out"),
-                                    f"inputs and h of {label}")
+        hs = straight_line([s.h for s in subs], ids, lines, temps, consts)
+        lines += [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)]
+        record = _kernel(lines, ("X", "offline", "held", "u_out", "h_out"),
+                         f"inputs and h of {label}")
         lines = list(unpack)
         lg = straight_line([grad_dot(s.compiled.grad, [row[k] for row in s.g])
-                            for s in subs for k in range(s.n_inputs)], ids, lines, {})
-        self.lg = compile_lines(lines + [f"return ({''.join(v + ', ' for v in lg)})"], ("X",),
-                                f"lg of {label}")
+                            for s in subs for k in range(s.n_inputs)], ids, lines, {}, consts)
+        lg = _kernel(lines + [f"return ({''.join(v + ', ' for v in lg)})"], ("X",),
+                     f"lg of {label}")
+        self.consts, self.kernels = consts, (rhs, record, lg)
+
+    def workspace(self, rows: int) -> _Workspace:
+        ws = self._workspaces.get(rows)
+        if ws is None:
+            ws = self._workspaces[rows] = _Workspace(self, rows)
+        return ws
+
+    def rhs(self, X, offline, held, out):
+        return self.workspace(len(X)).rhs(X, offline, held, out)
+
+    def record(self, X, offline, held, u_out, h_out):
+        self.workspace(len(X)).record(X, offline, held, u_out, h_out)
+
+    def lg(self, X):
+        return self.workspace(len(X)).lg(X)
 
     def h(self, j: int, X: np.ndarray):
         return self.net.subsystems[j].compiled.h(*X[:, self.xs[j]].T)
 
     def vertex_rows(self, X: np.ndarray, which) -> np.ndarray:
-        """Input rows holding, for each subsystem j in which, the input-box
-        vertex minimizing the instantaneous drift of h_j; other columns 0."""
+        """The workspace's input rows holding, for each subsystem j in which,
+        the input-box vertex minimizing the instantaneous drift of h_j; other
+        columns are left as they were."""
         lg = self.lg(X)
-        out = np.zeros((len(X), len(self.u_owner)))
+        out = self.workspace(len(X)).vertex
         for j in which:
             us = self.us[j]
             for k, v in zip(range(us.start, us.stop),
@@ -248,12 +309,20 @@ def _refresh_held(cnet, adversary, X, offline, held, bits):
 
 def _rk4_step(cnet, X, h_seg, offline, held):
     """One RK4 step, one kernel call per stage; online traces re-evaluate mu
-    at each stage state, offline traces keep their held adversary input."""
-    k1 = cnet.rhs(X, offline, held, np.empty_like(X))
-    k2 = cnet.rhs(X + (0.5 * h_seg) * k1, offline, held, np.empty_like(X))
-    k3 = cnet.rhs(X + (0.5 * h_seg) * k2, offline, held, np.empty_like(X))
-    k4 = cnet.rhs(X + h_seg * k3, offline, held, np.empty_like(X))
-    return X + (h_seg / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    at each stage state, offline traces keep their held adversary input.
+    Every stage writes into the workspace in the operation order of
+    X + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), and the new state goes to the
+    ping-pong buffer that X is not, so X itself is never written."""
+    ws = cnet.workspace(len(X))
+    rhs, k1, k2, k3, k4, S = ws.rhs, ws.k1, ws.k2, ws.k3, ws.k4, ws.stage
+    rhs(X, offline, held, k1)
+    rhs(np.add(X, np.multiply(0.5 * h_seg, k1, S), S), offline, held, k2)
+    rhs(np.add(X, np.multiply(0.5 * h_seg, k2, S), S), offline, held, k3)
+    rhs(np.add(X, np.multiply(h_seg, k3, S), S), offline, held, k4)
+    np.add(k1, np.multiply(2.0, k2, S), S)
+    np.add(S, np.multiply(2.0, k3, k2), S)
+    np.add(S, k4, S)
+    return np.add(X, np.multiply(h_seg / 6.0, S, S), ws.states[X is ws.states[0]])
 
 
 def _switches(schedules, t_end):
@@ -368,19 +437,22 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     width10 = _BOX_EXCURSION * (cnet.box_hi - cnet.box_lo)
     lo_lim = cnet.box_lo - width10
     hi_lim = cnet.box_hi + width10
+    inside, below_hi = np.empty((2, B, len(cnet.state_names)), dtype=bool)
 
     def record(m, X):
         if not is_sample[m]:
             return
         k = int(sample_index[m])
-        bad = ~np.isfinite(X) | (X < lo_lim) | (X > hi_lim)
-        if bad.any():
-            b, c = np.argwhere(bad)[0]
+        # nan fails both comparisons, and +-inf one of them
+        np.greater_equal(X, lo_lim, inside)
+        np.logical_and(inside, np.less_equal(X, hi_lim, below_hi), inside)
+        if not inside.all():
+            b, c = np.argwhere(~inside)[0]
             j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
             raise NonFiniteStateError(float(T[m]), net.subsystems[j].name, int(b))
         rec_states[:, k] = X
         cnet.record(X, offline, held, rec_u[:, k], rec_h[:, k])
-        rec_loc[:, k] = ~offline
+        np.logical_not(offline, rec_loc[:, k])
 
     _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held, switches,
                rand_bits, sample_index, record)

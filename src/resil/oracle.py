@@ -25,9 +25,9 @@ input-box vertex or closed loop), and an optional ``z (h - lo)``.
 Non-finite values: a term value of nan or -inf anywhere on the scanned
 box raises FloatingPointError, and so does a sum of finite terms that
 overflows to -inf in the region.  +inf is allowed and makes a point no
-candidate, like a point outside the region; a scan whose first grid holds
-no candidate raises EmptyRegionError, or FloatingPointError when it has no
-region.
+candidate, like a point outside the region.  A scan whose first grid holds
+no point of the region raises EmptyRegionError; one whose points of the
+region are all valued +inf raises FloatingPointError.
 
 Determinism: ties on the grid resolve to the lexicographically smallest
 point in axis order, regardless of chunking or eliminated axes.
@@ -134,25 +134,28 @@ def _fold(terms, bindings, k: int):
         low = np.min(v)
         if not low > -math.inf:  # the min propagates nan
             raise FloatingPointError(f"objective produced {low} on the grid")
-        total = v if total is None else total + v
+        with np.errstate(over="ignore"):  # _scan_chunk raises on the -inf
+            total = v if total is None else total + v
     return total
 
 
 def _scan_chunk(terms, predicate, grids, k):
     """Evaluate one slab (a slice along axis 0) and return its best point
-    over the first k axes, or None when no point of the region has a value
-    below +inf.  Values, mask and argmin live on those axes; the rest are
-    minimized out of their terms (see _fold for the non-finite rule)."""
+    over the first k axes, or None when the slab holds no point of the
+    region.  The best value is +inf when every point of the region has it.
+    Values, mask and argmin live on those axes; the rest are minimized out
+    of their terms (see _fold for the non-finite rule)."""
     ndim = len(grids)
     shape = tuple(g.size for g in grids[:k]) + (1,) * (ndim - k)
     bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
     vals = np.broadcast_to(np.asarray(_fold(terms, bindings, k), dtype=float), shape)
     if predicate is not None:
-        vals = np.where(predicate.fn(bindings), vals, np.inf)
+        mask = predicate.fn(bindings)
+        if not np.any(mask):
+            return None
+        vals = np.where(mask, vals, np.inf)
     flat = int(np.argmin(vals))  # C order: ties pick the lexicographically first point
     best = float(vals.flat[flat])
-    if best == math.inf:
-        return None
     if not best > -math.inf:  # finite terms whose sum overflowed
         raise FloatingPointError(f"objective produced {best} on the grid")
     idx = np.unravel_index(flat, shape)
@@ -166,9 +169,10 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     predicate is None, a callable or a Term.  Each receives a list of
     broadcast-shaped arrays, one per axis, in axis order; a plain callable
     reads every axis.  Returns (value, arg) where arg is a tuple of
-    coordinates in axis order.  A point valued +inf is no candidate: when
-    the initial grid holds none, raises EmptyRegionError, or with no
-    predicate FloatingPointError.  nan and -inf raise (see _fold).
+    coordinates in axis order.  A point valued +inf is no candidate.  When
+    the initial grid holds no point of the region, raises EmptyRegionError;
+    when it holds some, all valued +inf, FloatingPointError.  nan and -inf
+    raise (see _fold).
     """
     ndim = len(axes)
     terms = [_as_term(objective, ndim)] if callable(objective) else list(objective)
@@ -186,12 +190,12 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     for round_no in range(settings.refinement_rounds + 1):
         grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
         best = _scan_round(terms, predicate, grids, k)
+        if round_no == 0 and best is None:
+            raise EmptyRegionError("region contains no grid point")
+        if round_no == 0 and best[0] == math.inf:
+            raise FloatingPointError("objective is +inf at every grid point of the region")
         if best is not None and best[0] < incumbent_val:
             incumbent_val, incumbent_arg = best
-        elif round_no == 0:  # no point of the region is below +inf
-            if predicate is None:
-                raise FloatingPointError("objective produced inf on the grid")
-            raise EmptyRegionError("region contains no grid point")
         bounds = _shrink(orig, bounds, incumbent_arg, n)
     return incumbent_val, incumbent_arg
 

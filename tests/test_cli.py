@@ -425,14 +425,14 @@ def test_numeric_error_exits_2(capsys, tmp_path):
     assert "division by zero" in captured.err
 
 
-def one_state_model(tmp_path, f, h):
+def one_state_model(tmp_path, f, h, input_box=(-1, 1)):
     """Path of a model with one subsystem x1' = f + u1 on [-1, 1], u1 in
-    [-1, 1], safety function h and the law mu = 0."""
+    input_box, safety function h and the law mu = 0."""
     model = {
         "alpha_z": 1.0,
         "subsystems": [{"name": "S1", "states": ["x1"], "inputs": ["u1"],
                         "f": [f], "g": [["1"]], "h": h, "mu": ["0"],
-                        "state_box": [[-1, 1]], "input_box": [[-1, 1]]}],
+                        "state_box": [[-1, 1]], "input_box": [list(input_box)]}],
     }
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(model))
@@ -468,6 +468,24 @@ def test_drift_overflowing_to_minus_inf_exits_2(capsys, tmp_path):
                  ["index", "verify", "--index", "0.1,0.1,0.1,1"]):
         code = main([*argv, "--model", mpath, "--subsystem", "S1", "--grid", "41"])
         assert_error_exit(capsys, code, "objective produced -inf on the grid")
+
+
+def test_sum_of_finite_drift_terms_overflowing_exits_2(capsys, tmp_path):
+    # f = -1e308 and the worst input -1e308 are finite; their sum overflows
+    # to -inf.  stderr carries the error line alone, no numpy warning.
+    mpath = one_state_model(tmp_path, "-1e308", "x1 + 1", input_box=(-1e308, 1e308))
+    code = main(["index", "compute", "--model", mpath, "--subsystem", "S1",
+                 "--eps", "0.5", "--grid", "41"])
+    assert_error_exit(capsys, code, "objective produced -inf on the grid")
+
+
+def test_drift_of_inf_on_the_whole_safe_set_exits_2(capsys, tmp_path):
+    # The safe set x1 >= 0.95 holds the grid nodes 0.95 and 1.0, where
+    # exp(800 x1) overflows: the region is not empty, its drift is +inf.
+    mpath = one_state_model(tmp_path, "exp(800*x1)", "x1 - 0.95")
+    code = main(["index", "compute", "--model", mpath, "--subsystem", "S1",
+                 "--eps", "0.01", "--grid", "41"])
+    assert_error_exit(capsys, code, "objective is +inf at every grid point of the region")
 
 
 def test_sim_run_with_unbounded_tau(capsys, tmp_path):

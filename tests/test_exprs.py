@@ -15,6 +15,7 @@ from resil.exprs import (
     compile_lines,
     differentiate,
     eval_expression,
+    fold,
     format_expression,
     free_variables,
     parse_expression,
@@ -227,27 +228,55 @@ def test_quotient_rule():
     assert eval_expression(de, {"x1": 6.0, "x2": 1.0}) == pytest.approx(-6.0 / 9.0)
 
 
+def straight_line_fn(trees, names, label, rows):
+    """straight_line's code for trees as a function of the variables names,
+    returning every tree's value, with buffers of rows rows bound to it."""
+    lines, temps, consts = [], {}, {}
+    values = straight_line(trees, {n: n for n in names}, lines, temps, consts)
+    bufs = [*temps.values(), *consts.values()]
+    fn = compile_lines([f"{''.join(b + ', ' for b in bufs)}= ws", *lines,
+                        f"return ({''.join(v + ', ' for v in values)})"], (*names, "ws"), label)
+    ws = [np.empty(rows) for _ in temps] + [np.full(rows, fold(src)) for src in consts]
+    return lambda *args: fn(*args, ws), lines, values
+
+
 def test_straight_line_shares_subexpressions():
     names = ("a", "b", "x")
     trees = [parse_expression("(50000/231)*3000000*exp(-a/(b*x)) + x", names),
              parse_expression("exp(-a/(b*x))*x - 2^2", names),
              # equal as nodes, since 0.0 == -0.0, but not as values
              BinaryOp("*", Variable("x"), Literal(-0.0)),
-             BinaryOp("*", Variable("x"), Literal(0.0))]
-    lines = []
-    values = straight_line(trees, {n: n for n in names}, lines, {})
+             BinaryOp("*", Variable("x"), Literal(0.0)),
+             parse_expression("-(x - a)^3 / 2", names)]
+    fn, lines, values = straight_line_fn(trees, names, "shared", 50)
     assert sum(line.count("exp(") for line in lines) == 1
     assert len(set(values)) == len(trees)
-    fn = compile_lines(lines + [f"return ({', '.join(values)},)"], names, "shared")
     rng = np.random.default_rng(3)
     args = (rng.uniform(1.0, 8e4, 50), rng.uniform(1.0, 10.0, 50), rng.uniform(300.0, 400.0, 50))
     for got, tree in zip(fn(*args), trees):
         assert got.tobytes() == compile_expression(tree, names)(*args).tobytes()
 
 
+def test_straight_line_writes_every_call_into_a_buffer():
+    names = ("x",)
+    fn, lines, _ = straight_line_fn([parse_expression("2*exp(x) - 3^2", names)], names, "x", 4)
+    assert lines == ["exp(x, t0)", "multiply(c0, t0, t1)", "subtract(t1, c1, t2)"]
+    x = np.linspace(0.0, 1.0, 4)
+    (first,) = fn(x)
+    (second,) = fn(x + 1.0)
+    assert second is first  # the buffer t2, overwritten
+    assert second.tobytes() == (2 * np.exp(x + 1.0) - 9.0).tobytes()
+
+
+def test_fold_is_the_value_compiled_code_computes():
+    for text in ("(50000/231)*3000000", "exp(-1.5)", "2^3", "-(4 - 0.5)/3"):
+        tree, consts = parse_expression(text, ()), {}
+        assert straight_line([tree], {}, [], {}, consts) == ["c0"]
+        (source,) = consts
+        assert fold(source) == eval_expression(tree, {})
+
+
 def test_straight_line_division_by_zero_names_label():
-    lines = []
-    (value,) = straight_line([parse_expression("1/(x1 - x1)", VARS)], {"x1": "x"}, lines, {})
-    fn = compile_lines(lines + [f"return {value}"], ("x",), "drift of S9")
+    fn, _, _ = straight_line_fn([parse_expression("1/(x1 - x1)", VARS)], ("x1",), "drift of S9", 3)
     with pytest.raises(ZeroDivisionError, match="division by zero evaluating 'drift of S9'"):
         fn(np.ones(3))

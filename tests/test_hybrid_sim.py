@@ -25,6 +25,7 @@ from resil.hybrid_sim import (
     NonFiniteStateError,
     ScheduleError,
     _CompiledNetwork,
+    _rk4_step,
     check_trace_safety,
     export_trace_csv,
     generate_schedule,
@@ -552,10 +553,25 @@ def coupled_model():
                               (1, 0): (Literal(0.0), parse_expression("-q*r", ("q", "r")))})
 
 
+def shared_model():
+    """Drift component 0 is a subexpression of component 1 and of h, so the
+    kernels read its temporary again after it is a value."""
+    sv = ("x1", "x2")
+    s = Subsystem(
+        name="S", state_vars=sv, input_vars=("u1",),
+        f=(parse_expression("x1*x2", sv), parse_expression("x1*x2 + 1", sv)),
+        g=((Literal(0.0),), (parse_expression("x2", sv),)),
+        h=parse_expression("1 - x1*x2", sv), mu=(parse_expression("x1*x2", sv),),
+        state_box=((-1.0, 1.0), (-1.0, 1.0)), input_box=((-1.0, 1.0),),
+        mu_saturation=((-0.5, 0.5),))
+    return Network((s,))
+
+
 NETWORKS = {
     "cstr_series": load_model(str(resources.files("resil") / "models" / "cstr_series.json")
                               ).network,
     "coupled": coupled_model(),
+    "shared": shared_model(),
 }
 
 
@@ -580,15 +596,10 @@ def reference_rhs(net, X, offline, held):
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_kernel_is_bit_equal_to_per_expression_reference(data):
-    net = NETWORKS[data.draw(st.sampled_from(sorted(NETWORKS)), label="network")]
-    cnet = _CompiledNetwork(net)
-    rows = data.draw(st.integers(1, 5), label="rows")
+def draw_batch(data, net, rows):
+    """States inside the box and its 10 % excursion band, any held input
+    inside the input box, any offline mask."""
     subs = net.subsystems
-    # states inside the box and its 10 % excursion band, any held input
-    # inside the input box, any offline mask
     X = np.array([[data.draw(st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
                    for s in subs for lo, hi in s.state_box] for _ in range(rows)])
     held = np.array([[data.draw(st.floats(lo, hi)) for s in subs for lo, hi in s.input_box]
@@ -596,21 +607,67 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
     offline = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=len(subs),
                                                    max_size=len(subs)),
                                           min_size=rows, max_size=rows)), dtype=bool)
+    return X, offline, held
 
-    got = cnet.rhs(X, offline, held, np.empty_like(X))
-    assert got.tobytes() == reference_rhs(net, X, offline, held).tobytes()
 
-    u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
-    cnet.record(X, offline, held, u_out, h_out)
-    lg = cnet.lg(X)
-    for j, s in enumerate(subs):
-        cols = list(X[:, cnet.xs[j]].T)
-        on = ~offline[:, j]
-        for k, mu in zip(range(cnet.us[j].start, cnet.us[j].stop), s.mu_values(cols)):
-            assert u_out[on, k].tobytes() == np.broadcast_to(mu, rows)[on].tobytes()
-            assert u_out[~on, k].tobytes() == held[~on, k].tobytes()
-        assert h_out[:, j].tobytes() == s.compiled.h(*cols).tobytes()
-        by_name = dict(zip(s.state_vars, cols))
-        for k, fn in zip(range(cnet.us[j].start, cnet.us[j].stop), s.compiled.lg):
-            want = np.broadcast_to(fn(*(by_name[n] for n in fn.names)), rows)
-            assert np.broadcast_to(lg[k], rows).tobytes() == want.tobytes()
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_is_bit_equal_to_per_expression_reference(data):
+    net = NETWORKS[data.draw(st.sampled_from(sorted(NETWORKS)), label="network")]
+    cnet = _CompiledNetwork(net)
+    subs = net.subsystems
+    # one network at changing row counts: each count has its own workspace,
+    # and a count seen before reuses its buffers
+    rows = data.draw(st.integers(1, 5), label="rows")
+    for rows in (rows, 1, rows):
+        X, offline, held = draw_batch(data, net, rows)
+
+        got = cnet.rhs(X, offline, held, np.empty_like(X))
+        assert got.tobytes() == reference_rhs(net, X, offline, held).tobytes()
+
+        u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
+        cnet.record(X, offline, held, u_out, h_out)
+        lg = cnet.lg(X)
+        for j, s in enumerate(subs):
+            cols = list(X[:, cnet.xs[j]].T)
+            on = ~offline[:, j]
+            for k, mu in zip(range(cnet.us[j].start, cnet.us[j].stop), s.mu_values(cols)):
+                assert u_out[on, k].tobytes() == np.broadcast_to(mu, rows)[on].tobytes()
+                assert u_out[~on, k].tobytes() == held[~on, k].tobytes()
+            assert h_out[:, j].tobytes() == s.compiled.h(*cols).tobytes()
+            by_name = dict(zip(s.state_vars, cols))
+            for k, fn in zip(range(cnet.us[j].start, cnet.us[j].stop), s.compiled.lg):
+                want = np.broadcast_to(fn(*(by_name[n] for n in fn.names)), rows)
+                assert np.broadcast_to(lg[k], rows).tobytes() == want.tobytes()
+
+
+def reference_rk4(net, X, h, offline, held):
+    def f(Y):
+        return reference_rhs(net, Y, offline, held)
+    k1 = f(X)
+    k2 = f(X + (0.5 * h) * k1)
+    k3 = f(X + (0.5 * h) * k2)
+    k4 = f(X + h * k3)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rk4_step_is_bit_equal_to_fresh_array_reference(data):
+    net = NETWORKS[data.draw(st.sampled_from(sorted(NETWORKS)), label="network")]
+    cnet = _CompiledNetwork(net)
+    X, offline, held = draw_batch(data, net, data.draw(st.integers(1, 5), label="rows"))
+    h = data.draw(st.floats(1e-5, 1e-3), label="h")
+    X_before = X.copy()
+    want1 = reference_rk4(net, X, h, offline, held)
+    want2 = reference_rk4(net, want1, h, offline, held)
+
+    got1 = _rk4_step(cnet, X, h, offline, held)
+    assert got1.tobytes() == want1.tobytes()
+    got2 = _rk4_step(cnet, got1, h, offline, held)
+    assert got2.tobytes() == want2.tobytes()
+    # the input state is never written, and the step after writes the
+    # other ping-pong buffer
+    assert X.tobytes() == X_before.tobytes()
+    assert got1.tobytes() == want1.tobytes()
+    assert got2 is not got1

@@ -9,6 +9,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 import resil.oracle as oracle_mod
 import resil.resilience as resilience_mod
+from resil.exprs import parse_expression
 from resil.interconnect import verify_network
 from resil.model_io import load_model
 from resil.oracle import (
@@ -23,7 +24,7 @@ from resil.oracle import (
     min_recovery_drift,
     sup_h,
 )
-from resil.subsystem import SAFE_SET, buffer_region, safe_minus_buffer
+from resil.subsystem import SAFE_SET, Subsystem, buffer_region, safe_minus_buffer
 
 from test_subsystem import cstr_hand_drift, make_cstr, make_toy
 
@@ -371,13 +372,28 @@ def test_sum_overflowing_to_minus_inf_raises():
                           settings(11, 0))
 
 
-def test_inf_everywhere_is_no_candidate():
+def test_inf_everywhere_in_region_raises():
+    # +inf makes a point no candidate, but a region whose every grid point
+    # is +inf has points: that is a numeric error, not an empty region.
     def never(b):
         return np.full(b[0].shape, np.inf)
+    for region in (lambda b: b[0] >= 0, None):
+        with pytest.raises(FloatingPointError, match="objective is \\+inf at every grid point"):
+            grid_minimize(never, [(-1, 1)], region, settings(11, 0))
     with pytest.raises(EmptyRegionError):
-        grid_minimize(never, [(-1, 1)], lambda b: b[0] >= 0, settings(11, 0))
-    with pytest.raises(FloatingPointError, match="objective produced inf"):
-        grid_minimize(never, [(-1, 1)], None, settings(11, 0))
+        grid_minimize(never, [(-1, 1)], lambda b: b[0] > 5, settings(11, 0))
+
+
+def test_drift_of_inf_on_the_whole_safe_set_raises():
+    # exp(800 x1) overflows on the safe set x1 >= 0.95, whose grid-41 nodes
+    # are 0.95 and 1.0: the drift there is +inf, and the set is not empty.
+    sv = ("x1",)
+    s = Subsystem(name="S1", state_vars=sv, input_vars=("u1",),
+                  f=(parse_expression("exp(800*x1)", sv),), g=((parse_expression("1", sv),),),
+                  h=parse_expression("x1 - 0.95", sv), mu=(parse_expression("0", sv),),
+                  state_box=((-1.0, 1.0),), input_box=((-1.0, 1.0),))
+    with pytest.raises(FloatingPointError, match="objective is \\+inf at every grid point"):
+        min_offline_drift(s, settings(41))
 
 
 def test_axis_read_by_h_is_never_eliminated(monkeypatch):
