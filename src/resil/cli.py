@@ -16,6 +16,7 @@ from importlib import resources
 
 from .exprs import ExpressionError
 from .hybrid_sim import (
+    _ADVERSARY_KINDS,
     AdversaryPolicy,
     NonFiniteStateError,
     ScheduleError,
@@ -304,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--schedules", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--adversary", choices=("bang-bang", "constant", "random"),
-                   default="bang-bang")
+    p.add_argument("--adversary", choices=_ADVERSARY_KINDS, default="bang-bang")
     p.add_argument("--dt", type=float, default=None,
                    help="integration step (default horizon/20000)")
     p.add_argument("--out", required=True, help="directory for traces and summary")

@@ -309,9 +309,9 @@ def straight_line(trees, names, lines: list[str], temps: dict[str, str],
     `subtract(c1, x0, t0)`, `exp(t7, t8)`.  names maps variables to their
     identifiers; temps, one per generated function, maps each call to its
     buffer t<k>; consts maps the source of each literal-only subtree to its
-    constant row c<k>, to be filled with fold(source).  Both are keyed on text
-    since Literal(0.0) == Literal(-0.0) as nodes.  The caller binds every
-    buffer name to an array of the batch's row count."""
+    constant row c<k>.  Both are keyed on text since Literal(0.0) ==
+    Literal(-0.0) as nodes.  compile_kernels allocates the buffers and fills
+    the constant rows."""
 
     def emit(e) -> str:
         if isinstance(e, Variable):
@@ -334,17 +334,12 @@ def straight_line(trees, names, lines: list[str], temps: dict[str, str],
     return [emit(e) for e in trees]
 
 
-def fold(source: str):
-    """The value of a literal-only source as compiled code computes it, which
-    Python folds at compile time where it can."""
-    return compile_lines([f"return {source}"], (), source)()
-
-
 @lru_cache(maxsize=4096)
 def _compile_source(body: str, names: tuple[str, ...]):
     code = f"def _f({', '.join(names)}):\n{body}"
-    namespace = {"__builtins__": {}, "exp": np.exp, "copyto": np.copyto,
-                 **{f: getattr(np, f) for f in ("negative", "power", "maximum", "minimum",
+    namespace = {"__builtins__": {}, "CompiledExpression": CompiledExpression,
+                 **{f: getattr(np, f) for f in ("exp", "copyto", "empty", "full", "negative",
+                                                "power", "maximum", "minimum",
                                                 *_UFUNCS.values())}}
     exec(code, namespace)  # noqa: S102 - source is generated from parsed trees
     return namespace["_f"]
@@ -356,6 +351,21 @@ def compile_lines(lines, names, label: str) -> "CompiledExpression":
     names = tuple(names)
     return CompiledExpression(_compile_source("".join(f"    {ln}\n" for ln in lines), names),
                               names, label)
+
+
+def compile_kernels(kernels, consts, buffers) -> "CompiledExpression":
+    """A function of rows that allocates every buffer name with rows rows,
+    fills each constant row c<k> of consts (see straight_line) with the value
+    its source compiles to, and returns the kernels, each (lines, args,
+    label), as CompiledExpressions closed over those arrays.  Equal names
+    share one array."""
+    body = [*(f"{b} = empty(rows)" for b in buffers),
+            *(f"{name} = full(rows, {src})" for src, name in consts.items())]
+    for i, (lines, args, _) in enumerate(kernels):
+        body += [f"def _k{i}({', '.join(args)}):", *(f"    {ln}" for ln in lines)]
+    body.append("return (" + "".join(f"CompiledExpression(_k{i}, {tuple(args)!r}, {label!r}), "
+                                     for i, (_, args, label) in enumerate(kernels)) + ")")
+    return compile_lines(body, ("rows",), ", ".join(consts))
 
 
 def compile_expression(e: Expression, names) -> "CompiledExpression":

@@ -17,22 +17,22 @@ once, with one kernel call per RK4 stage and one per recorded sample.
 
 The kernels and the RK4 stages allocate no arrays: every ufunc call in
 them writes into a workspace that the compiled network keeps per row
-count (the batch, and one row for refinement): temporaries, constant rows,
-the slopes, the stage state and two ping-pong states.  Each operation is
-the one the expression trees spell, in the same order, so traces are
-bit-equal to evaluating every expression on fresh arrays.
+count (the batch, and one row for refinement).  The kernels are compiled
+together with the code that allocates their own buffers, the temporaries,
+inputs and constant rows; the workspace adds the slopes, the stage state
+and two ping-pong states.  Each operation is the one the expression trees
+spell, in the same order, so traces are bit-equal to evaluating every
+expression on fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .exprs import Literal, Variable, _add, _mul, compile_lines, fold, straight_line
+from .exprs import Literal, Variable, _add, _mul, compile_kernels, straight_line
 from .interconnect import Network
 from .oracle import OracleSettings, argmax_h
 from .resilience import ResilienceIndex
@@ -166,27 +166,15 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
 
 # -- compiled network kernel ---------------------------------------------------
 
-def _kernel(lines, args, label):
-    """A straight-line body compiled with its buffers, the names t<k>, c<k>
-    and u<k> it uses, as a first argument ws, and those names in the order
-    ws must list them."""
-    bufs = sorted(set(re.findall(r"\b[tcu]\d+\b", " ".join(lines))))
-    unpack = [f"{''.join(b + ', ' for b in bufs)}= ws"] if bufs else []
-    return compile_lines(unpack + lines, ("ws", *args), label), bufs
-
-
 class _Workspace:
-    """Every array the kernels and the RK4 step write for one row count, and
-    the kernels rhs, record and lg bound to their buffers (temporaries,
-    constant rows and inputs): the slopes k1-k4, the stage state, two
-    ping-pong states and the vertex rows.  State-shaped buffers are
-    column-contiguous, so that a state column X[:, c] is contiguous."""
+    """The kernels rhs, record and lg for one row count, closed over their
+    own buffers, and every array the RK4 step writes: the slopes k1-k4, the
+    stage state, two ping-pong states and the vertex rows.  State-shaped
+    buffers are column-contiguous, so that a state column X[:, c] is
+    contiguous."""
 
     def __init__(self, cnet: "_CompiledNetwork", rows: int):
-        bufs = {n: np.empty(rows) for _, names in cnet.kernels for n in names}
-        bufs.update((name, np.full(rows, fold(src))) for src, name in cnet.consts.items())
-        self.rhs, self.record, self.lg = (partial(fn, [bufs[n] for n in names])
-                                          for fn, names in cnet.kernels)
+        self.rhs, self.record, self.lg = cnet.make(rows)
         shape = (rows, len(cnet.state_names))
         self.k1, self.k2, self.k3, self.k4, self.stage, *self.states = (
             np.empty(shape, order="F") for _ in range(7))
@@ -199,11 +187,12 @@ class _CompiledNetwork:
     input row holds every input, subsystem j's in columns us[j].
     rhs(X, offline, held, out) writes the right-hand side into out and
     returns it, record(X, offline, held, u_out, h_out) writes the effective
-    input rows and every h, and lg(X) returns every input's lg value.  An
-    effective input is the held adversary input where its subsystem is
-    offline, the saturated feedback law where it is online.  The kernels
-    allocate nothing: each writes into the workspace of X's row count, so a
-    value lg returns lives until the next kernel call at that row count."""
+    input rows and every h, and lg(X) returns every input's lg value; each
+    is a kernel of workspace(len(X)).  An effective input is the held
+    adversary input where its subsystem is offline, the saturated feedback
+    law where it is online.  The kernels allocate nothing: each writes into
+    buffers of its workspace, so a value lg returns lives until the next
+    kernel call at that row count."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -247,19 +236,19 @@ class _CompiledNetwork:
         for c, (expr, names) in enumerate(drift):
             (v,) = straight_line([expr], names, lines, rhs_temps, consts)
             lines.append(f"copyto(out[:, {c}], {v})")
-        rhs = _kernel(lines + ["return out"], ("X", "offline", "held", "out"),
-                      f"drift of {label}")
+        rhs = (lines + ["return out"], ("X", "offline", "held", "out"), f"drift of {label}")
         lines = head + [f"u_out[:, {k}] = u{k}" for k in range(len(self.u_owner))]
         hs = straight_line([s.h for s in subs], ids, lines, temps, consts)
         lines += [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)]
-        record = _kernel(lines, ("X", "offline", "held", "u_out", "h_out"),
-                         f"inputs and h of {label}")
-        lines = list(unpack)
+        record = (lines, ("X", "offline", "held", "u_out", "h_out"), f"inputs and h of {label}")
+        lines, lg_temps = list(unpack), {}
         lg = straight_line([grad_dot(s.compiled.grad, [row[k] for row in s.g])
-                            for s in subs for k in range(s.n_inputs)], ids, lines, {}, consts)
-        lg = _kernel(lines + [f"return ({''.join(v + ', ' for v in lg)})"], ("X",),
-                     f"lg of {label}")
-        self.consts, self.kernels = consts, (rhs, record, lg)
+                            for s in subs for k in range(s.n_inputs)],
+                           ids, lines, lg_temps, consts)
+        lg = (lines + [f"return ({''.join(v + ', ' for v in lg)})"], ("X",), f"lg of {label}")
+        n_temps = max(len(rhs_temps), len(temps), len(lg_temps))
+        self.make = compile_kernels((rhs, record, lg), consts, [
+            *(f"t{i}" for i in range(n_temps)), *(f"u{k}" for k in range(len(self.u_owner)))])
 
     def workspace(self, rows: int) -> _Workspace:
         ws = self._workspaces.get(rows)
@@ -267,24 +256,12 @@ class _CompiledNetwork:
             ws = self._workspaces[rows] = _Workspace(self, rows)
         return ws
 
-    def rhs(self, X, offline, held, out):
-        return self.workspace(len(X)).rhs(X, offline, held, out)
-
-    def record(self, X, offline, held, u_out, h_out):
-        self.workspace(len(X)).record(X, offline, held, u_out, h_out)
-
-    def lg(self, X):
-        return self.workspace(len(X)).lg(X)
-
-    def h(self, j: int, X: np.ndarray):
-        return self.net.subsystems[j].compiled.h(*X[:, self.xs[j]].T)
-
     def vertex_rows(self, X: np.ndarray, which) -> np.ndarray:
         """The workspace's input rows holding, for each subsystem j in which,
         the input-box vertex minimizing the instantaneous drift of h_j; other
         columns are left as they were."""
-        lg = self.lg(X)
-        out = self.workspace(len(X)).vertex
+        ws = self.workspace(len(X))
+        lg, out = ws.lg(X), ws.vertex
         for j in which:
             us = self.us[j]
             for k, v in zip(range(us.start, us.stop),
@@ -335,16 +312,16 @@ def _switches(schedules, t_end):
             for t, to_off in zip(interval, (True, False)) if t <= t_end]
 
 
-def _integrate(cnet, adversary, T, X, offline, held, switches, bits, bit_rows,
-               visit=None):
+def _integrate(cnet, adversary, T, X, offline, held, switches, bits, bit_rows):
     """The one stepping loop over the time grid T, which holds every switch
-    time.  At each grid time: apply its switches (the constant adversary
+    time.  At each grid time T[m]: apply its switches (the constant adversary
     picks its vertex on entry), refresh the held inputs with the random bits
-    bits[:, bit_rows[m]], show the state to visit, then take one RK4 step to
-    the next grid time.  Returns the state at T[-1]."""
+    bits[:, bit_rows[m]], yield (m, X), then take one RK4 step to the next
+    grid time."""
     flips_at: dict[int, list[tuple[int, int, bool]]] = {}
-    for (time, row, j, to_off) in switches:
-        flips_at.setdefault(int(np.searchsorted(T, time)), []).append((row, j, to_off))
+    times = np.fromiter((sw[0] for sw in switches), float, len(switches))
+    for m, (_, row, j, to_off) in zip(np.searchsorted(T, times), switches):
+        flips_at.setdefault(int(m), []).append((row, j, to_off))
     for m in range(len(T)):
         t = float(T[m])
         for (row, j, to_off) in flips_at.get(m, ()):
@@ -354,11 +331,9 @@ def _integrate(cnet, adversary, T, X, offline, held, switches, bits, bit_rows,
                 held[row, us] = cnet.vertex_rows(X[row:row + 1], (j,))[0, us]
         _refresh_held(cnet, adversary, X, offline, held,
                       bits[:, bit_rows[m]] if bits is not None else None)
-        if visit is not None:
-            visit(m, X)
+        yield m, X
         if m + 1 < len(T):
             X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held)
-    return X
 
 
 def _resolve_x0(net, indices, x0):
@@ -438,10 +413,12 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     lo_lim = cnet.box_lo - width10
     hi_lim = cnet.box_hi + width10
     inside, below_hi = np.empty((2, B, len(cnet.state_names)), dtype=bool)
+    ws = cnet.workspace(B)
 
-    def record(m, X):
+    for m, X in _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held,
+                           switches, rand_bits, sample_index):
         if not is_sample[m]:
-            return
+            continue
         k = int(sample_index[m])
         # nan fails both comparisons, and +-inf one of them
         np.greater_equal(X, lo_lim, inside)
@@ -451,11 +428,8 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
             j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
             raise NonFiniteStateError(float(T[m]), net.subsystems[j].name, int(b))
         rec_states[:, k] = X
-        cnet.record(X, offline, held, rec_u[:, k], rec_h[:, k])
+        ws.record(X, offline, held, rec_u[:, k], rec_h[:, k])
         np.logical_not(offline, rec_loc[:, k])
-
-    _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held, switches,
-               rand_bits, sample_index, record)
 
     floor = np.array([indices[j].d - 1e-9 * max(1.0, abs(indices[j].d)) for j in range(n_sub)])
     in_buffer = rec_h >= floor
@@ -490,16 +464,17 @@ def _refine_violations(cnet, switches, adversary, samples, states_b, h_b, loc_b,
     own switches inside it, to decide which half holds the crossing."""
     out = []
     for j in range(h_b.shape[1]):
-        hs = h_b[:, j]
+        hs, h = h_b[:, j], cnet.net.subsystems[j].compiled.h
         for k in np.nonzero((hs[:-1] >= 0) & (hs[1:] < 0))[0]:
             t0, t1 = float(samples[k]), float(samples[k + 1])
             tm = 0.5 * (t0 + t1)
             window = [(t, 0, i, to_off) for (t, _, i, to_off) in switches if t0 < t <= tm]
             T = np.unique(np.array([t0, tm] + [sw[0] for sw in window]))
             # held is refreshed in place, and u_b is the trace's own inputs.
-            X = _integrate(cnet, adversary, T, states_b[k:k + 1], loc_b[k:k + 1] == 0,
-                           u_b[k:k + 1].copy(), window, bits_b, np.full(len(T), k))
-            h_mid = float(np.asarray(cnet.h(j, X)).reshape(()))
+            for _, X in _integrate(cnet, adversary, T, states_b[k:k + 1], loc_b[k:k + 1] == 0,
+                                   u_b[k:k + 1].copy(), window, bits_b, np.full(len(T), k)):
+                pass
+            h_mid = float(np.asarray(h(*X[:, cnet.xs[j]].T)).reshape(()))
             if h_mid < 0:
                 out.append((tm, cnet.names[j], h_mid))
             else:

@@ -138,6 +138,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
     assert captured.err.startswith("error:")
 
+    code = main(["index", "verify", "--model", "toy_linear", "--subsystem", "S1",
+                 "--index", "0.1,-1,0.1,1", *FAST])
+    assert_error_exit(capsys, code, "--index: tau must be positive, got -1.0")
+
     code = main(["index", "compute", "--model", "toy_linear",
                  "--subsystem", "S9", *FAST])
     captured = capsys.readouterr()
@@ -284,18 +288,21 @@ def test_net_delta(capsys):
 def test_net_propagate_writes_updated_indices(capsys, tmp_path):
     idx = write_indices_file(tmp_path / "idx.json",
                              {"S1": TOY_IDX, "S2": TOY_IDX})
-    out = tmp_path / "prop.json"
-    code = main(["net", "propagate", "--model", "toy_pair", "--indices", idx,
-                 "--out", str(out), *FAST])
-    printed = capsys.readouterr().out
-    assert code == 0
-    assert "Guaranteed" in printed
-    assert "R1 threshold" in printed
-    doc = json.loads(out.read_text())
-    assert doc["S1"]["tau"] == pytest.approx(0.1)  # no incoming couplings
-    assert doc["S2"]["tau"] == pytest.approx(1.0 / 12.0, rel=1e-9)
-    assert doc["S2"]["phi"] == pytest.approx(0.125, rel=1e-9)
-    assert doc["S2"]["eta"] == pytest.approx(0.8, rel=1e-9)
+    # On toy_pair the joint-grid delta of S2 equals the pairwise sum.
+    for delta in ([], ["--exact"]):
+        out = tmp_path / f"prop{len(delta)}.json"
+        code = main(["net", "propagate", "--model", "toy_pair", "--indices", idx,
+                     "--out", str(out), *delta, *FAST])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert "Guaranteed" in printed
+        assert "R1 threshold" in printed
+        assert "S2: delta = -0.2," in printed
+        doc = json.loads(out.read_text())
+        assert doc["S1"]["tau"] == pytest.approx(0.1)  # no incoming couplings
+        assert doc["S2"]["tau"] == pytest.approx(1.0 / 12.0, rel=1e-9)
+        assert doc["S2"]["phi"] == pytest.approx(0.125, rel=1e-9)
+        assert doc["S2"]["eta"] == pytest.approx(0.8, rel=1e-9)
 
 
 def test_net_propagate_infeasible_exit(capsys, tmp_path):
@@ -331,6 +338,32 @@ def test_net_verify(capsys, tmp_path):
     printed = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in printed
+
+    vacuous = write_indices_file(
+        tmp_path / "vacuous.json",
+        {"S1": {**TOY_IDX, "d": 0.0},
+         "S2": {"d": 0.1, "tau": 1.0 / 12.0, "phi": 0.125, "eta": 0.8}})
+    code = main(["net", "verify", "--model", "toy_pair", "--indices", vacuous, *FAST])
+    printed = capsys.readouterr().out
+    assert code == 1
+    assert "S1: note: recovery vacuous: zero buffer depth\n" in printed
+
+
+def test_index_files_that_are_not_index_maps_exit_2(capsys, tmp_path):
+    for text, read_error, merge_error in (
+            ("not json", "not valid JSON", "existing output file is not valid JSON"),
+            ("[1, 2]", "expected a name -> index map",
+             "existing output file is not an index map")):
+        path = tmp_path / "idx.json"
+        path.write_text(text)
+        code = main(["net", "verify", "--model", "toy_pair", "--indices", str(path), *FAST])
+        assert_error_exit(capsys, code, f"{path}: {read_error}")
+        code = main(["index", "compute", "--model", "toy_linear", "--subsystem", "S1",
+                     "--out", str(path), *FAST])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path}: {merge_error}" in err
+        assert path.read_text() == text
 
 
 def test_sim_run_writes_traces_and_summary(capsys, tmp_path):

@@ -12,10 +12,9 @@ from resil.exprs import (
     UndeclaredVariableError,
     Variable,
     compile_expression,
-    compile_lines,
+    compile_kernels,
     differentiate,
     eval_expression,
-    fold,
     format_expression,
     free_variables,
     parse_expression,
@@ -229,15 +228,13 @@ def test_quotient_rule():
 
 
 def straight_line_fn(trees, names, label, rows):
-    """straight_line's code for trees as a function of the variables names,
-    returning every tree's value, with buffers of rows rows bound to it."""
+    """straight_line's code for trees as a kernel of the variables names,
+    returning every tree's value, with buffers of rows rows."""
     lines, temps, consts = [], {}, {}
     values = straight_line(trees, {n: n for n in names}, lines, temps, consts)
-    bufs = [*temps.values(), *consts.values()]
-    fn = compile_lines([f"{''.join(b + ', ' for b in bufs)}= ws", *lines,
-                        f"return ({''.join(v + ', ' for v in values)})"], (*names, "ws"), label)
-    ws = [np.empty(rows) for _ in temps] + [np.full(rows, fold(src)) for src in consts]
-    return lambda *args: fn(*args, ws), lines, values
+    kernel = (lines + [f"return ({''.join(v + ', ' for v in values)})"], names, label)
+    (fn,) = compile_kernels([kernel], consts, temps.values())(rows)
+    return fn, lines, values
 
 
 def test_straight_line_shares_subexpressions():
@@ -272,8 +269,8 @@ def test_fold_is_the_value_compiled_code_computes():
     for text in ("(50000/231)*3000000", "exp(-1.5)", "2^3", "-(4 - 0.5)/3"):
         tree, consts = parse_expression(text, ()), {}
         assert straight_line([tree], {}, [], {}, consts) == ["c0"]
-        (source,) = consts
-        assert fold(source) == eval_expression(tree, {})
+        (fn,) = compile_kernels([(["return c0"], (), text)], consts, ())(3)
+        assert fn().tobytes() == np.full(3, eval_expression(tree, {})).tobytes()
 
 
 def test_straight_line_division_by_zero_names_label():

@@ -622,12 +622,13 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
     for rows in (rows, 1, rows):
         X, offline, held = draw_batch(data, net, rows)
 
-        got = cnet.rhs(X, offline, held, np.empty_like(X))
+        ws = cnet.workspace(len(X))
+        got = ws.rhs(X, offline, held, np.empty_like(X))
         assert got.tobytes() == reference_rhs(net, X, offline, held).tobytes()
 
         u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
-        cnet.record(X, offline, held, u_out, h_out)
-        lg = cnet.lg(X)
+        ws.record(X, offline, held, u_out, h_out)
+        lg = ws.lg(X)
         for j, s in enumerate(subs):
             cols = list(X[:, cnet.xs[j]].T)
             on = ~offline[:, j]
