@@ -19,8 +19,7 @@ from importlib import resources
 
 from resil import (
     OracleSettings,
-    compute_delta_exact,
-    compute_delta_pairwise,
+    compute_delta,
     compute_index,
     feasibility_r1,
     load_model,
@@ -48,8 +47,8 @@ def main():
 
     print("\nworst-case coupling drift into each subsystem:")
     for j, s in enumerate(net.subsystems):
-        pairwise = compute_delta_pairwise(net, j, SETTINGS)
-        exact = compute_delta_exact(net, j, SETTINGS)
+        pairwise = compute_delta(net, j, SETTINGS)
+        exact = compute_delta(net, j, SETTINGS, exact=True)
         print(f"  {s.name}: pairwise {pairwise.value:+.4g}, "
               f"exact {exact.value:+.4g}")
         feas = feasibility_r1(indices[j], exact.value, model.alpha_z)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 infeasible result / failed verification / unsafe
-simulation, 2 usage, model or numeric errors (division by zero, nan or -inf
-while evaluating a model, or a region that holds no grid point).
+simulation, 2 usage, model, file or numeric errors (a file that cannot be
+read or written; division by zero, nan or -inf while evaluating a model,
+or a region that holds no grid point).
 """
 
 from __future__ import annotations
@@ -25,13 +26,8 @@ from .hybrid_sim import (
     generate_schedule,
     simulate_batch,
 )
-from .interconnect import (
-    compute_delta_exact,
-    compute_delta_pairwise,
-    propagate_indices,
-    verify_network,
-)
-from .model_io import Model, load_indices, load_model, merge_index, write_indices
+from .interconnect import compute_delta, propagate_indices, verify_network
+from .model_io import Model, load_indices, load_model, merge_index, read_index_doc, write_indices
 from .oracle import EmptyRegionError, OracleSettings
 from .resilience import (
     DEFAULT_PHI_MIN,
@@ -96,6 +92,8 @@ def _cmd_index_compute(args) -> int:
     model = load_model(_resolve_model(args.model))
     j = _pick_subsystem(model, args.subsystem)
     s = model.network.subsystems[j]
+    if args.out:
+        read_index_doc(args.out)  # an unusable --out fails before the sweep
     result = compute_index(s, model.alpha_z, eps=args.eps, tau_max=args.tau_max,
                            phi_min=args.phi_min, settings=_settings(args),
                            maximize_tau=args.maximize_tau)
@@ -139,9 +137,8 @@ def _cmd_index_verify(args) -> int:
 def _cmd_net_delta(args) -> int:
     model = load_model(_resolve_model(args.model))
     settings = _settings(args)
-    compute = compute_delta_exact if args.exact else compute_delta_pairwise
     for j, s in enumerate(model.network.subsystems):
-        est = compute(model.network, j, settings)
+        est = compute_delta(model.network, j, settings, args.exact)
         print(f"{s.name}: delta = {_fmt(est.value)} ({est.method})")
     return 0
 
@@ -150,10 +147,11 @@ def _cmd_net_propagate(args) -> int:
     model = load_model(_resolve_model(args.model))
     net = model.network
     indices = load_indices(args.indices, net)
+    if args.out:
+        read_index_doc(args.out)  # an unusable --out fails before the sweep
     outcomes = propagate_indices(net, indices, model.alpha_z,
                                  tau_max=args.tau_max, settings=_settings(args),
-                                 delta_method="exact" if args.exact else "pairwise",
-                                 prefer=args.prefer)
+                                 exact=args.exact, prefer=args.prefer)
     ok = True
     propagated = {}
     for j, s in enumerate(net.subsystems):
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (_UsageError, ModelError, ExpressionError, ScheduleError,
-            NonFiniteStateError, FileNotFoundError, ValueError,
+            NonFiniteStateError, OSError, ValueError,
             ZeroDivisionError, FloatingPointError, EmptyRegionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

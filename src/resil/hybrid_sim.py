@@ -36,7 +36,6 @@ from .exprs import Literal, Variable, _add, _mul, compile_kernels, straight_line
 from .interconnect import Network
 from .oracle import OracleSettings, argmax_h
 from .resilience import ResilienceIndex
-from .subsystem import grad_dot
 
 # States may wander this fraction of a box width outside the box before the
 # run is aborted as a modeling error rather than scored as unsafe.
@@ -242,8 +241,7 @@ class _CompiledNetwork:
         lines += [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)]
         record = (lines, ("X", "offline", "held", "u_out", "h_out"), f"inputs and h of {label}")
         lines, lg_temps = list(unpack), {}
-        lg = straight_line([grad_dot(s.compiled.grad, [row[k] for row in s.g])
-                            for s in subs for k in range(s.n_inputs)],
+        lg = straight_line([e for s in subs for e in s.compiled.lg_trees],
                            ids, lines, lg_temps, consts)
         lg = (lines + [f"return ({''.join(v + ', ' for v in lg)})"], ("X",), f"lg of {label}")
         n_temps = max(len(rhs_temps), len(temps), len(lg_temps))

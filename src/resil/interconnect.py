@@ -2,13 +2,14 @@
 
 A coupling (i, j) adds a vector field W_ij(x_i, x_j) to subsystem j's
 dynamics.  The worst-case drift contribution of all couplings entering j
-is the scalar delta_j.  Two systems of linear inequalities (R1 shrinks
-the buffer, R2 grows it), each solved in closed form, convert j's index
-into one that remains valid inside the network.  Joint-grid verification
-re-checks the final indices against the fully coupled dynamics: it runs
-the single-subsystem verifier of ``resilience`` over the subsystem and
-its coupling sources, with the coupling drift ``grad h_j . sum_i W_ij``
-built once by ``_coupling_drift_expr``.
+is the scalar delta_j, which ``compute_delta`` asks of ``oracle.minimum``:
+one query per source, summed, or with exact one query over all of them.
+Two systems of linear inequalities (R1 shrinks the buffer, R2 grows it),
+each solved in closed form, convert j's index into one that remains valid
+inside the network.  Joint-grid verification re-checks the final indices
+against the fully coupled dynamics: it runs the single-subsystem verifier
+of ``resilience`` over the subsystem and its coupling sources, with the
+coupling drift ``grad h_j . sum_i W_ij`` added to the subsystem's own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .exprs import Expression, free_variables
-from .oracle import OracleSettings, StateGrid, sup_h
+from .oracle import OracleSettings, minimum, sup_h
 from .resilience import (
     DEFAULT_TAU_MAX,
     Infeasible,
@@ -26,7 +27,7 @@ from .resilience import (
     _tau,
     _verify_one,
 )
-from .subsystem import ModelError, Subsystem, compile_reads, grad_dot
+from .subsystem import ModelError, Subsystem, grad_dot
 
 GUARANTEED = "GuaranteedFeasible"
 UNKNOWN = "Unknown"
@@ -94,7 +95,7 @@ class DeltaEstimate:
     subsystem: int
     value: float
     method: str  # 'exact_joint' or 'pairwise_sum'
-    arg: tuple = ()
+    arg: tuple = ()  # the witness, (name, value) pairs
 
 
 @dataclass(frozen=True)
@@ -105,51 +106,27 @@ class Feasibility:
     delta: float
 
 
-def _coupling_drift_expr(net: Network, j: int) -> Expression:
-    """Symbolic grad h_j . sum of incoming couplings, with zero terms folded."""
-    return grad_dot(net.subsystems[j].compiled.grad, *(w for _, w in net.incoming(j)))
-
-
-def _min_coupling(net: Network, participants, obj: Expression,
-                  settings: OracleSettings):
-    """Minimize obj over the product of the participants' safety sets."""
-    fn = compile_reads(obj)
-    grid = StateGrid([net.subsystems[p] for p in participants], fn.names)
-    value, arg = grid.minimize(grid.bind(fn), settings)
-    return value, grid.witness(arg)
-
-
-def compute_delta_exact(net: Network, j: int, settings: OracleSettings | None = None
-                        ) -> DeltaEstimate:
-    """Minimize grad h_j . sum_i W_ij over the joint product of the
-    participating safety sets.  Independent of the buffer depth d."""
+def compute_delta(net: Network, j: int, settings: OracleSettings | None = None,
+                  exact: bool = False) -> DeltaEstimate:
+    """Lower bound on grad h_j . sum_i W_ij over the participating safety
+    sets; independent of the buffer depth d.  exact minimizes the sum over
+    the joint product of j's and every source's set.  Otherwise it is the
+    sum over sources i of the minimum over i's and j's sets of grad h_j .
+    W_ij: each term relaxes the shared x_j to its own minimizer, so the sum
+    underapproximates the joint minimum.  arg joins the witnesses of the
+    minima, so pairwise it names j's variables once per source."""
     settings = settings or OracleSettings()
     inc = net.incoming(j)
-    if not inc:
-        return DeltaEstimate(j, 0.0, "exact_joint", ())
-    value, witness = _min_coupling(net, sorted({j} | {i for i, _ in inc}),
-                                   _coupling_drift_expr(net, j), settings)
-    return DeltaEstimate(j, value, "exact_joint", witness)
-
-
-def compute_delta_pairwise(net: Network, j: int, settings: OracleSettings | None = None
-                           ) -> DeltaEstimate:
-    """Sum over sources i of the per-pair minimum of grad h_j . W_ij.
-
-    Each term relaxes the shared x_j to its own minimizer, so the sum
-    underapproximates the joint minimum."""
-    settings = settings or OracleSettings()
-    inc = net.incoming(j)
-    if not inc:
-        return DeltaEstimate(j, 0.0, "pairwise_sum", ())
+    groups = ([(sorted({j, *(i for i, _ in inc)}), [w for _, w in inc])] if exact and inc
+              else [([i, j], [w]) for i, w in inc])
     grad = net.subsystems[j].compiled.grad
-    total = 0.0
-    witnesses = []
-    for i, w in inc:
-        value, witness = _min_coupling(net, [i, j], grad_dot(grad, w), settings)
-        total += value
-        witnesses.append(witness)
-    return DeltaEstimate(j, total, "pairwise_sum", tuple(witnesses))
+    minima = [minimum(grad_dot(grad, *ws), [net.subsystems[p] for p in participants],
+                      settings) for participants, ws in groups]
+    # Summed from the first minimum: one source gives exact's value bit for bit.
+    values = [m.value for m in minima] or [0.0]
+    return DeltaEstimate(j, sum(values[1:], values[0]),
+                         "exact_joint" if exact else "pairwise_sum",
+                         sum((m.arg for m in minima), ()))
 
 
 # -- the R1 / R2 inequality systems ------------------------------------------
@@ -272,18 +249,16 @@ class PropagationOutcome:
 
 def propagate_indices(net: Network, indices: dict[int, ResilienceIndex], z: float,
                       tau_max: float = DEFAULT_TAU_MAX,
-                      settings: OracleSettings | None = None,
-                      delta_method: str = "pairwise",
+                      settings: OracleSettings | None = None, exact: bool = False,
                       prefer: str = "r1") -> dict[int, PropagationOutcome]:
     """Convert standalone indices into network-valid ones, one subsystem at a
-    time.  The preferred system is tried first, then the other; a system
-    solves exactly when its verdict is GuaranteedFeasible (R1 up to the
-    boundary of its strict rows), so the outcome's verdict is the solver's."""
+    time, with delta from compute_delta (exact as there).  The preferred
+    system is tried first, then the other; a system solves exactly when its
+    verdict is GuaranteedFeasible (R1 up to the boundary of its strict
+    rows), so the outcome's verdict is the solver's."""
     settings = settings or OracleSettings()
     if not tau_max > 0:
         raise ValueError("tau_max must be positive")
-    if delta_method not in ("pairwise", "exact"):
-        raise ValueError("delta_method must be 'pairwise' or 'exact'")
     if prefer not in ("r1", "r2"):
         raise ValueError("prefer must be 'r1' or 'r2'")
     out: dict[int, PropagationOutcome] = {}
@@ -291,10 +266,7 @@ def propagate_indices(net: Network, indices: dict[int, ResilienceIndex], z: floa
         if j not in indices:
             raise ValueError(f"missing index for subsystem {net.subsystems[j].name!r}")
         idx = indices[j]
-        if delta_method == "exact":
-            dest = compute_delta_exact(net, j, settings)
-        else:
-            dest = compute_delta_pairwise(net, j, settings)
+        dest = compute_delta(net, j, settings, exact)
         if not net.incoming(j):
             # No coupling enters j: the standalone certificate stays valid as is.
             feas = feasibility_r1(idx, 0.0, z)
@@ -338,8 +310,8 @@ def verify_network(net: Network, indices: dict[int, ResilienceIndex], z: float,
     for j in range(len(net.subsystems)):
         if j not in indices or not isinstance(indices[j], ResilienceIndex):
             raise ValueError(f"subsystem {net.subsystems[j].name!r} has no valid index")
-        participants = [net.subsystems[p]
-                        for p in sorted({j} | {i for i, _ in net.incoming(j)})]
-        out[j] = _verify_one(net.subsystems[j], participants,
-                             _coupling_drift_expr(net, j), indices[j], z, settings)
+        inc, s = net.incoming(j), net.subsystems[j]
+        participants = [net.subsystems[p] for p in sorted({j, *(i for i, _ in inc)})]
+        out[j] = _verify_one(s, participants, grad_dot(s.compiled.grad, *(w for _, w in inc)),
+                             indices[j], z, settings)
     return out

@@ -25,9 +25,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .exprs import ExpressionError, free_variables, parse_expression
+from .exprs import ExpressionError, Negate, parse_expression
 from .interconnect import Network
-from .oracle import EmptyRegionError, OracleSettings, StateGrid, sup_h
+from .oracle import EmptyRegionError, OracleSettings, minimum, sup_h
 from .resilience import ResilienceIndex
 from .subsystem import ModelError, Subsystem
 
@@ -131,12 +131,10 @@ def _semantic_checks(s: Subsystem):
                          f"state box")
     if s.mu_saturation is not None:
         return  # the clamp keeps mu inside the box by construction
-    grid = StateGrid((s,), set().union(*map(free_variables, s.mu)))
-    for k, fn in enumerate(s.compiled.mu):
+    for k, mu in enumerate(s.mu):
         lo_box, hi_box = s.input_box[k]
-        mu = grid.bind(fn)
-        low, _ = grid.minimize(mu, _CHECK_SETTINGS)
-        high = -grid.minimize(lambda b: -mu(b), _CHECK_SETTINGS)[0]
+        low = minimum(mu, (s,), _CHECK_SETTINGS).value
+        high = -minimum(Negate(mu), (s,), _CHECK_SETTINGS).value
         slack = 1e-9 * max(1.0, abs(lo_box), abs(hi_box))
         if low < lo_box - slack or high > hi_box + slack:
             raise ModelError(
@@ -219,19 +217,25 @@ def write_indices(path: str, net: Network, indices: dict[int, ResilienceIndex]):
                                 for j, idx in sorted(indices.items())})
 
 
+def read_index_doc(path: str) -> dict:
+    """The entries of the index file at path, or {} when there is none.  Raises
+    ModelError for a file that is not an index map, OSError for an unreadable one."""
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError:
+        raise ModelError(f"{path}: existing output file is not valid JSON")
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path}: existing output file is not an index map")
+    return doc
+
+
 def merge_index(path: str, name: str, idx: ResilienceIndex):
     """Set one subsystem's entry in an index file, keeping every other entry
     of an existing file as it is."""
-    doc = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError:
-            raise ModelError(f"{path}: existing output file is not valid JSON")
-        if not isinstance(doc, dict):
-            raise ModelError(f"{path}: existing output file is not an index map")
-    _write_index_doc(path, doc, {name: idx})
+    _write_index_doc(path, read_index_doc(path), {name: idx})
 
 
 def _write_index_doc(path: str, doc: dict, indices: dict[str, ResilienceIndex]):

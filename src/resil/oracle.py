@@ -15,12 +15,16 @@ product of all axes.  Rounded addition is monotone in each operand, so
 this gives the same values and the same minimizer as the full grid.
 
 ``StateGrid`` lays the axes out over the state variables an objective
-reads, for one subsystem or several coupled ones.  ``StateGrid.minimize``,
-the one caller of ``grid_minimize``, scans it where each subsystem lies in
-its safety set and a target in a ``Region`` (an interval of its h values).
-``drift_minimum`` builds the drift objectives from the drift layer (``lf``,
-``lg``, see ``subsystem``) as terms: coupling, ``lf``, one per input (worst
-input-box vertex or closed loop), and an optional ``z (h - lo)``.
+reads, for one subsystem or several coupled ones, and is private to this
+module.  ``StateGrid.minimize``, the one caller of ``grid_minimize``, scans
+it where each subsystem lies in its safety set and a target in a
+``Region`` (an interval of its h values).  It serves two queries, each
+returning an ``Extremum`` whose witness ``arg`` is (name, value) pairs in
+axis order.  ``minimum`` minimizes an expression over the product of
+subsystems' safety sets.  ``drift_minimum`` builds the drift objectives
+from the drift layer (``lf``, ``lg``, see ``subsystem``) as terms:
+coupling, ``lf``, one per input (worst input-box vertex, which ends the
+witness, or closed loop), and an optional ``z (h - lo)``.
 
 Non-finite values: a term value of nan or -inf anywhere on the scanned
 box raises FloatingPointError, and so does a sum of finite terms that
@@ -81,7 +85,7 @@ class OracleSettings:
 @dataclass(frozen=True)
 class Extremum:
     value: float
-    arg: tuple[float, ...]
+    arg: tuple[tuple[str, float], ...]  # the witness, (name, value) pairs
 
 
 class Term(NamedTuple):
@@ -295,18 +299,27 @@ class StateGrid:
         return tuple(zip(self.axis_names, arg))
 
 
+def minimum(e: Expression, subsystems, settings: OracleSettings) -> Extremum:
+    """Minimize e over the product of the subsystems' safety sets."""
+    fn = compile_reads(e)
+    grid = StateGrid(subsystems, fn.names)
+    value, arg = grid.minimize(grid.bind(fn), settings)
+    return Extremum(value, grid.witness(arg))
+
+
 # -- objectives over the drift layer --------------------------------------------
 
 def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
                   closed_loop: bool, z: float | None = None,
-                  participants=None, coupling: Expression = _ZERO):
+                  participants=None, coupling: Expression = _ZERO) -> Extremum:
     """Minimize the drift of h_s, coupling + lf + sum_k lg_k u_k, over region
     (with every other participant in its safety set).  u is the clamped
     feedback law when closed_loop, else the worst input-box vertex at each
-    grid point; z adds z (h - region.lo).  The sum is handed to the grid as
-    Terms in that order, each reading the free variables of its expressions
-    (h and mu are compiled over every state variable, so their compiled
-    names would overstate what they read).  Returns (value, arg, grid)."""
+    grid point, reconstructed at the minimizer for the witness; z adds
+    z (h - region.lo).  The sum is handed to the grid as Terms in that
+    order, each reading the free variables of its expressions (h and mu are
+    compiled over every state variable, so their compiled names would
+    overstate what they read)."""
     comp = s.compiled
     coupling_fn = None if _is_zero(coupling) else compile_reads(coupling)
     mu_reads = [free_variables(e) for e in s.mu]
@@ -316,17 +329,17 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
         needed.update(*mu_reads)
     grid = StateGrid(participants or (s,), needed)
     h, mu = grid.bind(comp.h), [grid.bind(fn) for fn in comp.mu]
+    lg = [grid.bind(fn) for fn in comp.lg]
 
     terms = [grid.term(grid.bind(fn), fn.names) for fn in drift]
     for k, fn in enumerate(comp.lg):
-        c_fn = grid.bind(fn)
         if closed_loop:
-            def u_term(b, c_fn=c_fn, k=k):
+            def u_term(b, c_fn=lg[k], k=k):
                 # clamp_mu is the one saturation rule; it clamps every law.
                 return c_fn(b) * s.clamp_mu([m(b) for m in mu])[k]
             terms.append(grid.term(u_term, {*fn.names, *mu_reads[k]}))
         else:
-            def u_term(b, c_fn=c_fn, box=s.input_box[k]):
+            def u_term(b, c_fn=lg[k], box=s.input_box[k]):
                 # Affine in u: the input's worst value is a box endpoint.
                 c = np.asarray(c_fn(b))
                 return np.minimum(c * box[0], c * box[1])
@@ -335,7 +348,8 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
         terms.append(grid.term(lambda b: z * (h(b) - region.lo), free_variables(s.h)))
 
     value, arg = grid.minimize(terms, settings, s, region)
-    return value, arg, grid
+    vertex = () if closed_loop else s.worst_vertex([float(np.asarray(c(arg))) for c in lg])
+    return Extremum(value, grid.witness(arg) + tuple(zip(s.input_vars, map(float, vertex))))
 
 
 def sup_h(s: Subsystem, settings: OracleSettings) -> float:
@@ -358,26 +372,16 @@ def _h_peak(s: Subsystem, settings: OracleSettings):
 
 
 def min_offline_drift(s: Subsystem, settings: OracleSettings) -> Extremum:
-    """min over the safety set and the input box of grad h . (f + g u).
-
-    The objective is affine in u, so each input coordinate attains the
-    minimum at a box endpoint; only the state grid is scanned and the
-    adversarial vertex is reconstructed at the minimizer.
-    """
-    value, arg, grid = drift_minimum(s, SAFE_SET, settings, closed_loop=False)
-    lg = [float(np.asarray(grid.bind(fn)(arg))) for fn in s.compiled.lg]
-    vertex = [float(u) for u in s.worst_vertex(lg)]
-    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg) + vertex))
+    """min over the safety set and the input box of grad h . (f + g u)."""
+    return drift_minimum(s, SAFE_SET, settings, closed_loop=False)
 
 
 def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings) -> Extremum:
     """min of the closed-loop drift over the band 0 <= h < d."""
-    value, arg, grid = drift_minimum(s, safe_minus_buffer(d), settings, closed_loop=True)
-    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)))
+    return drift_minimum(s, safe_minus_buffer(d), settings, closed_loop=True)
 
 
 def min_invariance_margin(s: Subsystem, d: float, z: float,
                           settings: OracleSettings) -> Extremum:
     """min over h >= d of closed-loop drift + z * (h - d)."""
-    value, arg, grid = drift_minimum(s, buffer_region(d), settings, closed_loop=True, z=z)
-    return Extremum(value=value, arg=tuple(grid.values(s.state_vars, arg)))
+    return drift_minimum(s, buffer_region(d), settings, closed_loop=True, z=z)

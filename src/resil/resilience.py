@@ -75,8 +75,8 @@ class Infeasible:
 class VerificationReport:
     """Margins are slack amounts: nonnegative (up to the oracle tolerance)
     means the corresponding index condition holds on the sampled grid.
-    worst_points maps each condition to its minimizer as (name, value)
-    pairs over the grid axes, or to None when the condition was skipped."""
+    worst_points maps each condition to its witness, (name, value) pairs
+    (see oracle.Extremum), or to None when the condition was skipped."""
 
     passed: bool
     margin_offline: float
@@ -101,16 +101,15 @@ def _verify_one(target: Subsystem, participants, coupling: Expression,
                 settings: OracleSettings) -> VerificationReport:
     """The three index conditions for target, minimized over the joint grid
     of the participants (target included, each in its safety set) with the
-    coupling drift added to target's own.  Worst points are (name, value)
-    pairs over the grid axes."""
+    coupling drift added to target's own.  Worst points are the witnesses
+    of drift_minimum."""
     notes: list[str] = []
     worst: dict = {}
 
     def scan(label, region, closed_loop, rate=None):
-        value, arg, grid = drift_minimum(target, region, settings, closed_loop, rate,
-                                         participants, coupling)
-        worst[label] = grid.witness(arg)
-        return value
+        ex = drift_minimum(target, region, settings, closed_loop, rate, participants, coupling)
+        worst[label] = ex.arg
+        return ex.value
 
     offline = scan("offline", SAFE_SET, False)
 

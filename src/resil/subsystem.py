@@ -82,17 +82,19 @@ def compile_reads(e: Expression):
 
 class _Compiled:
     """The subsystem's callables, built once: h and mu over the state
-    variables, the symbolic gradient of h, and the drift layer lf and lg."""
+    variables, the symbolic gradient of h, and the drift layer lf and lg,
+    with lg's trees (lg_trees) for code generation."""
 
-    __slots__ = ("h", "grad", "lf", "lg", "mu")
+    __slots__ = ("h", "grad", "lf", "lg", "lg_trees", "mu")
 
     def __init__(self, s: "Subsystem"):
         sv = s.state_vars
         self.h = compile_expression(s.h, sv)
         self.grad = tuple(differentiate(s.h, v) for v in sv)
         self.lf = compile_reads(grad_dot(self.grad, s.f))
-        self.lg = tuple(compile_reads(grad_dot(self.grad, [row[k] for row in s.g]))
-                        for k in range(s.n_inputs))
+        self.lg_trees = tuple(grad_dot(self.grad, [row[k] for row in s.g])
+                              for k in range(s.n_inputs))
+        self.lg = tuple(map(compile_reads, self.lg_trees))
         self.mu = tuple(compile_expression(e, sv) for e in s.mu)
 
 

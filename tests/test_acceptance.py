@@ -18,8 +18,7 @@ from resil.hybrid_sim import AdversaryPolicy, FaultSchedule, simulate
 from resil.interconnect import (
     GUARANTEED,
     Network,
-    compute_delta_exact,
-    compute_delta_pairwise,
+    compute_delta,
     feasibility_r1,
     feasibility_r2,
     improve_by_interconnection,
@@ -224,8 +223,8 @@ def test_06_pairwise_delta_underapproximates_joint_minimum():
         # multilinear, so any endpoint-carrying grid hits the exact minimum.
         n_axis = 201 if n == 3 else 2829
         for j in range(n):
-            exact = compute_delta_exact(net, j, settings)
-            pairwise = compute_delta_pairwise(net, j, settings)
+            exact = compute_delta(net, j, settings, exact=True)
+            pairwise = compute_delta(net, j, settings)
             brute = brute_force_delta(net, j, n_axis)
             assert abs(exact.value - brute) <= 1e-6, (exact.value, brute)
             assert pairwise.value <= exact.value + 1e-6

@@ -358,12 +358,40 @@ def test_index_files_that_are_not_index_maps_exit_2(capsys, tmp_path):
         path.write_text(text)
         code = main(["net", "verify", "--model", "toy_pair", "--indices", str(path), *FAST])
         assert_error_exit(capsys, code, f"{path}: {read_error}")
-        code = main(["index", "compute", "--model", "toy_linear", "--subsystem", "S1",
-                     "--out", str(path), *FAST])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert f"error: {path}: {merge_error}" in err
-        assert path.read_text() == text
+        # An existing --out is read before the sweep: no index is computed and lost.
+        for argv in commands_writing(tmp_path, path):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err == f"error: {path}: {merge_error}\n"
+            assert path.read_text() == text
+
+
+def commands_writing(tmp_path, out):
+    """index compute and net propagate on toy_pair, each with --out out."""
+    idx = write_indices_file(tmp_path / "in.json", {"S1": TOY_IDX, "S2": TOY_IDX})
+    return [[*command, "--out", str(out), *FAST] for command in (
+        ["index", "compute", "--model", "toy_pair", "--subsystem", "S1"],
+        ["net", "propagate", "--model", "toy_pair", "--indices", idx])]
+
+
+def test_out_that_is_a_directory_exits_2_before_the_sweep(capsys, tmp_path):
+    # An OSError on a command's file is a file error (exit 2), not a
+    # traceback; the path is opened before the sweep, so nothing is printed.
+    for argv in commands_writing(tmp_path, tmp_path):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: [Errno 21] Is a directory")
+
+
+def test_sim_run_out_that_is_a_file_exits_2(capsys, tmp_path):
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX, "S2": TOY_IDX})
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main(["sim", "run", "--model", "toy_pair", "--indices", idx, "--horizon", "0.1",
+                 "--schedules", "1", "--seed", "7", "--dt", "0.01", "--out", str(out)])
+    assert_error_exit(capsys, code, "[Errno 17] File exists")
 
 
 def test_sim_run_writes_traces_and_summary(capsys, tmp_path):

@@ -14,8 +14,7 @@ from resil.interconnect import (
     DimensionMismatchError,
     Network,
     _assert_r1_rows,
-    compute_delta_exact,
-    compute_delta_pairwise,
+    compute_delta,
     feasibility_r1,
     feasibility_r2,
     improve_by_interconnection,
@@ -87,22 +86,22 @@ def test_network_lookup_and_incoming():
 
 def test_delta_no_incoming_is_zero():
     net = make_pair()
-    for compute in (compute_delta_exact, compute_delta_pairwise):
-        est = compute(net, 0, SETTINGS)
+    for exact in (True, False):
+        est = compute_delta(net, 0, SETTINGS, exact)
         assert est == DeltaEstimate(0, 0.0, est.method, ())
 
 
 def test_delta_pair_frozen_value():
     # grad h2 . W = -0.1 (x1 - x2), minimized at x1 = 1, x2 = -1.
     net = make_pair()
-    exact = compute_delta_exact(net, 1, SETTINGS)
-    pairwise = compute_delta_pairwise(net, 1, SETTINGS)
+    exact = compute_delta(net, 1, SETTINGS, exact=True)
+    pairwise = compute_delta(net, 1, SETTINGS)
     assert exact.value == pytest.approx(-0.2, abs=1e-12)
     assert pairwise.value == pytest.approx(-0.2, abs=1e-12)
     assert exact.method == "exact_joint"
     assert pairwise.method == "pairwise_sum"
     assert dict(exact.arg) == {"x1": 1.0, "x2": -1.0}
-    assert dict(pairwise.arg[0]) == {"x1": 1.0, "x2": -1.0}
+    assert pairwise.arg == exact.arg == (("x1", 1.0), ("x2", -1.0))
 
 
 def test_delta_pairwise_underapproximates_exact():
@@ -117,11 +116,56 @@ def test_delta_pairwise_underapproximates_exact():
         (0, 1): (parse_expression("x1*(1 + x2)", ("x1", "x2")),),
         (2, 1): (parse_expression("-x3*(1 - x2)", ("x3", "x2")),),
     })
-    exact = compute_delta_exact(net, 1, SETTINGS)
-    pairwise = compute_delta_pairwise(net, 1, SETTINGS)
+    exact = compute_delta(net, 1, SETTINGS, exact=True)
+    pairwise = compute_delta(net, 1, SETTINGS)
     assert pairwise.value <= exact.value + 1e-9
     assert exact.value == pytest.approx(-2.0, abs=1e-9)
     assert pairwise.value == pytest.approx(-4.0, abs=1e-9)
+
+
+COUPLING_TERMS = st.lists(st.tuples(st.sampled_from(["0.5", "-1", "2", "-0.25"]),
+                                    st.sampled_from(["1", "x1", "x2", "x3", "x1*x2", "x2*x3",
+                                                     "x1*x1", "x2*x2", "x1*x3"])),
+                          min_size=1, max_size=3)
+
+
+def coupling(terms, sv):
+    """The sum of the terms over the variables in sv (others read as 1)."""
+    text = " + ".join(f"{c}*{m}" for c, m in terms)
+    for x in {"x1", "x2", "x3"} - set(sv):
+        text = text.replace(x, "1")
+    return (parse_expression(text, sv),)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(COUPLING_TERMS, st.integers(0, 2))
+def test_delta_one_source_exact_is_pairwise(terms, rounds):
+    # With one source the joint and the pairwise minimum are one query: the
+    # same grid, the same expression.
+    net = Network((unit_block("S1", "x1", "u1"), unit_block("S2", "x2", "u2")),
+                  {(0, 1): coupling(terms, ("x1", "x2"))})
+    st_ = OracleSettings(grid_points_per_dim=21, refinement_rounds=rounds)
+    exact = compute_delta(net, 1, st_, exact=True)
+    pairwise = compute_delta(net, 1, st_)
+    assert exact.value.hex() == pairwise.value.hex()  # bit for bit, signed zeros too
+    assert exact.arg == pairwise.arg
+    assert (exact.method, pairwise.method) == ("exact_joint", "pairwise_sum")
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(COUPLING_TERMS, COUPLING_TERMS, st.integers(2, 21))
+def test_delta_two_sources_pairwise_at_most_exact(terms1, terms3, n):
+    # At 0 rounds both scan the same nodes; each pair's minimum is at most
+    # that term at the joint minimizer, and rounded addition is monotone.
+    net = Network((unit_block("S1", "x1", "u1"), unit_block("S2", "x2", "u2"),
+                   unit_block("S3", "x3", "u3")),
+                  {(0, 1): coupling(terms1, ("x1", "x2")),
+                   (2, 1): coupling(terms3, ("x3", "x2"))})
+    st_ = OracleSettings(grid_points_per_dim=n, refinement_rounds=0)
+    exact = compute_delta(net, 1, st_, exact=True)
+    pairwise = compute_delta(net, 1, st_)
+    assert pairwise.value <= exact.value
+    assert [v for v, _ in pairwise.arg] == ["x1", "x2", "x3", "x2"]  # pairs [i, j]
 
 
 def test_solve_r1_shrink_example():
@@ -458,8 +502,6 @@ def test_propagate_hostile_coupling_reports_both_failures():
 
 def test_propagate_validates_arguments():
     net = make_pair()
-    with pytest.raises(ValueError):
-        propagate_indices(net, {0: IDX, 1: IDX}, 1.0, delta_method="joint")
     with pytest.raises(ValueError):
         propagate_indices(net, {0: IDX, 1: IDX}, 1.0, prefer="r3")
 

@@ -9,10 +9,11 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 import resil.oracle as oracle_mod
 import resil.resilience as resilience_mod
-from resil.exprs import parse_expression
+from resil.exprs import compile_expression, eval_expression, free_variables, parse_expression
 from resil.interconnect import verify_network
 from resil.model_io import load_model
 from resil.oracle import (
+    MARGIN_TOLERANCE,
     EmptyRegionError,
     OracleSettings,
     StateGrid,
@@ -22,6 +23,7 @@ from resil.oracle import (
     min_invariance_margin,
     min_offline_drift,
     min_recovery_drift,
+    minimum,
     sup_h,
 )
 from resil.subsystem import SAFE_SET, Subsystem, buffer_region, safe_minus_buffer
@@ -128,8 +130,8 @@ def test_min_offline_drift_toy():
     ex = min_offline_drift(make_toy(), settings(2001))
     assert ex.value == pytest.approx(-1.0)
     # Constant in x, so the tie-break lands on the first grid point; the
-    # reconstructed adversarial input is the +1 vertex.
-    assert ex.arg == (-1.0, 1.0)
+    # witness ends with the reconstructed adversarial input, the +1 vertex.
+    assert ex.arg == (("x1", -1.0), ("u1", 1.0))
 
 
 def test_min_offline_drift_cstr_corner():
@@ -138,15 +140,14 @@ def test_min_offline_drift_cstr_corner():
     ex = min_offline_drift(make_cstr(), settings(401))
     expected = cstr_hand_drift(400.0, 5.0, 2.7e6)
     assert ex.value == pytest.approx(expected, rel=1e-9)
-    T, c, u = ex.arg
-    assert (T, c, u) == (400.0, 5.0, 2.7e6)
+    assert ex.arg == (("T1", 400.0), ("c1", 5.0), ("u1", 2.7e6))
 
 
 def test_min_recovery_drift_toy():
     ex = min_recovery_drift(make_toy(), 0.1, settings(2001))
     assert ex.value == pytest.approx(1.0)
-    x = ex.arg[0]
-    assert 0 <= 1 - x <= 0.1
+    (name, x), = ex.arg
+    assert name == "x1" and 0 <= 1 - x <= 0.1
 
 
 def test_min_invariance_margin_toy():
@@ -425,12 +426,71 @@ def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
     inner = resilience_mod.drift_minimum
 
     def recorded(s, *args):
-        value, arg, grid = inner(s, *args)
-        eliminated.append((s.name, grid.axis_names[kept[-1]:]))
-        return value, arg, grid
+        ex = inner(s, *args)
+        axis_names = [name for name, _ in ex.arg if name not in s.input_vars]
+        eliminated.append((s.name, axis_names[kept[-1]:]))
+        return ex
 
     monkeypatch.setattr(resilience_mod, "drift_minimum", recorded)
     idx = resilience_mod.ResilienceIndex(d=25, tau=1e-5, phi=1e-4, eta=1.0)
     verify_network(net, {0: idx, 1: idx}, model.alpha_z, settings(21, 0))
     assert [names for name, names in eliminated if name == "S2"] == [["c2"]] * 3
     assert [names for name, names in eliminated if name == "S1"] == [["c1"]] * 3
+
+
+# -- the expression query -------------------------------------------------------
+
+def polynomials(names):
+    """Strings c + sum of c x and c x y over the names; products only, so a
+    value is rounded the same on a broadcast grid and on a mesh."""
+    monomials = [n for n in names] + [f"{a}*{b}" for a in names for b in names if a <= b]
+    coef = st.sampled_from(["0.5", "-1", "2", "-0.25", "3"])
+    picked = st.lists(st.tuples(coef, st.sampled_from(monomials)), min_size=1, max_size=4)
+    return st.builds(lambda c, ts: " + ".join([c, *(f"{k}*{m}" for k, m in ts)]), coef, picked)
+
+
+@st.composite
+def minimum_problems(draw):
+    subsystems = []
+    for k in range(draw(st.integers(1, 2))):
+        sv = tuple(f"x{k}{i}" for i in range(draw(st.integers(1, 2))))
+        zero = parse_expression("0", sv)
+        subsystems.append(Subsystem(
+            name=f"S{k}", state_vars=sv, input_vars=(f"u{k}",), f=(zero,) * len(sv),
+            g=((zero,),) * len(sv), h=parse_expression(draw(polynomials(sv)), sv), mu=(zero,),
+            state_box=tuple(draw(st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5)]))
+                            for _ in sv),
+            input_box=((-1.0, 1.0),)))
+    names = [n for s in subsystems for n in s.state_vars]
+    reads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    return subsystems, parse_expression(draw(polynomials(sorted(reads))), names)
+
+
+@hsettings(max_examples=150, deadline=None)
+@given(minimum_problems(), st.integers(2, 9))
+def test_minimum_is_the_brute_force_grid_minimum(problem, n):
+    # At 0 rounds the query is np.min over the linspace product of every
+    # state variable, restricted to h >= -MARGIN_TOLERANCE in each subsystem,
+    # and its witness is a point of that product where e takes the minimum.
+    subsystems, e = problem
+    names = [v for s in subsystems for v in s.state_vars]
+    boxes = [b for s in subsystems for b in s.state_box]
+    mesh = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi in boxes), indexing="ij")
+    at = dict(zip(names, mesh))
+    mask = np.logical_and.reduce(
+        [compile_expression(s.h, s.state_vars)(*(at[v] for v in s.state_vars))
+         >= -MARGIN_TOLERANCE for s in subsystems])
+    values = np.broadcast_to(compile_expression(e, names)(*mesh), mask.shape)
+    st_ = settings(n, rounds=0)
+    if not mask.any():
+        with pytest.raises(EmptyRegionError):
+            minimum(e, subsystems, st_)
+        return
+    ex = minimum(e, subsystems, st_)
+    assert ex.value == float(values[mask].min())
+    witness = dict(ex.arg)
+    assert [v for v, _ in ex.arg] == [v for v in names if v in witness]  # axis order
+    assert free_variables(e) <= witness.keys()
+    point = {v: 0.5 * (lo + hi) for v, (lo, hi) in zip(names, boxes)} | witness
+    assert eval_expression(e, point) == ex.value
+    assert all(eval_expression(s.h, point) >= -MARGIN_TOLERANCE for s in subsystems)
