@@ -80,6 +80,16 @@ def _add_oracle_flags(p: argparse.ArgumentParser):
                         "single-threaded)")
 
 
+def _check_out(path: str):
+    """An --out that cannot be written fails before the sweep, so that no
+    computed index is lost: its directory must exist, and an existing file
+    must be an index map."""
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise _UsageError(f"--out {path}: no directory {parent}")
+    read_index_doc(path)
+
+
 def _pick_subsystem(model: Model, name: str) -> int:
     try:
         return model.network.index_of(name)
@@ -93,7 +103,7 @@ def _cmd_index_compute(args) -> int:
     j = _pick_subsystem(model, args.subsystem)
     s = model.network.subsystems[j]
     if args.out:
-        read_index_doc(args.out)  # an unusable --out fails before the sweep
+        _check_out(args.out)
     result = compute_index(s, model.alpha_z, eps=args.eps, tau_max=args.tau_max,
                            phi_min=args.phi_min, settings=_settings(args),
                            maximize_tau=args.maximize_tau)
@@ -148,7 +158,7 @@ def _cmd_net_propagate(args) -> int:
     net = model.network
     indices = load_indices(args.indices, net)
     if args.out:
-        read_index_doc(args.out)  # an unusable --out fails before the sweep
+        _check_out(args.out)
     outcomes = propagate_indices(net, indices, model.alpha_z,
                                  tau_max=args.tau_max, settings=_settings(args),
                                  exact=args.exact, prefer=args.prefer)

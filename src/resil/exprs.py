@@ -386,7 +386,7 @@ class CompiledExpression:
         self.source = source
 
     def __call__(self, *args):
-        with np.errstate(over="ignore", divide="raise", under="ignore"):
+        with np.errstate(over="ignore", divide="raise", under="ignore", invalid="ignore"):
             try:
                 return self._fn(*args)
             except FloatingPointError:

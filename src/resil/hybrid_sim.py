@@ -105,21 +105,80 @@ class SafetyVerdict:
 
 
 def validate_schedule(schedule: FaultSchedule, indices: dict[int, ResilienceIndex]):
-    """Raise ScheduleError unless every interval respects the dwell bounds."""
+    """Raise ScheduleError unless every interval respects the dwell bounds.
+    The first interval that breaks one is named, with the first bound it
+    breaks: [0, horizon], then tau, then the gap phi after the previous
+    interval."""
     rel = 1e-9
     for j, ivs in enumerate(schedule.intervals):
         idx = indices[j]
-        prev_end = None
-        for (start, end) in ivs:
-            where = f"subsystem {j}, interval [{start:.6g}, {end:.6g})"
-            if not (0.0 <= start < end <= schedule.horizon * (1 + rel) + rel):
-                raise ScheduleError(f"{where}: outside [0, horizon]")
-            if end - start > idx.tau * (1 + rel) + rel:
-                raise ScheduleError(f"{where}: length exceeds tau = {idx.tau:.6g}")
-            if prev_end is not None and start - prev_end < idx.phi * (1 - rel) - rel:
-                raise ScheduleError(f"{where}: gap after previous interval is "
-                                    f"below phi = {idx.phi:.6g}")
-            prev_end = end
+        bounds = np.array(ivs, dtype=float).reshape(2 * len(ivs))  # start0, end0, ...
+        start, end = bounds[0::2], bounds[1::2]
+        # nan is outside, as it fails "not (a <= b)"
+        outside = ~((0.0 <= start) & (start < end)
+                    & (end <= schedule.horizon * (1 + rel) + rel))
+        step = np.diff(bounds)  # length0, gap0, length1, ...
+        too_long = step[0::2] > idx.tau * (1 + rel) + rel
+        bad = outside | too_long
+        bad[1:] |= step[1::2] < idx.phi * (1 - rel) - rel
+        if bad.any():
+            i = int(bad.argmax())
+            why = ("outside [0, horizon]" if outside[i] else
+                   f"length exceeds tau = {idx.tau:.6g}" if too_long[i] else
+                   f"gap after previous interval is below phi = {idx.phi:.6g}")
+            raise ScheduleError(f"subsystem {j}, interval [{start[i]:.6g}, {end[i]:.6g}): {why}")
+
+
+class _Uniforms:
+    """A generator's doubles, drawn ahead in blocks and read in order, so
+    that the block sizes change no value."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.ahead = rng, np.empty(0)
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next n values, left unread."""
+        if n > len(self.ahead):
+            self.ahead = np.concatenate([self.ahead, self.rng.random(n - len(self.ahead))])
+        return self.ahead[:n]
+
+    def read(self, n: int) -> np.ndarray:
+        values = self.peek(n)
+        self.ahead = self.ahead[n:]
+        return values
+
+
+def _offline_runs(draws: _Uniforms, horizon: float, tau: float, phi: float):
+    """One subsystem's interval starts and unclipped ends, bit-equal to the
+    loop t = uniform(0, 3 phi); while t < horizon: length = tau -
+    uniform(0, tau), an interval [t, t + length), t = t + length +
+    uniform(phi, 3 phi).  uniform(lo, hi) is lo + (hi - lo) r, and a running
+    sum over [t, length, gap, length, gap, ...] adds in the loop's order, so
+    its even prefixes are the starts and its odd ones the ends.  A block
+    holds the expected number of intervals left before the horizon; when
+    it falls short, the next block sums on from its last start.  m
+    intervals read 1 + 2m values."""
+    start = 3.0 * phi * draws.read(1)[0]
+    if math.isinf(tau):  # no length is drawn, only the gap after the interval
+        n = int(start < horizon)
+        draws.read(n)
+        return np.full(n, start), np.full(n, tau)
+    parts = []
+    while start < horizon:
+        k = 1 + int(min((horizon - start) / (0.5 * tau + 2.0 * phi), 1 << 16))
+        r = draws.peek(2 * k)
+        t = np.empty(2 * k + 1)
+        t[0] = start
+        np.subtract(tau, tau * r[0::2], out=t[1::2])
+        np.add(phi, (3.0 * phi - phi) * r[1::2], out=t[2::2])
+        t = np.add.accumulate(t)
+        below = t[0::2] < horizon
+        m = k if below.all() else int(below.argmin())
+        parts.append(t[:2 * m])
+        start = t[2 * m]
+        draws.read(2 * m)
+    t = np.concatenate(parts or [np.empty(0)])
+    return t[0::2], t[1::2]
 
 
 def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIndex],
@@ -127,7 +186,11 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
     """Random admissible schedules: offline lengths uniform in (0, tau],
     online gaps uniform in [phi, 3 phi], first start uniform in [0, 3 phi).
     An infinite tau draws no length: its first offline interval runs to the
-    horizon.
+    horizon.  Schedule k reads the stream default_rng([seed, k]), one
+    subsystem after the other in index order.  A subsystem's draws are taken
+    as blocks of doubles, and a running sum over each block gives its
+    interval bounds, bit-equal to drawing them one by one with rng.uniform
+    (_offline_runs).
 
     With align_dt, boundaries snap inward to the integration grid (starts up,
     ends down); snapping only shortens intervals and widens gaps, so the
@@ -137,28 +200,19 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
         raise ValueError("horizon must be positive and finite")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    order = sorted(indices)
     out = []
     for k in range(count):
-        rng = np.random.default_rng([seed, k])
+        draws = _Uniforms(np.random.default_rng([seed, k]))
         per_sub = []
-        for j in order:
-            idx = indices[j]
-            ivs = []
-            t = rng.uniform(0.0, 3.0 * idx.phi)
-            while t < horizon:
-                length = (idx.tau - rng.uniform(0.0, idx.tau)  # lands in (0, tau]
-                          if math.isfinite(idx.tau) else math.inf)
-                start, end = t, min(t + length, horizon)
-                if align_dt is not None:
-                    i0 = math.ceil(start / align_dt - 1e-9)
-                    i1 = math.floor(end / align_dt + 1e-9)
-                    if i1 > i0:
-                        ivs.append((i0 * align_dt, i1 * align_dt))
-                elif end > start:
-                    ivs.append((start, end))
-                t = t + length + rng.uniform(idx.phi, 3.0 * idx.phi)
-            per_sub.append(tuple(ivs))
+        for j in sorted(indices):
+            start, end = _offline_runs(draws, horizon, indices[j].tau, indices[j].phi)
+            end = np.minimum(end, horizon)
+            if align_dt is None:
+                keep = end > start
+            else:
+                i0, i1 = np.ceil(start / align_dt - 1e-9), np.floor(end / align_dt + 1e-9)
+                keep, start, end = i1 > i0, i0 * align_dt, i1 * align_dt
+            per_sub.append(tuple(zip(start[keep].tolist(), end[keep].tolist())))
         out.append(FaultSchedule(horizon=horizon, intervals=tuple(per_sub)))
     return out
 
@@ -510,7 +564,12 @@ def check_trace_safety(trace: HybridTrace, net: Network,
                        indices: dict[int, ResilienceIndex]) -> SafetyVerdict:
     """Sampled safety verdict plus the recovery obligation: after each
     offline-to-online switch the buffer must be re-entered within phi plus
-    one step of slack.  Windows cut off by the horizon are not assessed."""
+    one step of slack.  Windows cut off by the horizon are not assessed.
+
+    The sample times are sorted, so each subsystem's recovery windows
+    [s - tol, s + phi + dt + tol] become index ranges by one searchsorted
+    per end, and a window is met when the running count of in-buffer
+    samples grows across it."""
     min_h = {}
     candidates = list(trace.violations)
     for name in trace.names:
@@ -527,16 +586,18 @@ def check_trace_safety(trace: HybridTrace, net: Network,
     t = trace.times
     t_end = float(t[-1]) if len(t) else 0.0
     tol = 1e-9 * max(1.0, t_end)
+    online: dict[str, list[float]] = {}
     for (time, name, kind) in trace.events:
-        if kind != "online":
-            continue
-        j = net.index_of(name)
-        deadline = time + indices[j].phi + trace.dt
-        if deadline > t_end + tol:
-            continue
-        window = (t >= time - tol) & (t <= deadline + tol)
-        if not trace.in_buffer[name][window].any():
-            deadlines_met = False
+        if kind == "online":
+            online.setdefault(name, []).append(time)
+    for name, times in online.items():
+        start = np.array(times, dtype=float)
+        deadline = start + indices[net.index_of(name)].phi + trace.dt
+        assessed = deadline <= t_end + tol
+        lo = np.searchsorted(t, start[assessed] - tol, "left")
+        hi = np.searchsorted(t, deadline[assessed] + tol, "right")
+        seen = np.concatenate([[0], np.cumsum(trace.in_buffer[name])])
+        deadlines_met &= bool((seen[hi] > seen[lo]).all())
     return SafetyVerdict(safe=safe, first_violation=first, min_h=min_h,
                          recovery_deadlines_met=deadlines_met)
 

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,20 @@ def test_out_that_is_a_directory_exits_2_before_the_sweep(capsys, tmp_path):
         assert captured.err.startswith("error: [Errno 21] Is a directory")
 
 
+def test_out_in_a_missing_directory_exits_2_before_the_sweep(capsys, tmp_path):
+    # The directory of --out is checked before the sweep: nothing is
+    # printed, so no computed index is shown and then lost.  A file in its
+    # place is no directory either.
+    (tmp_path / "afile").write_text("")
+    for out in (tmp_path / "nodir" / "idx.json", tmp_path / "afile" / "idx.json"):
+        for argv in commands_writing(tmp_path, out):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error:")
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_sim_run_out_that_is_a_file_exits_2(capsys, tmp_path):
     idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX, "S2": TOY_IDX})
     out = tmp_path / "taken"
@@ -538,6 +553,29 @@ def test_sum_of_finite_drift_terms_overflowing_exits_2(capsys, tmp_path):
     code = main(["index", "compute", "--model", mpath, "--subsystem", "S1",
                  "--eps", "0.5", "--grid", "41"])
     assert_error_exit(capsys, code, "objective produced -inf on the grid")
+
+
+@pytest.mark.parametrize("subsystem, argv", [
+    # -inf * 0: dh/dx2 = -exp(x2) exp(-exp(x2)) at large x2, times f2 = -(0)
+    ({"f": ["0", "-(0)"], "h": "exp(-(exp(x2)))", "mu": ["exp(-(exp(-3)))"],
+      "state_box": [[0, 1000], [0, 1000]]},
+     ["index", "verify", "--index", "0.1,0.1,0.1,0"]),
+    # 0/0 in mu at the node x1 = 0
+    ({"f": ["1", "0"], "h": "-(x1)", "mu": ["0/x1"], "state_box": [[-1, 0], [-2, 0]]},
+     ["index", "compute", "--eps", "0.3"]),
+])
+def test_nan_from_a_model_exits_2_without_a_warning(capsys, tmp_path, subsystem, argv):
+    # The nan is reported as an error line; no numpy RuntimeWarning is
+    # printed before it.
+    model = {"alpha_z": 1.0, "subsystems": [{
+        "name": "S1", "states": ["x1", "x2"], "inputs": ["u1"], "g": [["1"], ["0"]],
+        "input_box": [[-1, 1]], **subsystem}]}
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--model", str(mpath), "--subsystem", "S1", "--grid", "21"])
+    assert_error_exit(capsys, code, "objective produced nan on the grid")
 
 
 def test_drift_of_inf_on_the_whole_safe_set_exits_2(capsys, tmp_path):

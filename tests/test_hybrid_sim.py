@@ -23,6 +23,7 @@ from resil.hybrid_sim import (
     FaultSchedule,
     HybridTrace,
     NonFiniteStateError,
+    SafetyVerdict,
     ScheduleError,
     _CompiledNetwork,
     _rk4_step,
@@ -83,6 +84,61 @@ def test_validate_schedule_bounds():
     with pytest.raises(ScheduleError):
         validate_schedule(sched(1.0, (0.3, 0.3)), indices)  # empty interval
     validate_schedule(sched(1.0, (0.2, 0.3), (0.4, 0.5)), indices)
+    # each bound also has an absolute slack of 1e-9: a length of
+    # tau + 5e-10, a gap of phi - 5e-10 and an end of horizon + 1.5e-9 pass
+    validate_schedule(sched(1.0, (0.2, 0.3 + 5e-10), (0.4, 0.5), (0.92, 1.0 + 1.5e-9)), indices)
+
+
+def reference_validate(schedule, indices):
+    """validate_schedule with the bounds checked one interval at a time."""
+    rel = 1e-9
+    for j, ivs in enumerate(schedule.intervals):
+        idx = indices[j]
+        prev_end = None
+        for (start, end) in ivs:
+            where = f"subsystem {j}, interval [{start:.6g}, {end:.6g})"
+            if not (0.0 <= start < end <= schedule.horizon * (1 + rel) + rel):
+                raise ScheduleError(f"{where}: outside [0, horizon]")
+            if end - start > idx.tau * (1 + rel) + rel:
+                raise ScheduleError(f"{where}: length exceeds tau = {idx.tau:.6g}")
+            if prev_end is not None and start - prev_end < idx.phi * (1 - rel) - rel:
+                raise ScheduleError(f"{where}: gap after previous interval is "
+                                    f"below phi = {idx.phi:.6g}")
+            prev_end = end
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_schedule_equals_scalar_reference(data):
+    # Starts, lengths and gaps on eighths, shifted by less or more than the
+    # 1e-9 slack: bounds fall just inside and just outside [0, horizon],
+    # tau = 0.25 and phi = 0.125.  A first start of -2 eighths is nan, which
+    # makes every later bound nan.
+    near = st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9])
+
+    def eighths(lo, hi):
+        return st.builds(lambda k, e: k / 8 + e if k > -2 else math.nan,
+                         st.integers(lo, hi), near)
+
+    per_sub = []
+    for _ in range(2):
+        t, ivs = data.draw(eighths(-2, 6)), []
+        for _ in range(data.draw(st.integers(0, 5))):
+            length, gap = data.draw(eighths(1, 3)), data.draw(eighths(0, 2))
+            ivs.append((t, t + length))
+            t = t + length + gap
+        per_sub.append(tuple(ivs))
+    schedule = FaultSchedule(2.0, tuple(per_sub))
+    indices = {0: ResilienceIndex(0.1, 0.25, 0.125, 1.0),
+               1: ResilienceIndex(0.1, math.inf, 0.25, 1.0)}
+
+    def outcome(validate):
+        try:
+            validate(schedule, indices)
+        except ScheduleError as err:
+            return str(err)
+
+    assert outcome(validate_schedule) == outcome(reference_validate)
 
 
 def test_generate_schedule_invariants():
@@ -158,6 +214,52 @@ def test_generate_schedule_infinite_tau_stays_offline_to_horizon():
         assert s.intervals[1]
         ((a, b),) = snapped.intervals[0]
         assert 0 <= a - start < 0.01 and b == pytest.approx(2.0)
+
+
+def reference_schedule(seed, horizon, indices, count, align_dt=None):
+    """generate_schedule as one scalar rng.uniform call per drawn value."""
+    out = []
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        per_sub = []
+        for j in sorted(indices):
+            idx = indices[j]
+            ivs = []
+            t = rng.uniform(0.0, 3.0 * idx.phi)
+            while t < horizon:
+                length = (idx.tau - rng.uniform(0.0, idx.tau)
+                          if math.isfinite(idx.tau) else math.inf)
+                start, end = t, min(t + length, horizon)
+                if align_dt is not None:
+                    i0 = math.ceil(start / align_dt - 1e-9)
+                    i1 = math.floor(end / align_dt + 1e-9)
+                    if i1 > i0:
+                        ivs.append((i0 * align_dt, i1 * align_dt))
+                elif end > start:
+                    ivs.append((start, end))
+                t = t + length + rng.uniform(idx.phi, 3.0 * idx.phi)
+            per_sub.append(tuple(ivs))
+        out.append(FaultSchedule(horizon=horizon, intervals=tuple(per_sub)))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generate_schedule_equals_scalar_reference(data):
+    # phi from horizon/2000 (hundreds of intervals, read in several blocks)
+    # to above the horizon (often no interval at all)
+    horizon = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="horizon")
+    indices = {}
+    for j in range(data.draw(st.integers(1, 3), label="subsystems")):
+        phi = horizon * data.draw(st.floats(1 / 2000, 1.5), label="phi/horizon")
+        tau = data.draw(st.one_of(st.just(math.inf),
+                                  st.floats(1e-3, 2.0).map(lambda r: r * horizon)), label="tau")
+        indices[j] = ResilienceIndex(0.1, tau, phi, 1.0)
+    align_dt = data.draw(st.sampled_from([None, horizon / 100, horizon / 1000]), label="align_dt")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    count = data.draw(st.integers(1, 3), label="count")
+    assert (generate_schedule(seed, horizon, indices, count, align_dt)
+            == reference_schedule(seed, horizon, indices, count, align_dt))
 
 
 def test_simulate_toy_piecewise_trajectory():
@@ -317,6 +419,82 @@ def test_truncated_recovery_window_not_assessed():
     verdict = check_trace_safety(trace, net, {0: idx})
     assert not verdict.safe
     assert verdict.recovery_deadlines_met  # deadline 0.71 is past the horizon
+
+
+def reference_safety(trace, net, indices):
+    """check_trace_safety with one boolean window per online event."""
+    min_h = {}
+    candidates = list(trace.violations)
+    for name in trace.names:
+        h = trace.h[name]
+        min_h[name] = float(h.min()) if len(h) else math.inf
+        bad = np.nonzero(h < 0)[0]
+        if len(bad):
+            k = int(bad[0])
+            candidates.append((float(trace.times[k]), name, float(h[k])))
+    deadlines_met = True
+    t = trace.times
+    t_end = float(t[-1]) if len(t) else 0.0
+    tol = 1e-9 * max(1.0, t_end)
+    for (time, name, kind) in trace.events:
+        if kind != "online":
+            continue
+        deadline = time + indices[net.index_of(name)].phi + trace.dt
+        if deadline > t_end + tol:
+            continue
+        window = (t >= time - tol) & (t <= deadline + tol)
+        if not trace.in_buffer[name][window].any():
+            deadlines_met = False
+    return SafetyVerdict(safe=all(v >= 0 for v in min_h.values()),
+                         first_violation=min(candidates) if candidates else None,
+                         min_h=min_h, recovery_deadlines_met=deadlines_met)
+
+
+def hand_trace(net, dt, h, in_buffer, events):
+    """A HybridTrace on the samples k dt with the given h rows, in-buffer
+    masks and events; states, inputs and locations are not read."""
+    n = len(h[0])
+    return HybridTrace(
+        names=net.names, times=np.arange(n) * dt, states={}, inputs={},
+        h=dict(zip(net.names, np.array(h, dtype=float))), loc={},
+        in_buffer=dict(zip(net.names, np.array(in_buffer, dtype=bool))),
+        events=tuple(sorted(events)), violations=(), dt=dt)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_check_trace_safety_equals_per_event_reference(data):
+    # Binary fractions make every sample time, deadline and horizon exact,
+    # so deadlines fall before, on and just past the horizon, and windows
+    # end on a sample or within tol of one.  An in-buffer density of 0
+    # misses every assessed deadline; no trace of the benchmark's campaigns
+    # misses one.
+    net = make_pair()
+    dt = data.draw(st.sampled_from([0.125, 0.25, 0.5]), label="dt")
+    n = data.draw(st.integers(1, 24), label="samples")
+    tol = 1e-9 * max(1.0, (n - 1) * dt)
+    indices = {j: ResilienceIndex(0.1, 0.1, dt * data.draw(st.integers(1, 3)), 1.0)
+               for j in range(2)}
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="in-buffer density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+    masks, h = rng.random((2, n)) < density, rng.uniform(-1.0, 1.0, (2, n))
+    # an event on a sample, within tol of one, or off the grid
+    offset = st.sampled_from([0.0, 0.5 * tol, -0.5 * tol, tol, -tol, 2 * tol, -2 * tol,
+                              0.5 * dt])
+    events = [(max(0.0, k * dt + data.draw(offset)), name, kind)
+              for k, name, kind in data.draw(st.lists(st.tuples(
+                  st.integers(0, n), st.sampled_from(net.names),
+                  st.sampled_from(["online", "offline"])), max_size=16), label="events")]
+    trace = hand_trace(net, dt, h, masks, events)
+    assert check_trace_safety(trace, net, indices) == reference_safety(trace, net, indices)
+    # each window on its own, in the buffer at one sample next to one of its
+    # ends, so that neither another window nor another sample hides an edge
+    for time, name, kind in events:
+        end = time + indices[net.index_of(name)].phi + dt
+        for k in {round(x / dt) + d for x in (time, end) for d in (-1, 0, 1)} & set(range(n)):
+            one = dataclasses.replace(trace, events=((time, name, kind),),
+                                      in_buffer=dict.fromkeys(net.names, np.arange(n) == k))
+            assert check_trace_safety(one, net, indices) == reference_safety(one, net, indices)
 
 
 def test_batch_matches_single_runs():
