@@ -207,11 +207,11 @@ def _cmd_sim_run(args) -> int:
     dt = args.dt if args.dt is not None else args.horizon / 20000.0
     if not 0 < dt < math.inf:
         raise _UsageError("--dt must be positive and finite")
-    os.makedirs(args.out, exist_ok=True)
     schedules = generate_schedule(args.seed, args.horizon, indices,
                                   args.schedules, align_dt=dt)
     adversary = AdversaryPolicy(kind=args.adversary, seed=args.seed)
     traces = simulate_batch(net, indices, schedules, adversary, dt, args.horizon)
+    os.makedirs(args.out, exist_ok=True)
     safe_count = 0
     min_h = float("inf")
     worst = None

@@ -389,8 +389,10 @@ class CompiledExpression:
         with np.errstate(over="ignore", divide="raise", under="ignore", invalid="ignore"):
             try:
                 return self._fn(*args)
-            except FloatingPointError:
+            except (FloatingPointError, ZeroDivisionError):  # numpy's, or Python's on floats
                 raise ZeroDivisionError(f"division by zero evaluating '{self.source}'") from None
+            except OverflowError:  # ** on Python floats raises where numpy gives inf
+                raise FloatingPointError(f"overflow evaluating '{self.source}'") from None
 
 
 def eval_expression(e: Expression, bindings) -> float:

@@ -394,6 +394,8 @@ def _resolve_x0(net, indices, x0):
         parts = [argmax_h(s, settings) for s in net.subsystems]
     else:
         parts = [tuple(map(float, p)) for p in x0]
+        if len(parts) != len(net.subsystems):
+            raise ValueError(f"x0 has {len(parts)} tuples for {len(net.subsystems)} subsystems")
         for s, p in zip(net.subsystems, parts):
             if len(p) != s.n_states:
                 raise ValueError(f"x0 for {s.name!r} must have {s.n_states} components")
@@ -415,9 +417,9 @@ def simulate(net: Network, indices: dict[int, ResilienceIndex],
 def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
                    schedules: list[FaultSchedule], adversary: AdversaryPolicy,
                    dt: float, horizon: float, x0=None) -> list[HybridTrace]:
-    """Integrate every schedule over a shared time grid.  x0 (per-subsystem
-    tuples) defaults to each subsystem's deepest safe point and must lie in
-    every buffer region."""
+    """Integrate every schedule over a shared time grid.  x0 (one tuple per
+    subsystem) defaults to each subsystem's deepest safe point and must lie
+    in every buffer region."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < horizon < math.inf:
@@ -467,21 +469,24 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     inside, below_hi = np.empty((2, B, len(cnet.state_names)), dtype=bool)
     ws = cnet.workspace(B)
 
-    for m, X in _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held,
-                           switches, rand_bits, sample_index):
-        if not is_sample[m]:
-            continue
-        k = int(sample_index[m])
-        # nan fails both comparisons, and +-inf one of them
-        np.greater_equal(X, lo_lim, inside)
-        np.logical_and(inside, np.less_equal(X, hi_lim, below_hi), inside)
-        if not inside.all():
-            b, c = np.argwhere(~inside)[0]
-            j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
-            raise NonFiniteStateError(float(T[m]), net.subsystems[j].name, int(b))
-        rec_states[:, k] = X
-        ws.record(X, offline, held, rec_u[:, k], rec_h[:, k])
-        np.logical_not(offline, rec_loc[:, k])
+    # A step that overflows gives inf or nan, which the box check reports
+    # as a runaway state, so numpy does not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, X in _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held,
+                               switches, rand_bits, sample_index):
+            if not is_sample[m]:
+                continue
+            k = int(sample_index[m])
+            # nan fails both comparisons, and +-inf one of them
+            np.greater_equal(X, lo_lim, inside)
+            np.logical_and(inside, np.less_equal(X, hi_lim, below_hi), inside)
+            if not inside.all():
+                b, c = np.argwhere(~inside)[0]
+                j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
+                raise NonFiniteStateError(float(T[m]), net.subsystems[j].name, int(b))
+            rec_states[:, k] = X
+            ws.record(X, offline, held, rec_u[:, k], rec_h[:, k])
+            np.logical_not(offline, rec_loc[:, k])
 
     floor = np.array([indices[j].d - 1e-9 * max(1.0, abs(indices[j].d)) for j in range(n_sub)])
     in_buffer = rec_h >= floor

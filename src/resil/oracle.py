@@ -1,30 +1,32 @@
 """Dense-grid extremum oracle over box regions.
 
 Every quantity the index computations need (worst-case drifts, band minima,
-the peak of the safety function) is a minimum or maximum of a continuous
-function over a box, possibly restricted by safety-function inequalities.
-``grid_minimize`` is the one scan: it evaluates an objective on an
-axis-aligned grid with vectorized numpy broadcasting, then shrinks the box
-around the incumbent for a fixed number of refinement rounds.
+the peak of the safety function) is a minimum of a continuous function over
+a box, possibly restricted by safety-function inequalities; a maximum is
+the minimum of the negation.  ``grid_minimize`` is the one scan: it
+evaluates an objective on an axis-aligned grid with vectorized numpy
+broadcasting, then shrinks the box around the incumbent for a fixed number
+of refinement rounds.
 
-An objective is one callable, or a sum of ``Term``s: callables that each
-declare the axes they read, added left to right.  A trailing axis that one
-term reads, and no region, is minimized out of that term before the terms
-are added, so a scan costs the grid of the axes the terms share, not the
-product of all axes.  Rounded addition is monotone in each operand, so
-this gives the same values and the same minimizer as the full grid.
+An objective is a sum of ``Term``s: callables that each declare the axes
+they read, added left to right.  A trailing axis that one term reads, and
+no region, is minimized out of that term before the terms are added, so a
+scan costs the grid of the axes the terms share, not the product of all
+axes.  Rounded addition is monotone in each operand, so this gives the same
+values and the same minimizer as the full grid.
 
 ``StateGrid`` lays the axes out over the state variables an objective
 reads, for one subsystem or several coupled ones, and is private to this
 module.  ``StateGrid.minimize``, the one caller of ``grid_minimize``, scans
 it where each subsystem lies in its safety set and a target in a
-``Region`` (an interval of its h values).  It serves two queries, each
-returning an ``Extremum`` whose witness ``arg`` is (name, value) pairs in
-axis order.  ``minimum`` minimizes an expression over the product of
-subsystems' safety sets.  ``drift_minimum`` builds the drift objectives
-from the drift layer (``lf``, ``lg``, see ``subsystem``) as terms:
-coupling, ``lf``, one per input (worst input-box vertex, which ends the
-witness, or closed loop), and an optional ``z (h - lo)``.
+``Region`` (an interval of its h values), and returns an ``Extremum`` whose
+witness ``arg`` is (name, value) pairs in axis order.  It serves two
+queries.  ``minimum`` minimizes an expression over the product of
+subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its minimum of -h.
+``drift_minimum`` builds the drift objectives from the drift layer (``lf``,
+``lg``, see ``subsystem``) as terms: coupling, ``lf``, one per input (worst
+input-box vertex, which ends the witness, or closed loop), and an optional
+``z (h - lo)``.
 
 Non-finite values: a term value of nan or -inf anywhere on the scanned
 box raises FloatingPointError, and so does a sum of finite terms that
@@ -47,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exprs import _ZERO, Expression, _is_zero, free_variables
+from .exprs import _ZERO, Expression, Negate, _is_zero, free_variables
 from .subsystem import (
     SAFE_SET,
     Region,
@@ -96,11 +98,6 @@ class Term(NamedTuple):
     reads: frozenset
 
 
-def _as_term(fn, ndim: int) -> Term:
-    """fn itself if it is a Term, else a term reading every axis."""
-    return fn if isinstance(fn, Term) else Term(fn, frozenset(range(ndim)))
-
-
 def _shaped(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     shape = [1] * ndim
     shape[axis] = values.size
@@ -126,19 +123,20 @@ def _fold(terms, bindings, k: int):
     or -inf anywhere on the bindings raises FloatingPointError; +inf is
     allowed.  With no term at -inf, no sum is inf + -inf unless finite
     values overflow (_scan_chunk raises there), so the eliminated sum has
-    the minimum of the full one."""
+    the minimum of the full one.  Overflow and invalid operations in the
+    terms and the sum are not warned about: they give the values that raise."""
     ndim = len(bindings)
     total = None
-    for t in terms:
-        v = t.fn(bindings)
-        if any(i >= k for i in t.reads):
-            v = np.asarray(v, dtype=float)
-            v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
-            v = v.min(axis=tuple(range(k, ndim)), keepdims=True)
-        low = np.min(v)
-        if not low > -math.inf:  # the min propagates nan
-            raise FloatingPointError(f"objective produced {low} on the grid")
-        with np.errstate(over="ignore"):  # _scan_chunk raises on the -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in terms:
+            v = t.fn(bindings)
+            if any(i >= k for i in t.reads):
+                v = np.asarray(v, dtype=float)
+                v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
+                v = v.min(axis=tuple(range(k, ndim)), keepdims=True)
+            low = np.min(v)
+            if not low > -math.inf:  # the min propagates nan
+                raise FloatingPointError(f"objective produced {low} on the grid")
             total = v if total is None else total + v
     return total
 
@@ -169,23 +167,21 @@ def _scan_chunk(terms, predicate, grids, k):
 def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     """Minimize objective over the box spanned by axes.
 
-    objective is a callable or a sequence of Terms whose sum is minimized;
-    predicate is None, a callable or a Term.  Each receives a list of
-    broadcast-shaped arrays, one per axis, in axis order; a plain callable
-    reads every axis.  Returns (value, arg) where arg is a tuple of
-    coordinates in axis order.  A point valued +inf is no candidate.  When
-    the initial grid holds no point of the region, raises EmptyRegionError;
-    when it holds some, all valued +inf, FloatingPointError.  nan and -inf
-    raise (see _fold).
+    objective is a sequence of Terms whose sum is minimized; predicate is
+    None or a Term whose value is the region mask.  Each term receives a
+    list of broadcast-shaped arrays, one per axis, in axis order.  Returns
+    (value, arg) where arg is a tuple of coordinates in axis order.  A point
+    valued +inf is no candidate.  When the initial grid holds no point of
+    the region, raises EmptyRegionError; when it holds some, all valued
+    +inf, FloatingPointError.  nan and -inf raise (see _fold).
     """
-    ndim = len(axes)
-    terms = [_as_term(objective, ndim)] if callable(objective) else list(objective)
-    if predicate is not None:
-        predicate = _as_term(predicate, ndim)
+    terms = list(objective)
     if not axes:
+        if predicate is not None and not predicate.fn([]):
+            raise EmptyRegionError("region contains no grid point")
         vals = np.asarray(_fold(terms, [], 0), dtype=float).reshape(())
         return float(vals), ()
-    k = _kept_axes(terms, predicate, ndim)
+    k = _kept_axes(terms, predicate, len(axes))
     n = settings.grid_points_per_dim
     bounds = [(float(lo), float(hi)) for lo, hi in axes]
     orig = list(bounds)
@@ -259,15 +255,11 @@ class StateGrid:
                 else:
                     self.slots[name] = 0.5 * (lo + hi)
 
-    def values(self, names, bindings) -> list:
-        """Values of the named variables at shaped bindings or at a grid point
-        in axis order; pruned variables give their midpoints."""
-        slots = [self.slots[n] for n in names]
-        return [bindings[slot] if isinstance(slot, int) else slot for slot in slots]
-
     def bind(self, fn):
-        """Closure of a compiled expression over bindings."""
-        return lambda b: fn(*self.values(fn.names, b))
+        """Closure of a compiled expression over shaped bindings or a grid
+        point in axis order; pruned variables give their midpoints."""
+        slots = [self.slots[n] for n in fn.names]
+        return lambda b: fn(*[b[slot] if isinstance(slot, int) else slot for slot in slots])
 
     def term(self, fn, names) -> Term:
         """fn (a function of the bindings) as a Term reading the axes of the
@@ -275,12 +267,11 @@ class StateGrid:
         slots = (self.slots[n] for n in names)
         return Term(fn, frozenset(slot for slot in slots if isinstance(slot, int)))
 
-    def minimize(self, objective, settings: OracleSettings,
-                 target: Subsystem | None = None, region: Region = SAFE_SET):
-        """Minimize objective (a function of the bindings, or a sequence of
-        Terms to add) over the grid points where every subsystem lies in its
-        safety set and target in region.  Returns (value, arg), arg in axis
-        order."""
+    def minimize(self, terms, settings: OracleSettings,
+                 target: Subsystem | None = None, region: Region = SAFE_SET) -> Extremum:
+        """Minimize the sum of terms over the grid points where every
+        subsystem lies in its safety set and target in region.  The witness
+        names the axes in axis order."""
         regions = [(region if s is target else SAFE_SET, self.bind(s.compiled.h))
                    for s in self.subsystems]
 
@@ -292,19 +283,15 @@ class StateGrid:
             return out
 
         h_reads = set().union(*(free_variables(s.h) for s in self.subsystems))
-        return grid_minimize(objective, self.axes, self.term(predicate, h_reads),
-                             settings)
-
-    def witness(self, arg) -> tuple:
-        return tuple(zip(self.axis_names, arg))
+        value, arg = grid_minimize(terms, self.axes, self.term(predicate, h_reads), settings)
+        return Extremum(value, tuple(zip(self.axis_names, arg)))
 
 
 def minimum(e: Expression, subsystems, settings: OracleSettings) -> Extremum:
     """Minimize e over the product of the subsystems' safety sets."""
     fn = compile_reads(e)
     grid = StateGrid(subsystems, fn.names)
-    value, arg = grid.minimize(grid.bind(fn), settings)
-    return Extremum(value, grid.witness(arg))
+    return grid.minimize([grid.term(grid.bind(fn), fn.names)], settings)
 
 
 # -- objectives over the drift layer --------------------------------------------
@@ -347,28 +334,22 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
     if z is not None:
         terms.append(grid.term(lambda b: z * (h(b) - region.lo), free_variables(s.h)))
 
-    value, arg = grid.minimize(terms, settings, s, region)
-    vertex = () if closed_loop else s.worst_vertex([float(np.asarray(c(arg))) for c in lg])
-    return Extremum(value, grid.witness(arg) + tuple(zip(s.input_vars, map(float, vertex))))
+    ex = grid.minimize(terms, settings, s, region)
+    point = [v for _, v in ex.arg]
+    vertex = () if closed_loop else s.worst_vertex([float(np.asarray(c(point))) for c in lg])
+    return Extremum(ex.value, ex.arg + tuple(zip(s.input_vars, map(float, vertex))))
 
 
 def sup_h(s: Subsystem, settings: OracleSettings) -> float:
     """Largest value of h over the safety set (the depth of the set)."""
-    return -_h_peak(s, settings)[0]
+    return -minimum(Negate(s.h), (s,), settings).value
 
 
 def argmax_h(s: Subsystem, settings: OracleSettings) -> tuple[float, ...]:
     """Grid point of the safety set where h peaks; axes h ignores sit at
     their box midpoints.  Used as the deepest-interior default start."""
-    return _h_peak(s, settings)[1]
-
-
-def _h_peak(s: Subsystem, settings: OracleSettings):
-    """(min of -h over the safety set, full state at the minimizer)."""
-    grid = StateGrid((s,), ())
-    h = grid.bind(s.compiled.h)
-    value, arg = grid.minimize(lambda b: -h(b), settings)
-    return value, tuple(grid.values(s.state_vars, arg))
+    peak = dict(minimum(Negate(s.h), (s,), settings).arg)
+    return tuple(peak.get(n, 0.5 * (lo + hi)) for n, (lo, hi) in zip(s.state_vars, s.state_box))
 
 
 def min_offline_drift(s: Subsystem, settings: OracleSettings) -> Extremum:

@@ -409,6 +409,21 @@ def test_sim_run_out_that_is_a_file_exits_2(capsys, tmp_path):
     assert_error_exit(capsys, code, "[Errno 17] File exists")
 
 
+def test_sim_run_exit_2_creates_no_out(capsys, tmp_path):
+    # --out used to be created before the run was checked or simulated:
+    # a dt that does not divide the horizon, a negative schedule count and
+    # the runaway toy plant each left an empty directory behind.
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX})
+    out = tmp_path / "sim"
+    for horizon, dt, schedules in (("1", "0.3", "1"), ("1", "0.01", "-1"),
+                                   ("1.0", "0.001", "1")):
+        code = main(["sim", "run", "--model", "toy_linear", "--indices", idx,
+                     "--horizon", horizon, "--dt", dt, "--schedules", schedules,
+                     "--seed", "3", "--out", str(out)])
+        assert_error_exit(capsys, code, "")
+        assert not out.exists()
+
+
 def test_sim_run_writes_traces_and_summary(capsys, tmp_path):
     idx = write_indices_file(
         tmp_path / "idx.json",
@@ -534,6 +549,25 @@ def test_empty_grid_safe_set_exits_2(capsys, tmp_path):
                  ["net", "verify", "--indices", idx]):
         code = main([*argv, "--model", mpath, "--grid", "2"])
         assert_error_exit(capsys, code, "region contains no grid point")
+
+
+def test_h_that_reads_no_state_keeps_its_region(capsys, tmp_path):
+    # h = 2 leaves the scan no axis.  Its recovery band 0 <= h < 1 is empty,
+    # as for h = 2 - 0*x1, which keeps the axis x1; the scan over no axes
+    # used to ignore the band and report the drift at h = 2 (margin -1, FAIL).
+    results = []
+    for h in ("2", "2 - 0*x1"):
+        mpath = one_state_model(tmp_path, "0", h)
+        code = main(["index", "verify", "--model", mpath, "--subsystem", "S1",
+                     "--index", "1,1,1,0", "--grid", "21"])
+        results.append((code, capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+    assert "recovery margin:   inf" in results[0][1].out
+    # An h that is negative everywhere is still rejected when the model loads.
+    mpath = one_state_model(tmp_path, "0", "-1")
+    code = main(["index", "compute", "--model", mpath, "--subsystem", "S1", "--grid", "21"])
+    assert_error_exit(capsys, code, "S1: safety set h >= 0 is empty")
 
 
 def test_drift_overflowing_to_minus_inf_exits_2(capsys, tmp_path):

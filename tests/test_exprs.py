@@ -277,3 +277,16 @@ def test_straight_line_division_by_zero_names_label():
     fn, _, _ = straight_line_fn([parse_expression("1/(x1 - x1)", VARS)], ("x1",), "drift of S9", 3)
     with pytest.raises(ZeroDivisionError, match="division by zero evaluating 'drift of S9'"):
         fn(np.ones(3))
+
+
+def test_scalar_errors_name_the_expression():
+    # Python floats raise their own errors: a division by zero without the
+    # expression's name, and an OverflowError from ** where numpy gives inf
+    # (the gradient of x1 / 1e308 squares 1e308).  Each used to escape as is,
+    # the overflow as a traceback from the CLI.
+    names = ("x1",)
+    with pytest.raises(ZeroDivisionError, match="division by zero evaluating 'x1 / 0.0'"):
+        compile_expression(parse_expression("x1/0", names), names)(1.0)
+    grad = differentiate(parse_expression("x1/1e308", names), "x1")
+    with pytest.raises(FloatingPointError, match="overflow evaluating '1e\\+308 / 1e\\+308\\^2'"):
+        compile_expression(grad, names)(1.0)

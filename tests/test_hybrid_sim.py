@@ -350,6 +350,20 @@ def test_x0_below_buffer_rejected():
                  dt=0.01, horizon=1.0, x0=[(0.0, 0.0)])
 
 
+def test_x0_needs_one_tuple_per_subsystem():
+    # One tuple used to raise IndexError, three a numpy broadcast error.
+    net = load_model(str(resources.files("resil") / "models" / "toy_pair.json")).network
+    schedule = FaultSchedule(1.0, ((), ()))
+    indices = {0: IDX, 1: IDX}
+    for x0 in ([(0.5,)], [(0.5,)] * 3):
+        message = f"x0 has {len(x0)} tuples for 2 subsystems"
+        with pytest.raises(ValueError, match=message):
+            simulate(net, indices, schedule, AdversaryPolicy(), dt=0.01, horizon=1.0, x0=x0)
+        with pytest.raises(ValueError, match=message):
+            simulate_batch(net, indices, [schedule], AdversaryPolicy(),
+                           dt=0.01, horizon=1.0, x0=x0)
+
+
 def test_runaway_state_raises():
     net = single_net()  # mu = -1 keeps pushing x below the box
     with pytest.raises(NonFiniteStateError) as err:

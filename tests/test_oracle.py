@@ -35,25 +35,36 @@ def settings(n=201, rounds=2):
     return OracleSettings(grid_points_per_dim=n, refinement_rounds=rounds)
 
 
+def whole(fn, ndim):
+    """fn as a Term reading every one of ndim axes."""
+    return Term(fn, frozenset(range(ndim)))
+
+
 def quadratic(b):
     return (b[0] - 0.3) ** 2 + (b[1] + 0.2) ** 2
 
 
+QUADRATIC = [whole(quadratic, 2)]
+
+
 def test_grid_minimize_quadratic_converges():
-    val, arg = grid_minimize(quadratic, [(-1, 1), (-1, 1)], None, settings(101, 3))
+    val, arg = grid_minimize(QUADRATIC, [(-1, 1), (-1, 1)], None, settings(101, 3))
     assert val == pytest.approx(0.0, abs=1e-8)
     assert arg[0] == pytest.approx(0.3, abs=1e-4)
     assert arg[1] == pytest.approx(-0.2, abs=1e-4)
 
 
 def test_grid_minimize_no_axes():
-    val, arg = grid_minimize(lambda b: 7.5, [], None, settings())
+    val, arg = grid_minimize([whole(lambda b: 7.5, 0)], [], None, settings())
     assert val == 7.5
     assert arg == ()
+    # The one point is outside a region that excludes it.
+    with pytest.raises(EmptyRegionError):
+        grid_minimize([whole(lambda b: 7.5, 0)], [], whole(lambda b: False, 0), settings())
 
 
 def test_tie_break_is_lexicographic_first():
-    val, arg = grid_minimize(lambda b: 0.0 * b[0] + 0.0 * b[1],
+    val, arg = grid_minimize([whole(lambda b: 0.0 * b[0] + 0.0 * b[1], 2)],
                              [(-1, 1), (2, 4)], None, settings(11, 0))
     assert val == 0.0
     assert arg == (-1.0, 2.0)
@@ -61,12 +72,13 @@ def test_tie_break_is_lexicographic_first():
 
 def test_empty_region_raises():
     with pytest.raises(EmptyRegionError):
-        grid_minimize(lambda b: b[0], [(-1, 1)], lambda b: b[0] > 5, settings(11, 1))
+        grid_minimize([whole(lambda b: b[0], 1)], [(-1, 1)],
+                      whole(lambda b: b[0] > 5, 1), settings(11, 1))
 
 
 def test_predicate_restricts_feasible_set():
-    val, arg = grid_minimize(lambda b: b[0], [(-1, 1)],
-                             lambda b: b[0] >= 0.5, settings(201, 0))
+    val, arg = grid_minimize([whole(lambda b: b[0], 1)], [(-1, 1)],
+                             whole(lambda b: b[0] >= 0.5, 1), settings(201, 0))
     assert val == pytest.approx(0.5)
 
 
@@ -74,19 +86,19 @@ def test_nan_objective_raises():
     def bad(b):
         return np.where(b[0] > 0, np.nan, b[0])
     with pytest.raises(FloatingPointError):
-        grid_minimize(bad, [(-1, 1)], None, settings(11, 0))
+        grid_minimize([whole(bad, 1)], [(-1, 1)], None, settings(11, 0))
 
 
 def test_chunked_scan_matches_single_chunk(monkeypatch):
-    ref = grid_minimize(quadratic, [(-1, 1), (-1, 1)], None, settings(101, 1))
+    ref = grid_minimize(QUADRATIC, [(-1, 1), (-1, 1)], None, settings(101, 1))
     monkeypatch.setattr(oracle_mod, "_CHUNK_BUDGET", 500)
-    chunked = grid_minimize(quadratic, [(-1, 1), (-1, 1)], None, settings(101, 1))
+    chunked = grid_minimize(QUADRATIC, [(-1, 1), (-1, 1)], None, settings(101, 1))
     assert ref == chunked
 
 
 def test_refinement_improves_monotonically():
-    coarse, _ = grid_minimize(quadratic, [(-1, 1), (-1, 1)], None, settings(51, 0))
-    fine, _ = grid_minimize(quadratic, [(-1, 1), (-1, 1)], None, settings(51, 3))
+    coarse, _ = grid_minimize(QUADRATIC, [(-1, 1), (-1, 1)], None, settings(51, 0))
+    fine, _ = grid_minimize(QUADRATIC, [(-1, 1), (-1, 1)], None, settings(51, 3))
     assert fine <= coarse
 
 
@@ -95,7 +107,8 @@ def test_minimize_region_membership():
     st = settings(101, 1)
     grid = StateGrid((s,), s.state_vars)
     for region in (SAFE_SET, safe_minus_buffer(1000.0), buffer_region(1000.0)):
-        _, (T, c) = grid.minimize(lambda b: (b[0] - 377.0) ** 2 + b[1], st, s, region)
+        ex = grid.minimize([whole(lambda b: (b[0] - 377.0) ** 2 + b[1], 2)], st, s, region)
+        (_, T), (_, c) = ex.arg
         hval = (T - 300) * (400 - T)
         assert 300 <= T <= 400 and 0 <= c <= 5
         assert region.lo - 1e-9 <= hval <= region.hi
@@ -105,9 +118,9 @@ def test_maximize_toy_h():
     s = make_toy()
     st = settings()
     grid = StateGrid((s,), ())
-    neg, arg = grid.minimize(lambda b: -(1 - b[0]), st)
-    assert -neg == pytest.approx(2.0)
-    assert arg == (-1.0,)
+    ex = grid.minimize([whole(lambda b: -(1 - b[0]), 1)], st)
+    assert -ex.value == pytest.approx(2.0)
+    assert ex.arg == (("x1", -1.0),)
 
 
 def test_sup_h_toy_and_cstr():
@@ -357,20 +370,21 @@ def test_minus_inf_in_region_raises():
     def bad(b):
         return np.where(b[0] > 0.5, -np.inf, b[0])
     with pytest.raises(FloatingPointError, match="objective produced -inf"):
-        grid_minimize(bad, [(-1, 1)], lambda b: b[0] >= 0, settings(11, 0))
+        grid_minimize([whole(bad, 1)], [(-1, 1)], whole(lambda b: b[0] >= 0, 1),
+                      settings(11, 0))
 
 
 def test_sum_overflowing_to_minus_inf_raises():
     # Each term is finite; their sum overflows to -inf, and to nan once a
     # +inf term is added.  Both are numeric errors, inside a region too.
+    # Neither prints a numpy warning: the suite turns warnings into errors.
     big = Term(lambda b: np.full(b[0].shape, -1e308), frozenset({0}))
     wall = Term(lambda b: np.where(b[0] > 0.5, np.inf, 0.0), frozenset({0}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="objective produced -inf"):
-            grid_minimize([big, big], [(-1, 1)], lambda b: b[0] >= 0, settings(11, 0))
-        with pytest.raises(FloatingPointError, match="objective produced nan"):
-            grid_minimize([big, big, wall], [(-1, 1)], lambda b: b[0] > 0.6,
-                          settings(11, 0))
+    with pytest.raises(FloatingPointError, match="objective produced -inf"):
+        grid_minimize([big, big], [(-1, 1)], whole(lambda b: b[0] >= 0, 1), settings(11, 0))
+    with pytest.raises(FloatingPointError, match="objective produced nan"):
+        grid_minimize([big, big, wall], [(-1, 1)], whole(lambda b: b[0] > 0.6, 1),
+                      settings(11, 0))
 
 
 def test_inf_everywhere_in_region_raises():
@@ -378,11 +392,12 @@ def test_inf_everywhere_in_region_raises():
     # is +inf has points: that is a numeric error, not an empty region.
     def never(b):
         return np.full(b[0].shape, np.inf)
-    for region in (lambda b: b[0] >= 0, None):
+    for region in (whole(lambda b: b[0] >= 0, 1), None):
         with pytest.raises(FloatingPointError, match="objective is \\+inf at every grid point"):
-            grid_minimize(never, [(-1, 1)], region, settings(11, 0))
+            grid_minimize([whole(never, 1)], [(-1, 1)], region, settings(11, 0))
     with pytest.raises(EmptyRegionError):
-        grid_minimize(never, [(-1, 1)], lambda b: b[0] > 5, settings(11, 0))
+        grid_minimize([whole(never, 1)], [(-1, 1)], whole(lambda b: b[0] > 5, 1),
+                      settings(11, 0))
 
 
 def test_drift_of_inf_on_the_whole_safe_set_raises():
@@ -412,10 +427,10 @@ def test_axis_read_by_h_is_never_eliminated(monkeypatch):
     )
     kept = record_kept_axes(monkeypatch)
     grid = StateGrid((s,), sv)
-    value, arg = grid.minimize([Term(lambda b: b[0], frozenset({0})),
-                                Term(lambda b: b[1], frozenset({1}))], settings(21, 0))
+    ex = grid.minimize([Term(lambda b: b[0], frozenset({0})),
+                        Term(lambda b: b[1], frozenset({1}))], settings(21, 0))
     assert kept == [2]
-    assert (value, arg) == (-0.5, (-1.0, 0.5))
+    assert (ex.value, ex.arg) == (-0.5, (("x1", -1.0), ("x2", 0.5)))
 
 
 def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
