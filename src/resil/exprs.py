@@ -481,11 +481,9 @@ def differentiate(e: Expression, var: str) -> Expression:
                 _mul(e.left, differentiate(e.right, var)),
             )
         if e.op == "/":
-            num = _sub(
-                _mul(differentiate(e.left, var), e.right),
-                _mul(e.left, differentiate(e.right, var)),
-            )
-            return _div(num, BinaryOp("^", e.right, _lit(2))) if not _is_zero(num) else _ZERO
+            # (u' - (u/v) v') / v: no v^2, which overflows for large v
+            num = _sub(differentiate(e.left, var), _mul(e, differentiate(e.right, var)))
+            return _div(num, e.right)
         if e.op == "^":
             k = int(e.right.value)
             if k == 0:

@@ -13,7 +13,8 @@ every state, subsystem j's in columns xs[j], and an input row (held,
 recorded, random bits) every input, subsystem j's in columns us[j]; each
 trace's arrays are views of the batch records.  The network's expressions
 run as generated straight-line kernels that compute a shared subexpression
-once, with one kernel call per RK4 stage and one per recorded sample.
+once, with one kernel call per RK4 stage and one per recorded sample; the
+adversary is one rule over input rows, written by one masked copy.
 
 The kernels and the RK4 stages allocate no arrays: every ufunc call in
 them writes into a workspace that the compiled network keeps per row
@@ -36,6 +37,7 @@ from .exprs import Literal, Variable, _add, _mul, compile_kernels, straight_line
 from .interconnect import Network
 from .oracle import OracleSettings, argmax_h
 from .resilience import ResilienceIndex
+from .subsystem import worst_vertex
 
 # States may wander this fraction of a box width outside the box before the
 # run is aborted as a modeling error rather than scored as unsafe.
@@ -70,9 +72,10 @@ class FaultSchedule:
 
 @dataclass(frozen=True)
 class AdversaryPolicy:
-    """kind 'constant': input-box vertex chosen at each offline entry and
-    held; 'bang-bang': per step, the vertex minimizing the instantaneous
-    drift of h; 'random': per step, a seeded random vertex."""
+    """kind 'bang-bang': per step, the vertex minimizing the instantaneous
+    drift of h; 'constant': that vertex chosen at each offline entry and
+    held; 'random': per step, trace b's random vertex from the stream
+    [seed, b, 1] (schedule b reads [seed, b], which is [seed, b, 0])."""
 
     kind: str = "bang-bang"
     seed: int = 0
@@ -222,7 +225,7 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
 class _Workspace:
     """The kernels rhs, record and lg for one row count, closed over their
     own buffers, and every array the RK4 step writes: the slopes k1-k4, the
-    stage state, two ping-pong states and the vertex rows.  State-shaped
+    stage state, two ping-pong states and the lg rows.  State-shaped
     buffers are column-contiguous, so that a state column X[:, c] is
     contiguous."""
 
@@ -231,7 +234,7 @@ class _Workspace:
         shape = (rows, len(cnet.state_names))
         self.k1, self.k2, self.k3, self.k4, self.stage, *self.states = (
             np.empty(shape, order="F") for _ in range(7))
-        self.vertex = np.empty((rows, len(cnet.u_owner)))
+        self.lg_rows = np.empty((rows, len(cnet.u_owner)))
 
 
 class _CompiledNetwork:
@@ -240,12 +243,11 @@ class _CompiledNetwork:
     input row holds every input, subsystem j's in columns us[j].
     rhs(X, offline, held, out) writes the right-hand side into out and
     returns it, record(X, offline, held, u_out, h_out) writes the effective
-    input rows and every h, and lg(X) returns every input's lg value; each
-    is a kernel of workspace(len(X)).  An effective input is the held
-    adversary input where its subsystem is offline, the saturated feedback
-    law where it is online.  The kernels allocate nothing: each writes into
-    buffers of its workspace, so a value lg returns lives until the next
-    kernel call at that row count."""
+    input rows and every h, and lg(X, out) writes input k's lg value into
+    column k of out; each is a kernel of workspace(len(X)).  An effective
+    input is the held adversary input where its subsystem is offline, the
+    saturated feedback law where it is online.  The kernels allocate
+    nothing: each writes into buffers of its workspace."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -297,7 +299,8 @@ class _CompiledNetwork:
         lines, lg_temps = list(unpack), {}
         lg = straight_line([e for s in subs for e in s.compiled.lg_trees],
                            ids, lines, lg_temps, consts)
-        lg = (lines + [f"return ({''.join(v + ', ' for v in lg)})"], ("X",), f"lg of {label}")
+        lg = (lines + [f"out[:, {k}] = {v}" for k, v in enumerate(lg)], ("X", "out"),
+              f"lg of {label}")
         n_temps = max(len(rhs_temps), len(temps), len(lg_temps))
         self.make = compile_kernels((rhs, record, lg), consts, [
             *(f"t{i}" for i in range(n_temps)), *(f"u{k}" for k in range(len(self.u_owner)))])
@@ -308,32 +311,16 @@ class _CompiledNetwork:
             ws = self._workspaces[rows] = _Workspace(self, rows)
         return ws
 
-    def vertex_rows(self, X: np.ndarray, which) -> np.ndarray:
-        """The workspace's input rows holding, for each subsystem j in which,
-        the input-box vertex minimizing the instantaneous drift of h_j; other
-        columns are left as they were."""
-        ws = self.workspace(len(X))
-        lg, out = ws.lg(X), ws.vertex
-        for j in which:
-            us = self.us[j]
-            for k, v in zip(range(us.start, us.stop),
-                            self.net.subsystems[j].worst_vertex(lg[us])):
-                out[:, k] = v
-        return out
 
-
-def _refresh_held(cnet, adversary, X, offline, held, bits):
-    """Per-step input of every offline subsystem, written into held in place:
-    the drift-minimizing vertex (bang-bang) or the vertex this step's random
-    bits pick, u_lo + bits (u_hi - u_lo).  The constant adversary keeps the
-    vertex it chose on entry."""
-    if adversary.kind == "constant" or not offline.any():
-        return
-    if adversary.kind == "bang-bang":
-        u = cnet.vertex_rows(X, np.flatnonzero(offline.any(axis=0)))
-    else:
-        u = cnet.u_lo + bits * (cnet.u_hi - cnet.u_lo)
-    np.copyto(held, u, where=offline[:, cnet.u_owner])
+def _adversary_rows(cnet, adversary, X, bits):
+    """Every input's adversary vertex in each row of X: the one the random
+    bits pick, u_lo + bits (u_hi - u_lo), or else the one minimizing the
+    instantaneous drift of its subsystem's h."""
+    if adversary.kind == "random":
+        return cnet.u_lo + bits * (cnet.u_hi - cnet.u_lo)
+    ws = cnet.workspace(len(X))
+    ws.lg(X, ws.lg_rows)
+    return worst_vertex(ws.lg_rows, cnet.u_lo, cnet.u_hi)
 
 
 def _rk4_step(cnet, X, h_seg, offline, held):
@@ -366,23 +353,23 @@ def _switches(schedules, t_end):
 
 def _integrate(cnet, adversary, T, X, offline, held, switches, bits, bit_rows):
     """The one stepping loop over the time grid T, which holds every switch
-    time.  At each grid time T[m]: apply its switches (the constant adversary
-    picks its vertex on entry), refresh the held inputs with the random bits
-    bits[:, bit_rows[m]], yield (m, X), then take one RK4 step to the next
-    grid time."""
+    time.  At each grid time T[m]: apply its switches, write the adversary
+    rows (random bits bits[:, bit_rows[m]]) into the held inputs of every
+    offline (row, subsystem) cell, or for the constant adversary of the
+    cells going offline at T[m], yield (m, X), then take one RK4 step."""
     flips_at: dict[int, list[tuple[int, int, bool]]] = {}
     times = np.fromiter((sw[0] for sw in switches), float, len(switches))
     for m, (_, row, j, to_off) in zip(np.searchsorted(T, times), switches):
         flips_at.setdefault(int(m), []).append((row, j, to_off))
     for m in range(len(T)):
         t = float(T[m])
+        refresh = np.zeros_like(offline) if adversary.kind == "constant" else offline
         for (row, j, to_off) in flips_at.get(m, ()):
-            offline[row, j] = to_off
-            if to_off and adversary.kind == "constant":
-                us = cnet.us[j]
-                held[row, us] = cnet.vertex_rows(X[row:row + 1], (j,))[0, us]
-        _refresh_held(cnet, adversary, X, offline, held,
-                      bits[:, bit_rows[m]] if bits is not None else None)
+            offline[row, j] = refresh[row, j] = to_off
+        if refresh.any():
+            rows = _adversary_rows(cnet, adversary, X,
+                                   bits[:, bit_rows[m]] if bits is not None else None)
+            np.copyto(held, rows, where=refresh[:, cnet.u_owner])
         yield m, X
         if m + 1 < len(T):
             X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held)
@@ -452,7 +439,7 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     n_u = len(cnet.u_owner)
 
     rand_bits = None if adversary.kind != "random" else np.stack(
-        [np.random.default_rng([adversary.seed, b]).integers(0, 2, size=(N, n_u), dtype=np.uint8)
+        [np.random.default_rng([adversary.seed, b, 1]).integers(0, 2, (N, n_u), np.uint8)
          for b in range(B)])
 
     offline = np.zeros((B, n_sub), dtype=bool)

@@ -57,6 +57,7 @@ from .subsystem import (
     buffer_region,
     compile_reads,
     safe_minus_buffer,
+    worst_vertex,
 )
 
 # Cap on the points of the largest array a chunk builds: the grid left after
@@ -336,7 +337,8 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
 
     ex = grid.minimize(terms, settings, s, region)
     point = [v for _, v in ex.arg]
-    vertex = () if closed_loop else s.worst_vertex([float(np.asarray(c(point))) for c in lg])
+    vertex = () if closed_loop else worst_vertex(
+        np.array([float(np.asarray(c(point))) for c in lg]), *np.reshape(s.input_box, (-1, 2)).T)
     return Extremum(ex.value, ex.arg + tuple(zip(s.input_vars, map(float, vertex))))
 
 

@@ -75,6 +75,13 @@ def grad_dot(grad, *fields) -> Expression:
     return total
 
 
+def worst_vertex(c, lo, hi):
+    """The endpoint of [lo, hi] minimizing c * u, elementwise and the lower
+    one on ties: with c the lg values, the input-box vertex of steepest
+    descent of h.  Broadcasts, so a row of c holds one value per input."""
+    return np.where(c * lo <= c * hi, lo, hi)
+
+
 def compile_reads(e: Expression):
     """Compile e over exactly the variables it reads, in sorted order."""
     return compile_expression(e, sorted(free_variables(e)))
@@ -163,12 +170,6 @@ class Subsystem:
         if self.mu_saturation is None:
             return list(raw_values)
         return [np.clip(v, lo, hi) for v, (lo, hi) in zip(raw_values, self.mu_saturation)]
-
-    def worst_vertex(self, lg_values):
-        """Per input k, the input-box endpoint minimizing lg_values[k] * u_k,
-        the lower one on ties: the input-box vertex of steepest descent of h."""
-        return [np.where(c * lo <= c * hi, lo, hi)
-                for c, (lo, hi) in zip(lg_values, self.input_box)]
 
     def mu_values(self, state_cols):
         comp = self.compiled

@@ -2,12 +2,14 @@
 
 Every run of `resil.cli.main` ends with 0, 1 or 2, and no warning escapes
 it.  Exit 2 prints `error:` (or argparse usage) and creates or changes no
-file; exit 0 from `index compute` leaves an index file that loads back.
+file; exit 0 from `index compute` or `net propagate` leaves an index file
+that loads back.
 """
 
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -81,17 +83,20 @@ def subsystems(draw, k):
 
 @st.composite
 def models(draw):
-    subs = [draw(subsystems(k)) for k in range(draw(st.integers(1, 2)))]
+    """1-3 subsystems, each ordered pair coupled with probability 1/3."""
+    subs = [draw(subsystems(k)) for k in range(draw(st.integers(1, 3)))]
     couplings = []
-    if len(subs) == 2 and draw(st.booleans()):
-        both = subs[0]["states"] + subs[1]["states"]
-        couplings.append({"from": "S1", "to": "S2",
-                          "w": [draw_tree(draw, tuple(both)) for _ in subs[1]["states"]]})
+    for src, dst in itertools.permutations(subs, 2):
+        if draw(st.sampled_from([True, False, False])):
+            both = src["states"] + dst["states"]
+            couplings.append({"from": src["name"], "to": dst["name"],
+                              "w": [draw_tree(draw, tuple(both)) for _ in dst["states"]]})
     return {"alpha_z": 1.0, "subsystems": subs, "couplings": couplings}
 
 
+# Edge values: d = 0, tau = Infinity, a phi whose 3 phi overflows.
 INDEX = st.tuples(st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([0.1, 1.0, math.inf]),
-                  st.sampled_from([0.1, 1.0]), st.sampled_from([0.0, 1.0])).map(
+                  st.sampled_from([0.1, 1.0, 1e308]), st.sampled_from([0.0, 1.0])).map(
     lambda quadruple: dict(zip(("d", "tau", "phi", "eta"), quadruple)))
 
 
@@ -107,14 +112,27 @@ def cases(draw):
         ["index", "compute", "--subsystem", name, *GRID],
         ["index", "verify", "--subsystem", name, *GRID, "--index",
          ",".join(str(v) for v in indices[name].values())],
+        ["net", "delta", *GRID],
+        ["net", "propagate", *GRID],
         ["net", "verify", *GRID],
         ["sim", "run", "--seed", "1"]]))
+    if argv[1] in ("delta", "propagate"):
+        argv += draw(st.sampled_from([[], ["--exact"]]))
+    if argv[1] == "propagate":
+        argv += draw(st.sampled_from([[], ["--prefer", "r2"]]))
     if argv[1] == "run":  # two in three runs get past the dt check
         horizon, dt = draw(st.sampled_from([("0.1", "0.01"), ("0.1", "0.01"), ("1", "0.3")]))
         argv += ["--horizon", horizon, "--dt", dt,
                  "--schedules", draw(st.sampled_from(["0", "2", "-1"]))]
-    out = draw(st.sampled_from(sorted(OUTS))) if argv[1] in ("compute", "run") else None
+    out = (draw(st.sampled_from(sorted(OUTS))) if argv[1] in ("compute", "propagate", "run")
+           else None)
     taken = draw(st.sampled_from(["not json", json.dumps(indices)]))
+    # one index file in four misses a subsystem or names one too many
+    edit = draw(st.sampled_from(["", "", "", "missing", "extra"]))
+    if edit == "missing":
+        del indices[name]
+    elif edit == "extra":
+        indices["S9"] = draw(INDEX)
     return model, indices, argv, out, taken
 
 
@@ -186,8 +204,12 @@ def sim_run(horizon, dt, schedules):
     "g": [["0"], ["1e308"]], "h": "exp(x2)", "mu": ["0"], "state_box": [[-1, 1], [-1, 1]],
     "input_box": [[0, 0.5]], "mu_saturation": [[0, 0.5]]}]},
     {"S1": TOY_INDEX}, ["index", "compute", "--subsystem", "S1", *GRID], None, ""))
-# The gradient of x1 / 1e308 squares 1e308: an OverflowError and a traceback.
+# The gradient of x1 / 1e308 squared 1e308: an OverflowError and a
+# traceback, then exit 2.  It is 1.0 / 1e308 now, and the sweep a result.
 @example(({"alpha_z": 1.0, "couplings": [], "subsystems": [{**TOY, "h": "x1 / 1e308"}]},
+          {"S1": TOY_INDEX}, ["index", "compute", "--subsystem", "S1", *GRID], None, ""))
+# A literal power that overflows as a Python float, in h and its gradient.
+@example(({"alpha_z": 1.0, "couplings": [], "subsystems": [{**TOY, "h": "x1 * 1e200^2"}]},
           {"S1": TOY_INDEX}, ["index", "compute", "--subsystem", "S1", *GRID], None, ""))
 # An RK4 step that overflowed printed a RuntimeWarning before the error.
 @example(({"alpha_z": 1.0, "couplings": [], "subsystems": [{
@@ -206,7 +228,7 @@ def test_exit_code_contract(case):
         (root / "taken").write_text(taken)
         (root / "outdir").mkdir()
         argv = [*argv, "--model", str(mpath)]
-        if argv[0] == "net" or argv[1] == "run":
+        if argv[0] != "index" and argv[1] != "delta":
             argv += ["--indices", str(ipath)]
         if argv[1] == "compute":
             argv += ["--eps", sweep_step(str(mpath), argv[3])]
@@ -220,7 +242,7 @@ def test_exit_code_contract(case):
         if code == 2:
             assert err.startswith(("error:", "usage:")), err
             assert snapshot(root) == before
-        if code == 0 and argv[1] == "compute" and out is not None:
+        if code == 0 and argv[1] in ("compute", "propagate") and out is not None:
             path = root / OUTS[out]
             net = load_model(str(mpath)).network
             written = json.loads(path.read_text())

@@ -281,12 +281,23 @@ def test_straight_line_division_by_zero_names_label():
 
 def test_scalar_errors_name_the_expression():
     # Python floats raise their own errors: a division by zero without the
-    # expression's name, and an OverflowError from ** where numpy gives inf
-    # (the gradient of x1 / 1e308 squares 1e308).  Each used to escape as is,
-    # the overflow as a traceback from the CLI.
+    # expression's name, and an OverflowError from ** where numpy gives inf.
+    # Each used to escape as is, the overflow as a traceback from the CLI.
     names = ("x1",)
     with pytest.raises(ZeroDivisionError, match="division by zero evaluating 'x1 / 0.0'"):
         compile_expression(parse_expression("x1/0", names), names)(1.0)
+    with pytest.raises(FloatingPointError, match="overflow evaluating 'x1 \\* 1e\\+200\\^2'"):
+        compile_expression(parse_expression("x1*1e200^2", names), names)(1.0)
+
+
+def test_quotient_rule_does_not_square_the_denominator():
+    # (u' - (u/v) v') / v: the derivative of x1 / 1e308 is representable,
+    # and (u'v - uv') / v^2 overflowed on 1e308^2.
+    names = ("x1",)
     grad = differentiate(parse_expression("x1/1e308", names), "x1")
-    with pytest.raises(FloatingPointError, match="overflow evaluating '1e\\+308 / 1e\\+308\\^2'"):
-        compile_expression(grad, names)(1.0)
+    assert compile_expression(grad, names)(1.0) == 1e-308
+    # a denominator that reads the variable, against (1 - x^2) / (1 + x^2)^2
+    grad = differentiate(parse_expression("x1/(1 + x1^2)", names), "x1")
+    x = np.linspace(-3.0, 3.0, 13)
+    np.testing.assert_allclose(compile_expression(grad, names)(x), (1 - x**2) / (1 + x**2) ** 2,
+                               rtol=1e-14, atol=1e-15)

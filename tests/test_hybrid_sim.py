@@ -26,6 +26,7 @@ from resil.hybrid_sim import (
     SafetyVerdict,
     ScheduleError,
     _CompiledNetwork,
+    _adversary_rows,
     _rk4_step,
     check_trace_safety,
     export_trace_csv,
@@ -38,7 +39,7 @@ from resil.hybrid_sim import (
 from resil.interconnect import Network
 from resil.model_io import load_model
 from resil.resilience import ResilienceIndex
-from resil.subsystem import Subsystem
+from resil.subsystem import Subsystem, worst_vertex
 
 from test_interconnect import make_pair, unit_block
 
@@ -318,6 +319,23 @@ def test_random_adversary_uses_box_vertices_and_is_seeded():
     assert not np.array_equal(a.inputs["S1"], c.inputs["S1"])
 
 
+def test_random_adversary_does_not_reread_the_schedule_stream():
+    # generate_schedule draws schedule b from default_rng([seed, b]); sim run
+    # passes one --seed to both, so trace b's bits come from [seed, b, 1].
+    net = single_net()
+    idx = ResilienceIndex(0.5, 0.6, 0.1, 1.0)
+    schedules = [sched(1.0, (0.2, 0.7)), sched(1.0, (0.3, 0.8))]
+    traces = simulate_batch(net, {0: idx}, schedules, AdversaryPolicy("random", seed=7),
+                            dt=0.01, horizon=1.0, x0=[(0.5,)])
+    for b, trace in enumerate(traces):
+        offline = trace.loc["S1"] == 0
+        assert offline.sum() >= 40
+        u = trace.inputs["S1"][offline, 0]
+        for stream, equal in (([7, b], False), ([7, b, 1], True)):
+            bits = np.random.default_rng(stream).integers(0, 2, size=(101, 1), dtype=np.uint8)
+            assert np.array_equal(u, -1.0 + 2.0 * bits[offline, 0]) == equal, (b, stream)
+
+
 def test_online_law_reevaluated_along_trajectory():
     # mu = -x makes the closed loop x' = -x; RK4 at dt=0.01 tracks the
     # exponential to ~1e-12.
@@ -511,25 +529,45 @@ def test_check_trace_safety_equals_per_event_reference(data):
             assert check_trace_safety(one, net, indices) == reference_safety(one, net, indices)
 
 
+def exp_pair():
+    """Two coupled subsystems whose lg, -(2x + x^2) exp(x) exp(c x), reads
+    the state through exp and ^."""
+    def sub(name, x, c):
+        sv = (x,)
+        return Subsystem(
+            name=name, state_vars=sv, input_vars=(f"u_{x}",), f=(parse_expression(f"-{x}", sv),),
+            g=((parse_expression(f"exp({c}*{x})", sv),),),
+            h=parse_expression(f"1 - {x}^2*exp({x})", sv), mu=(parse_expression(f"-{x}", sv),),
+            state_box=((-1.0, 1.0),), input_box=((-0.5, 1.0),))
+    return Network((sub("S1", "x1", 1), sub("S2", "x2", -2)),
+                   {(0, 1): (parse_expression("0.1*x1", ("x1",)),)})
+
+
 def test_batch_matches_single_runs():
-    net = make_pair()
-    indices = {0: IDX, 1: IDX}
+    # Bit for bit: a batch row sees the operations of a run alone, though
+    # the adversary evaluates lg on every row.  Rows 0-1-3 (S1 at 0.2) and
+    # 2-3 (S2 at 0.45) go offline at the same grid time.  Every switch is a
+    # sample time, so the batch steps on the same grid as each run alone.
     schedules = [
         FaultSchedule(1.0, (((0.2, 0.3),), ())),
-        FaultSchedule(1.0, (((0.15, 0.25),), ((0.45, 0.55),))),
+        FaultSchedule(1.0, (((0.2, 0.3),), ())),
+        FaultSchedule(1.0, (((0.15, 0.25), (0.4, 0.5)), ((0.45, 0.55),))),
+        FaultSchedule(1.0, (((0.2, 0.28),), ((0.45, 0.5),))),
     ]
-    for kind in ("bang-bang", "constant"):
-        batch = simulate_batch(net, indices, schedules, AdversaryPolicy(kind),
-                               dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
-        for schedule, got in zip(schedules, batch):
-            alone = simulate(net, indices, schedule, AdversaryPolicy(kind),
-                             dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
-            for name in net.names:
-                for field in ("states", "inputs", "h"):
-                    np.testing.assert_allclose(getattr(got, field)[name],
-                                               getattr(alone, field)[name], atol=1e-10)
-                np.testing.assert_array_equal(got.loc[name], alone.loc[name])
-            assert got.events == alone.events
+    for net in (make_pair(), exp_pair()):
+        indices = {0: IDX, 1: IDX}
+        for kind in ("bang-bang", "constant"):
+            batch = simulate_batch(net, indices, schedules, AdversaryPolicy(kind),
+                                   dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
+            for schedule, got in zip(schedules, batch):
+                alone = simulate(net, indices, schedule, AdversaryPolicy(kind),
+                                 dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
+                for name in net.names:
+                    for field in ("states", "inputs", "h", "loc"):
+                        assert (getattr(got, field)[name].tobytes()
+                                == getattr(alone, field)[name].tobytes()), (kind, field, name)
+                assert got.events == alone.events
+                assert got.violations == alone.violations
 
 
 def test_random_adversary_uses_each_subsystems_own_box():
@@ -813,6 +851,9 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
     rows = data.draw(st.integers(1, 5), label="rows")
     for rows in (rows, 1, rows):
         X, offline, held = draw_batch(data, net, rows)
+        if data.draw(st.booleans(), label="midpoint row"):
+            # lg is 0 at every network's box midpoint: the adversary's tie
+            X[0] = [(lo + hi) / 2 for s in subs for lo, hi in s.state_box]
 
         ws = cnet.workspace(len(X))
         got = ws.rhs(X, offline, held, np.empty_like(X))
@@ -820,7 +861,9 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
 
         u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
         ws.record(X, offline, held, u_out, h_out)
-        lg = ws.lg(X)
+        lg = np.empty_like(held)
+        ws.lg(X, lg)
+        vertex = _adversary_rows(cnet, AdversaryPolicy("bang-bang"), X, None)
         for j, s in enumerate(subs):
             cols = list(X[:, cnet.xs[j]].T)
             on = ~offline[:, j]
@@ -829,9 +872,12 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
                 assert u_out[~on, k].tobytes() == held[~on, k].tobytes()
             assert h_out[:, j].tobytes() == s.compiled.h(*cols).tobytes()
             by_name = dict(zip(s.state_vars, cols))
-            for k, fn in zip(range(cnet.us[j].start, cnet.us[j].stop), s.compiled.lg):
+            for k, fn, (lo, hi) in zip(range(cnet.us[j].start, cnet.us[j].stop),
+                                       s.compiled.lg, s.input_box):
                 want = np.broadcast_to(fn(*(by_name[n] for n in fn.names)), rows)
-                assert np.broadcast_to(lg[k], rows).tobytes() == want.tobytes()
+                assert lg[:, k].tobytes() == want.tobytes()
+                want = worst_vertex(want, float(lo), float(hi))
+                assert vertex[:, k].tobytes() == want.tobytes()
 
 
 def reference_rk4(net, X, h, offline, held):

@@ -16,6 +16,7 @@ from resil.subsystem import (
     Subsystem,
     buffer_region,
     safe_minus_buffer,
+    worst_vertex,
 )
 
 
@@ -176,12 +177,14 @@ def test_mu_values_clamped():
 
 
 def test_worst_vertex_picks_descent_endpoint_lo_on_ties():
-    s = make_cstr()  # input box [-2.7e6, 2.7e6]
+    (lo, hi), = make_cstr().input_box  # [-2.7e6, 2.7e6]
     c = np.array([2.0, -3.0, 0.0])
-    (u,) = s.worst_vertex([c])
-    np.testing.assert_array_equal(u, [-2.7e6, 2.7e6, -2.7e6])
-    (u,) = s.worst_vertex([-1.0])
-    assert float(u) == 2.7e6
+    np.testing.assert_array_equal(worst_vertex(c, lo, hi), [-2.7e6, 2.7e6, -2.7e6])
+    assert float(worst_vertex(-1.0, lo, hi)) == 2.7e6
+    # rows of inputs, each column against its own box
+    rows = worst_vertex(np.array([[1.0, -1.0], [0.0, 2.0]]), np.array([-1.0, 0.0]),
+                        np.array([1.0, 5.0]))
+    np.testing.assert_array_equal(rows, [[-1.0, 5.0], [-1.0, 0.0]])
 
 
 def test_region_constructors():
