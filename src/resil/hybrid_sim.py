@@ -406,7 +406,9 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
                    dt: float, horizon: float, x0=None) -> list[HybridTrace]:
     """Integrate every schedule over a shared time grid.  x0 (one tuple per
     subsystem) defaults to each subsystem's deepest safe point and must lie
-    in every buffer region."""
+    in every buffer region.  The batch steps at every row's switch times, so
+    a row equals its run alone only when every switch is a sample time, as
+    in ``sim run``, whose schedules are aligned to dt."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < horizon < math.inf:
@@ -524,32 +526,6 @@ def _refine_violations(cnet, switches, adversary, samples, states_b, h_b, loc_b,
             else:
                 out.append((0.5 * (tm + t1), cnet.names[j], 0.5 * (h_mid + float(hs[k + 1]))))
     return tuple(out)
-
-
-def validate_trace(trace: HybridTrace, max_h_rate: float | None = None):
-    """Structural checks: strictly increasing times, finite h, locations
-    switching only at event times, and (optionally) a loose h-continuity
-    bound |dh| <= max_h_rate * dt * 1.05 + tolerance."""
-    t = trace.times
-    if len(t) > 1 and not (np.diff(t) > 0).all():
-        raise ValueError("times must be strictly increasing")
-    # An event between samples becomes visible at the first sample at or
-    # after it, so map each event time to that index.
-    event_samples = {math.ceil(e[0] / trace.dt - 1e-9) for e in trace.events}
-    for name in trace.names:
-        h = trace.h[name]
-        if not np.isfinite(h).all():
-            raise ValueError(f"{name}: non-finite h values")
-        loc = trace.loc[name]
-        changes = np.nonzero(np.diff(loc))[0] + 1
-        for k in changes:
-            if round(float(t[k]) / trace.dt) not in event_samples:
-                raise ValueError(f"{name}: location changed at t = {t[k]:.6g} "
-                                 f"with no scheduled event")
-        if max_h_rate is not None and len(t) > 1:
-            bound = max_h_rate * np.diff(t) * 1.05 + 1e-9
-            if (np.abs(np.diff(h)) > bound).any():
-                raise ValueError(f"{name}: h jumps faster than the declared rate")
 
 
 def check_trace_safety(trace: HybridTrace, net: Network,

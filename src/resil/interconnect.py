@@ -15,7 +15,7 @@ coupling drift ``grad h_j . sum_i W_ij`` added to the subsystem's own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .exprs import Expression, free_variables
 from .oracle import OracleSettings, minimum, sup_h
@@ -202,34 +202,6 @@ def feasibility_r2(idx: ResilienceIndex, delta: float, z: float, sup: float) -> 
     threshold = max(-idx.d / idx.phi, -idx.eta + z * (sup - idx.d))
     verdict = GUARANTEED if delta > threshold and sup > 0 else UNKNOWN
     return Feasibility(verdict, "R2", threshold, delta)
-
-
-def improve_by_interconnection(idx: ResilienceIndex, delta: float, z: float
-                               ) -> ResilienceIndex:
-    """Canonical shrink-system solution for a helpful coupling (delta >= 0):
-    solve_r1's, which keeps the depth, with the offline budget kept too;
-    tighter recovery deadline, larger margin."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    out = replace(solve_r1(idx, delta, z, idx.d), tau=idx.tau)
-    _assert_r1_rows(idx, out, delta, z)
-    if out.phi > idx.phi:
-        raise AssertionError("construction must not relax the recovery deadline")
-    return out
-
-
-def _assert_r1_rows(old: ResilienceIndex, new: ResilienceIndex, delta: float,
-                    z: float, tol: float = 1e-12):
-    d, tau, phi, eta = old.as_tuple()
-    if not (-tol <= new.d <= d + tol):
-        raise AssertionError("depth row violated")
-    if -new.d / new.tau > -d / tau + delta + tol:
-        raise AssertionError("offline-budget row violated")
-    denom = d + phi * delta
-    if denom > 0 and new.phi < phi * new.d / denom - tol:
-        raise AssertionError("recovery row violated")
-    if new.eta > delta + min(d / phi, eta + z * (d - new.d)) + tol:
-        raise AssertionError("margin row violated")
 
 
 # -- propagation and joint verification ---------------------------------------

@@ -26,7 +26,9 @@ subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its minimum of -h.
 ``drift_minimum`` builds the drift objectives from the drift layer (``lf``,
 ``lg``, see ``subsystem``) as terms: coupling, ``lf``, one per input (worst
 input-box vertex, which ends the witness, or closed loop), and an optional
-``z (h - lo)``.
+``z (h - lo)``.  Only the three index-condition queries call it:
+``min_offline_drift``, ``min_recovery_drift`` and ``min_invariance_margin``,
+which take a network's participants and coupling drift.
 
 Non-finite values: a term value of nan or -inf anywhere on the scanned
 box raises FloatingPointError, and so does a sum of finite terms that
@@ -354,17 +356,19 @@ def argmax_h(s: Subsystem, settings: OracleSettings) -> tuple[float, ...]:
     return tuple(peak.get(n, 0.5 * (lo + hi)) for n, (lo, hi) in zip(s.state_vars, s.state_box))
 
 
-def min_offline_drift(s: Subsystem, settings: OracleSettings) -> Extremum:
+def min_offline_drift(s: Subsystem, settings: OracleSettings,
+                      participants=None, coupling: Expression = _ZERO) -> Extremum:
     """min over the safety set and the input box of grad h . (f + g u)."""
-    return drift_minimum(s, SAFE_SET, settings, closed_loop=False)
+    return drift_minimum(s, SAFE_SET, settings, False, None, participants, coupling)
 
 
-def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings) -> Extremum:
+def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings,
+                       participants=None, coupling: Expression = _ZERO) -> Extremum:
     """min of the closed-loop drift over the band 0 <= h < d."""
-    return drift_minimum(s, safe_minus_buffer(d), settings, closed_loop=True)
+    return drift_minimum(s, safe_minus_buffer(d), settings, True, None, participants, coupling)
 
 
-def min_invariance_margin(s: Subsystem, d: float, z: float,
-                          settings: OracleSettings) -> Extremum:
+def min_invariance_margin(s: Subsystem, d: float, z: float, settings: OracleSettings,
+                          participants=None, coupling: Expression = _ZERO) -> Extremum:
     """min over h >= d of closed-loop drift + z * (h - d)."""
-    return drift_minimum(s, buffer_region(d), settings, closed_loop=True, z=z)
+    return drift_minimum(s, buffer_region(d), settings, True, z, participants, coupling)

@@ -20,13 +20,12 @@ from .oracle import (
     MARGIN_TOLERANCE,
     EmptyRegionError,
     OracleSettings,
-    drift_minimum,
     min_invariance_margin,
     min_offline_drift,
     min_recovery_drift,
     sup_h,
 )
-from .subsystem import SAFE_SET, Subsystem, buffer_region, safe_minus_buffer
+from .subsystem import Subsystem
 
 DEFAULT_TAU_MAX = 1e9
 DEFAULT_PHI_MIN = 1e-9
@@ -99,19 +98,20 @@ def verify_index(s: Subsystem, index: ResilienceIndex, z: float,
 def _verify_one(target: Subsystem, participants, coupling: Expression,
                 index: ResilienceIndex, z: float,
                 settings: OracleSettings) -> VerificationReport:
-    """The three index conditions for target, minimized over the joint grid
-    of the participants (target included, each in its safety set) with the
-    coupling drift added to target's own.  Worst points are the witnesses
-    of drift_minimum."""
+    """The three index conditions for target, as compute_index reads them:
+    the three condition queries of oracle, minimized over the joint grid of
+    the participants (target included, each in its safety set) with the
+    coupling drift added to target's own.  Worst points are the queries'
+    witnesses."""
     notes: list[str] = []
     worst: dict = {}
 
-    def scan(label, region, closed_loop, rate=None):
-        ex = drift_minimum(target, region, settings, closed_loop, rate, participants, coupling)
+    def scan(label, query, *args):
+        ex = query(target, *args, settings, participants, coupling)
         worst[label] = ex.arg
         return ex.value
 
-    offline = scan("offline", SAFE_SET, False)
+    offline = scan("offline", min_offline_drift)
 
     recovery = None
     worst["recovery"] = None
@@ -119,12 +119,12 @@ def _verify_one(target: Subsystem, participants, coupling: Expression,
         notes.append("recovery vacuous: zero buffer depth")
     else:
         try:
-            recovery = scan("recovery", safe_minus_buffer(index.d), True)
+            recovery = scan("recovery", min_recovery_drift, index.d)
         except EmptyRegionError:
             notes.append("recovery band is empty at this grid resolution")
 
     try:
-        invariance = scan("invariance", buffer_region(index.d), True, z)
+        invariance = scan("invariance", min_invariance_margin, index.d, z)
     except EmptyRegionError:
         invariance = -math.inf
         worst["invariance"] = None

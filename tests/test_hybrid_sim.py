@@ -34,7 +34,6 @@ from resil.hybrid_sim import (
     simulate,
     simulate_batch,
     validate_schedule,
-    validate_trace,
 )
 from resil.interconnect import Network
 from resil.model_io import load_model
@@ -661,19 +660,8 @@ def test_off_grid_boundaries_hit_exactly():
     t = trace.times
     tail = t >= 0.205
     np.testing.assert_allclose(x[tail], 0.5 - t[tail] + 0.2, atol=1e-12)
-    validate_trace(trace)
-
-
-def test_validate_trace_checks():
-    net, _, trace = violation_fixture()
-    validate_trace(trace)
-    validate_trace(trace, max_h_rate=1.0)
-    with pytest.raises(ValueError):
-        validate_trace(trace, max_h_rate=0.5)
-    trace.loc["S1"] = trace.loc["S1"].copy()
-    trace.loc["S1"][3] = 0  # fake an unscheduled switch
-    with pytest.raises(ValueError):
-        validate_trace(trace)
+    # Each switch shows at the first sample at or after it.
+    assert (np.nonzero(np.diff(trace.loc["S1"]))[0] + 1).tolist() == [11, 21]
 
 
 def test_simulate_argument_validation():

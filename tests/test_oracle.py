@@ -438,7 +438,7 @@ def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
     net = model.network
     kept = record_kept_axes(monkeypatch)
     eliminated = []
-    inner = resilience_mod.drift_minimum
+    inner = oracle_mod.drift_minimum
 
     def recorded(s, *args):
         ex = inner(s, *args)
@@ -446,7 +446,7 @@ def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
         eliminated.append((s.name, axis_names[kept[-1]:]))
         return ex
 
-    monkeypatch.setattr(resilience_mod, "drift_minimum", recorded)
+    monkeypatch.setattr(oracle_mod, "drift_minimum", recorded)
     idx = resilience_mod.ResilienceIndex(d=25, tau=1e-5, phi=1e-4, eta=1.0)
     verify_network(net, {0: idx, 1: idx}, model.alpha_z, settings(21, 0))
     assert [names for name, names in eliminated if name == "S2"] == [["c2"]] * 3

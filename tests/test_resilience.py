@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from resil import oracle, resilience
+from resil import oracle
 from resil.exprs import parse_expression
 from resil.interconnect import Network, propagate_indices, verify_network
 from resil.model_io import load_model
@@ -159,7 +159,6 @@ def record_scans(monkeypatch):
         return drift_minimum(s, region, settings, closed_loop, z, *args)
 
     monkeypatch.setattr(oracle, "drift_minimum", counted)
-    monkeypatch.setattr(resilience, "drift_minimum", counted)
     return scans
 
 
@@ -204,6 +203,17 @@ def test_compute_depths_are_generated_lazily(monkeypatch):
     assert isinstance(idx, ResilienceIndex)
     assert idx.d == 1e-9
     assert scans == [OFFLINE_SCAN] + depth_scans(1e-9)
+
+
+def test_verify_scans_what_compute_scans(monkeypatch):
+    # verify_index reads the three conditions through the same queries and
+    # regions as compute_index; at d = 0 the recovery scan is vacuous.
+    scans = record_scans(monkeypatch)
+    assert verify_index(make_toy(), ResilienceIndex(2.0, 2.0, 2.0, 0.5), 1.0, TOY_SETTINGS).passed
+    assert scans == [OFFLINE_SCAN] + depth_scans(2.0)
+    scans.clear()
+    verify_index(make_toy(), ResilienceIndex(0.0, 1.0, 1.0, 0.0), 0.5, TOY_SETTINGS)
+    assert scans == [OFFLINE_SCAN, (buffer_region(0.0), True, 0.5)]
 
 
 def test_compute_rejects_bad_parameters():
