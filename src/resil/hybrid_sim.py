@@ -4,8 +4,9 @@ Each subsystem is a two-location hybrid automaton: online it applies its
 own saturated feedback law, offline an adversary drives the input anywhere
 inside the input box.  Offline intervals come from a dwell-constrained
 schedule (lengths at most tau, gaps at least phi).  The coupled ODEs are
-integrated with fixed-step RK4 on the union of the sample grid and all
-schedule boundaries, so location switches happen at exact times.
+integrated with fixed-step RK4 on the sample grid.  Every schedule bound
+is a sample time, so the locations are data: one offline mask per batch,
+known before the first step, and each batch row is its run alone.
 
 Batches of schedules integrate together as one vectorized system; traces
 are deterministic given (seed, model, schedules, dt).  A state row holds
@@ -64,7 +65,8 @@ class NonFiniteStateError(Exception):
 @dataclass(frozen=True)
 class FaultSchedule:
     """Per-subsystem sorted disjoint offline intervals [start, end) within
-    [0, horizon], positionally aligned with the network's subsystems."""
+    [0, horizon], positionally aligned with the network's subsystems.  A
+    simulation needs every bound to be a sample time, a multiple of its dt."""
 
     horizon: float
     intervals: tuple[tuple[tuple[float, float], ...], ...]
@@ -341,41 +343,45 @@ def _rk4_step(cnet, X, h_seg, offline, held):
     return np.add(X, np.multiply(h_seg / 6.0, S, S), ws.states[X is ws.states[0]])
 
 
-def _switches(schedules, t_end):
-    """Every location switch up to t_end as (time, row, subsystem,
-    to_offline), in schedule order: each interval's start, then its end."""
-    return [(t, b, j, to_off)
-            for b, sched in enumerate(schedules)
-            for j, ivs in enumerate(sched.intervals)
-            for interval in ivs
-            for t, to_off in zip(interval, (True, False)) if t <= t_end]
+def _locations(schedules, dt, n):
+    """offline[b, k, j]: sample k of n lies in an offline interval of
+    subsystem j in schedule b; entering[b, k, j]: one starts there, also
+    where the one before ends.  Every bound must be a multiple of dt to
+    within 1e-9 steps; bounds past sample n - 1 are cut off."""
+    offline = np.zeros((len(schedules), n, len(schedules[0].intervals)), dtype=bool)
+    entering = np.zeros_like(offline)
+    for b, sched in enumerate(schedules):
+        for j, ivs in enumerate(sched.intervals):
+            bounds = np.array(ivs, dtype=float).reshape(2 * len(ivs))
+            k = np.round(bounds / dt)
+            off_grid = np.abs(bounds / dt - k) > 1e-9
+            if off_grid.any():
+                raise ScheduleError(f"schedule {b}, subsystem {j}: interval bound "
+                                    f"{bounds[off_grid.argmax()]:.6g} is not a multiple "
+                                    f"of dt = {dt:g}")
+            for i0, i1 in k.astype(int).reshape(len(ivs), 2).tolist():
+                offline[b, i0:i1, j] = True
+                entering[b, i0:min(i0 + 1, i1), j] = True
+    return offline, entering
 
 
-def _integrate(cnet, adversary, T, X, offline, held, switches, bits, bit_rows):
-    """The one stepping loop over the time grid T, which holds every switch
-    time.  At each grid time T[m]: apply its switches, write the adversary
-    rows (random bits bits[:, bit_rows[m]]) into the held inputs of every
+def _integrate(cnet, adversary, T, X, offline, entering, held, bits):
+    """The one stepping loop over the sample times T, with offline[:, m] and
+    entering[:, m] the locations at T[m].  At each T[m]: write the
+    adversary rows (random bits bits[:, m]) into the held inputs of every
     offline (row, subsystem) cell, or for the constant adversary of the
-    cells going offline at T[m], yield (m, X), then take one RK4 step."""
-    flips_at: dict[int, list[tuple[int, int, bool]]] = {}
-    times = np.fromiter((sw[0] for sw in switches), float, len(switches))
-    for m, (_, row, j, to_off) in zip(np.searchsorted(T, times), switches):
-        flips_at.setdefault(int(m), []).append((row, j, to_off))
+    cells entering an interval, yield (m, X), then take one RK4 step."""
+    refresh = entering if adversary.kind == "constant" else offline
     for m in range(len(T)):
-        t = float(T[m])
-        refresh = np.zeros_like(offline) if adversary.kind == "constant" else offline
-        for (row, j, to_off) in flips_at.get(m, ()):
-            offline[row, j] = refresh[row, j] = to_off
-        if refresh.any():
-            rows = _adversary_rows(cnet, adversary, X,
-                                   bits[:, bit_rows[m]] if bits is not None else None)
-            np.copyto(held, rows, where=refresh[:, cnet.u_owner])
+        if refresh[:, m].any():
+            rows = _adversary_rows(cnet, adversary, X, bits[:, m] if bits is not None else None)
+            np.copyto(held, rows, where=refresh[:, m][:, cnet.u_owner])
         yield m, X
         if m + 1 < len(T):
-            X = _rk4_step(cnet, X, float(T[m + 1]) - t, offline, held)
+            X = _rk4_step(cnet, X, float(T[m + 1]) - float(T[m]), offline[:, m], held)
 
 
-def _resolve_x0(net, indices, x0):
+def _resolve_x0(net, indices, floor, x0):
     if x0 is None:
         settings = OracleSettings()
         parts = [argmax_h(s, settings) for s in net.subsystems]
@@ -388,10 +394,9 @@ def _resolve_x0(net, indices, x0):
                 raise ValueError(f"x0 for {s.name!r} must have {s.n_states} components")
     for j, (s, p) in enumerate(zip(net.subsystems, parts)):
         h0 = float(s.compiled.h(*p))
-        d = indices[j].d
-        if h0 < d - 1e-9 * max(1.0, abs(d)):
+        if h0 < floor[j]:
             raise ValueError(f"x0 for {s.name!r} has h = {h0:.6g} below the "
-                             f"buffer depth d = {d:.6g}")
+                             f"buffer depth d = {indices[j].d:.6g}")
     return np.concatenate([np.asarray(p, dtype=float) for p in parts])
 
 
@@ -404,11 +409,11 @@ def simulate(net: Network, indices: dict[int, ResilienceIndex],
 def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
                    schedules: list[FaultSchedule], adversary: AdversaryPolicy,
                    dt: float, horizon: float, x0=None) -> list[HybridTrace]:
-    """Integrate every schedule over a shared time grid.  x0 (one tuple per
-    subsystem) defaults to each subsystem's deepest safe point and must lie
-    in every buffer region.  The batch steps at every row's switch times, so
-    a row equals its run alone only when every switch is a sample time, as
-    in ``sim run``, whose schedules are aligned to dt."""
+    """Integrate every schedule on the sample grid k dt, k = 0..horizon/dt,
+    each row by the same operations as its run alone.  Every interval bound
+    must be a sample time (ScheduleError otherwise); ``sim run`` aligns its
+    schedules to dt.  x0 (one tuple per subsystem) defaults to each
+    subsystem's deepest safe point and must lie in every buffer region."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < horizon < math.inf:
@@ -426,75 +431,61 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     if B == 0:
         return []
 
+    N = n_steps + 1
+    offline, entering = _locations(schedules, dt, N)
     cnet = _CompiledNetwork(net)
-    x0_row = _resolve_x0(net, indices, x0)
+    # h >= d up to rounding: the buffer region, for x0 and for in_buffer
+    floor = np.array([indices[j].d - 1e-9 * max(1.0, abs(indices[j].d)) for j in range(n_sub)])
+    x0_row = _resolve_x0(net, indices, floor, x0)
 
-    samples = np.arange(n_steps + 1) * dt
+    samples = np.arange(N) * dt
     samples.flags.writeable = False  # shared by every trace
-    switches = _switches(schedules, samples[-1])
-    T = np.unique(np.concatenate([samples, np.array([sw[0] for sw in switches])]))
-    sample_pos = np.searchsorted(T, samples)
-    is_sample = np.zeros(len(T), dtype=bool)
-    is_sample[sample_pos] = True
-    sample_index = np.cumsum(is_sample) - 1
-    N = len(samples)
     n_u = len(cnet.u_owner)
 
     rand_bits = None if adversary.kind != "random" else np.stack(
         [np.random.default_rng([adversary.seed, b, 1]).integers(0, 2, (N, n_u), np.uint8)
          for b in range(B)])
 
-    offline = np.zeros((B, n_sub), dtype=bool)
     held = np.zeros((B, n_u))
 
     rec_states = np.empty((B, N, len(cnet.state_names)))
     rec_u = np.empty((B, N, n_u))
     rec_h = np.empty((B, N, n_sub))
-    rec_loc = np.empty((B, N, n_sub), dtype=np.int8)
 
     width10 = _BOX_EXCURSION * (cnet.box_hi - cnet.box_lo)
-    lo_lim = cnet.box_lo - width10
-    hi_lim = cnet.box_hi + width10
+    lo_lim, hi_lim = cnet.box_lo - width10, cnet.box_hi + width10
     inside, below_hi = np.empty((2, B, len(cnet.state_names)), dtype=bool)
     ws = cnet.workspace(B)
 
     # A step that overflows gives inf or nan, which the box check reports
     # as a runaway state, so numpy does not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, X in _integrate(cnet, adversary, T, np.tile(x0_row, (B, 1)), offline, held,
-                               switches, rand_bits, sample_index):
-            if not is_sample[m]:
-                continue
-            k = int(sample_index[m])
+        for k, X in _integrate(cnet, adversary, samples, np.tile(x0_row, (B, 1)), offline,
+                               entering, held, rand_bits):
             # nan fails both comparisons, and +-inf one of them
             np.greater_equal(X, lo_lim, inside)
             np.logical_and(inside, np.less_equal(X, hi_lim, below_hi), inside)
             if not inside.all():
                 b, c = np.argwhere(~inside)[0]
                 j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
-                raise NonFiniteStateError(float(T[m]), net.subsystems[j].name, int(b))
+                raise NonFiniteStateError(float(samples[k]), net.subsystems[j].name, int(b))
             rec_states[:, k] = X
-            ws.record(X, offline, held, rec_u[:, k], rec_h[:, k])
-            np.logical_not(offline, rec_loc[:, k])
+            ws.record(X, offline[:, k], held, rec_u[:, k], rec_h[:, k])
 
-    floor = np.array([indices[j].d - 1e-9 * max(1.0, abs(indices[j].d)) for j in range(n_sub)])
+    rec_loc = (~offline).view(np.int8)
     in_buffer = rec_h >= floor
 
     def views(rec, b, cols):
-        """Trace b's columns of a batch record, per subsystem; the traces'
-        slices never overlap, so no trace copies its data."""
+        """Trace b's columns of a record, per subsystem: views, as traces never overlap."""
         return {name: rec[b, :, c] for name, c in zip(cnet.names, cols)}
 
-    own: list[list] = [[] for _ in range(B)]
-    for sw in switches:
-        own[sw[1]].append(sw)
     traces = []
-    for b in range(B):
-        events = sorted((t, cnet.names[j], "offline" if to_off else "online")
-                        for (t, _, j, to_off) in own[b])
-        violations = _refine_violations(cnet, own[b], adversary, samples, rec_states[b],
-                                        rec_h[b], rec_loc[b], rec_u[b],
-                                        rand_bits[b:b + 1] if rand_bits is not None else None)
+    for b, sched in enumerate(schedules):
+        events = sorted((t, name, kind) for name, ivs in zip(cnet.names, sched.intervals)
+                        for iv in ivs for t, kind in zip(iv, ("offline", "online"))
+                        if round(t / dt) < N)
+        violations = _refine_violations(cnet, samples, rec_states[b], rec_h[b], rec_u[b],
+                                        offline[b])
         traces.append(HybridTrace(
             names=cnet.names, times=samples, states=views(rec_states, b, cnet.xs),
             inputs=views(rec_u, b, cnet.us), h=views(rec_h, b, range(n_sub)),
@@ -503,23 +494,18 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     return traces
 
 
-def _refine_violations(cnet, switches, adversary, samples, states_b, h_b, loc_b,
-                       u_b, bits_b):
+def _refine_violations(cnet, samples, states_b, h_b, u_b, offline_b):
     """One bisection per h sign change between consecutive samples: the first
-    half-step is re-integrated from the recorded sample, through the trace's
-    own switches inside it, to decide which half holds the crossing."""
+    half-step is re-integrated from the recorded sample k, to decide which
+    half holds the crossing.  No switch lies inside a step, so the half-step
+    keeps sample k's location, and an offline input its recorded value."""
     out = []
     for j in range(h_b.shape[1]):
         hs, h = h_b[:, j], cnet.net.subsystems[j].compiled.h
         for k in np.nonzero((hs[:-1] >= 0) & (hs[1:] < 0))[0]:
             t0, t1 = float(samples[k]), float(samples[k + 1])
             tm = 0.5 * (t0 + t1)
-            window = [(t, 0, i, to_off) for (t, _, i, to_off) in switches if t0 < t <= tm]
-            T = np.unique(np.array([t0, tm] + [sw[0] for sw in window]))
-            # held is refreshed in place, and u_b is the trace's own inputs.
-            for _, X in _integrate(cnet, adversary, T, states_b[k:k + 1], loc_b[k:k + 1] == 0,
-                                   u_b[k:k + 1].copy(), window, bits_b, np.full(len(T), k)):
-                pass
+            X = _rk4_step(cnet, states_b[k:k + 1], tm - t0, offline_b[k:k + 1], u_b[k:k + 1])
             h_mid = float(np.asarray(h(*X[:, cnet.xs[j]].T)).reshape(()))
             if h_mid < 0:
                 out.append((tm, cnet.names[j], h_mid))

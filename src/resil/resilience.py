@@ -29,6 +29,7 @@ from .subsystem import Subsystem
 
 DEFAULT_TAU_MAX = 1e9
 DEFAULT_PHI_MIN = 1e-9
+_MAX_DEPTHS = 100_000  # the longest depth sweep compute_index runs
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,9 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
                   settings: OracleSettings | None = None,
                   maximize_tau: bool = False) -> ResilienceIndex | Infeasible:
     """Search buffer depths d = 0, eps, 2 eps, ... up to the depth of the
-    safety set and return the first that admits an index: a positive
-    recovery minimum (when d > 0) and a nonnegative invariance minimum.
+    safety set (at most 100,000 of them, else ValueError naming eps) and
+    return the first that admits an index: a positive recovery minimum
+    (when d > 0) and a nonnegative invariance minimum.
     Depths are tried in ascending order, or with maximize_tau by decreasing
     tau (known from d and the offline minimum before any scan; ties stay
     ascending), so the first that admits one is the answer.  The candidate
@@ -163,6 +165,9 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
         raise ValueError("phi_min must be positive and finite")
 
     depth = sup_h(s, settings)
+    if not depth / eps <= _MAX_DEPTHS:  # also an infinite sup h
+        raise ValueError(f"eps = {eps:g} sweeps more than {_MAX_DEPTHS} depths up to "
+                         f"sup h = {depth:.6g}")
     off = min_offline_drift(s, settings).value  # independent of d
     last_fail: dict = {"sup_h": depth, "min_offline_drift": off}
     depths = itertools.takewhile(lambda d: d <= depth * (1 + 1e-12),

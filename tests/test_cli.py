@@ -612,6 +612,23 @@ def test_nan_from_a_model_exits_2_without_a_warning(capsys, tmp_path, subsystem,
     assert_error_exit(capsys, code, "objective produced nan on the grid")
 
 
+def test_depth_sweep_is_bounded(tmp_path):
+    # h reaches 1e308, so eps = 0.5 asks for 2e308 depths, each with up to
+    # three scans; the sweep used to run until it was killed.  A process of
+    # its own, so that a sweep that does not end fails the test.
+    mpath = one_state_model(tmp_path, "0", "1e308 - x1")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for extra in ([], ["--maximize-tau"]):
+        proc = subprocess.run([sys.executable, "-m", "resil.cli", "index", "compute",
+                               "--model", mpath, "--subsystem", "S1", "--eps", "0.5",
+                               "--grid", "21", *extra],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: eps = 0.5 sweeps more than 100000 depths "
+                               "up to sup h = 1e+308\n")
+
+
 def test_drift_of_inf_on_the_whole_safe_set_exits_2(capsys, tmp_path):
     # The safe set x1 >= 0.95 holds the grid nodes 0.95 and 1.0, where
     # exp(800 x1) overflows: the region is not empty, its drift is +inf.

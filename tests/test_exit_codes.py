@@ -137,9 +137,10 @@ def cases(draw):
 
 
 def sweep_step(mpath, name):
-    """--eps for index compute: at most 9 depths up to sup h.  The sweep
-    makes a scan per depth, and h reaches 1e308 here, so a fixed step
-    would not end (a standing defect, see ROADMAP)."""
+    """--eps for index compute, where the case gives none: at most 9 depths
+    up to sup h, for runtime.  The sweep makes a scan per depth, and h can
+    reach 1e308 here, where a fixed step asks for more than compute_index's
+    100,000 depths and exits 2 before any scan."""
     try:
         s = next(s for s in load_model(mpath).network.subsystems if s.name == name)
         return repr(max(0.5, sup_h(s, OracleSettings(21)) / 8))
@@ -169,6 +170,7 @@ def bundled(name):
 TOY_LINEAR, TOY_PAIR = bundled("toy_linear"), bundled("toy_pair")
 TOY = TOY_LINEAR["subsystems"][0]
 TOY_INDEX = {"d": 0.1, "tau": 0.1, "phi": 0.1, "eta": 1.0}
+HUGE_H = {"alpha_z": 1.0, "couplings": [], "subsystems": [{**TOY, "h": "1e308 - x1"}]}
 
 
 def nan_model(**subsystem):
@@ -218,6 +220,13 @@ def sim_run(horizon, dt, schedules):
     "input_box": [[-1, 1]], "mu_saturation": [[-1, 1]]}]},
     {"S1": {"d": 0.0, "tau": 0.1, "phi": 0.1, "eta": 0.0}},
     sim_run("0.1", "0.01", "2"), "absent", ""))
+# The depth sweep is bounded: eps = 0.5 up to sup h = 1e308 used to run
+# until it was killed, with or without --maximize-tau.
+@example((HUGE_H, {"S1": TOY_INDEX}, ["index", "compute", "--subsystem", "S1", *GRID,
+                                      "--eps", "0.5"], None, "")).via("unbounded depth sweep")
+@example((HUGE_H, {"S1": TOY_INDEX}, ["index", "compute", "--subsystem", "S1", *GRID,
+                                      "--eps", "0.5", "--maximize-tau"], None, "")
+         ).via("unbounded depth sweep, tau first")
 def test_exit_code_contract(case):
     model, indices, argv, out, taken = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -230,7 +239,7 @@ def test_exit_code_contract(case):
         argv = [*argv, "--model", str(mpath)]
         if argv[0] != "index" and argv[1] != "delta":
             argv += ["--indices", str(ipath)]
-        if argv[1] == "compute":
+        if argv[1] == "compute" and "--eps" not in argv:
             argv += ["--eps", sweep_step(str(mpath), argv[3])]
         if out is not None:
             argv += ["--out", str(root / OUTS[out])]

@@ -300,6 +300,15 @@ def test_constant_adversary_holds_entry_vertex():
     np.testing.assert_allclose(const.states["S1"], bb.states["S1"], atol=1e-12)
     offline = const.loc["S1"] == 0
     assert (const.inputs["S1"][offline, 0] == 1.0).all()
+    # Where one interval ends on the sample that starts the next, it picks
+    # again: offline from 0.1, u = +1 drives x (x' = u - 2) across the peak
+    # of h = 1 - x^2 at 0.2, so the pick at 0.3 is -1.
+    net = single_net(h="1 - x1*x1", f="-2", mu="0")
+    const = simulate(net, {0: ResilienceIndex(0.1, 0.2, 1e-9, 1.0)},
+                     sched(0.5, (0.1, 0.3), (0.3, 0.5)), AdversaryPolicy("constant"),
+                     dt=0.01, horizon=0.5, x0=[(0.3,)])
+    u = const.inputs["S1"][:, 0]
+    assert (u[10:30] == 1.0).all() and (u[30:50] == -1.0).all()
 
 
 def test_random_adversary_uses_box_vertices_and_is_seeded():
@@ -417,20 +426,20 @@ def test_violation_detected_and_refined():
 
 
 def test_refinement_applies_switch_inside_half_step():
-    # The crossing lies between samples 0.30 and 0.31 and the fault starts
-    # at 0.302, inside the re-integrated half-step [0.30, 0.305].  Offline,
-    # x rises at rate 1 from 0.499, so h(0.305) = 0.5 - 0.502 = -0.002 and
-    # the first half holds the crossing.  A refinement that stayed online
-    # through the half-step would keep h = 0.001 there and report the
-    # second half, (0.3075, -0.003).
+    # The fault starts on sample 0.30, and the crossing lies between 0.30
+    # and 0.31, so the re-integrated half-step [0.30, 0.305] starts offline.
+    # Offline, x rises at rate 1 from 0.499, so h(0.305) = 0.5 - 0.504 =
+    # -0.004 and the first half holds the crossing.  A half-step that stayed
+    # online would keep h = 0.001 there and report the second half,
+    # (0.3075, -0.004).
     net = single_net(h="0.5 - x1", mu="0")
     idx = ResilienceIndex(0.0, 0.5, 0.1, 1.0)
     for kind in ("bang-bang", "constant"):
-        trace = simulate(net, {0: idx}, sched(1.0, (0.302, 0.6)), AdversaryPolicy(kind),
+        trace = simulate(net, {0: idx}, sched(1.0, (0.3, 0.6)), AdversaryPolicy(kind),
                          dt=0.01, horizon=1.0, x0=[(0.499,)])
         ((t_v, name, h_v),) = trace.violations
         assert (t_v, name) == (0.305, "S1"), kind
-        assert h_v == pytest.approx(-0.002, abs=1e-12), kind
+        assert h_v == pytest.approx(-0.004, abs=1e-12), kind
 
 
 def test_recovery_deadline_miss_detected():
@@ -569,6 +578,36 @@ def test_batch_matches_single_runs():
                 assert got.violations == alone.violations
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batch_rows_equal_runs_alone(data):
+    # Random aligned schedules, S1's with phi = 1e-9, so that snapping can
+    # close a gap, and one hand-built schedule whose S1 intervals meet at
+    # 0.2, where the constant adversary picks its vertex again.
+    net = data.draw(st.sampled_from([make_pair, exp_pair]), label="net")()
+    kind = data.draw(st.sampled_from(["bang-bang", "constant"]), label="kind")
+    dt = data.draw(st.sampled_from([0.01, 0.025]), label="dt")
+    taus = st.sampled_from([0.1, 0.15, 0.2])
+    indices = {0: ResilienceIndex(0.1, data.draw(taus, label="tau1"), 1e-9, 1.0),
+               1: ResilienceIndex(0.1, data.draw(taus, label="tau2"),
+                                  data.draw(st.sampled_from([1e-9, 0.03, 0.1]), label="phi2"),
+                                  1.0)}
+    schedules = generate_schedule(data.draw(st.integers(0, 1000), label="seed"), 0.5, indices,
+                                  data.draw(st.integers(0, 3), label="count"), align_dt=dt)
+    schedules.insert(data.draw(st.integers(0, len(schedules)), label="at"),
+                     FaultSchedule(0.5, (((0.1, 0.2), (0.2, 0.3)), ())))
+    x0 = [(0.5,), (0.5,)]
+    batch = simulate_batch(net, indices, schedules, AdversaryPolicy(kind), dt, 0.5, x0)
+    for schedule, got in zip(schedules, batch):
+        alone = simulate(net, indices, schedule, AdversaryPolicy(kind), dt, 0.5, x0)
+        for name in net.names:
+            for field in ("states", "inputs", "h", "loc"):
+                assert (getattr(got, field)[name].tobytes()
+                        == getattr(alone, field)[name].tobytes()), (field, name)
+        assert got.events == alone.events
+        assert got.violations == alone.violations
+
+
 def test_random_adversary_uses_each_subsystems_own_box():
     # S2's input box differs from S1's, so an input row whose columns were
     # paired with the wrong subsystem's bounds would leave {-1, 1} for S2.
@@ -650,18 +689,22 @@ def test_multi_subsystem_schedules_are_positional():
 
 
 def test_off_grid_boundaries_hit_exactly():
+    # Locations change only on samples: a bound between two is an error
+    # that names the schedule, the subsystem and dt.
     net = single_net()
-    schedule = sched(1.0, (0.105, 0.205))
-    trace = simulate(net, {0: IDX}, schedule, AdversaryPolicy(),
-                     dt=0.01, horizon=1.0, x0=[(0.5,)])
-    # Offline [0.105, 0.205) lasts exactly 0.1: the state returns to a path
-    # parallel to the online-only one, displaced by 2 * 0.1.
-    x = trace.states["S1"][:, 0]
-    t = trace.times
-    tail = t >= 0.205
-    np.testing.assert_allclose(x[tail], 0.5 - t[tail] + 0.2, atol=1e-12)
-    # Each switch shows at the first sample at or after it.
-    assert (np.nonzero(np.diff(trace.loc["S1"]))[0] + 1).tolist() == [11, 21]
+    on_grid, off_grid = sched(1.0, (0.1, 0.2)), sched(1.0, (0.105, 0.205))
+    message = "schedule 1, subsystem 0: interval bound 0.105 is not a multiple of dt = 0.01"
+    with pytest.raises(ScheduleError, match=message):
+        simulate_batch(net, {0: IDX}, [on_grid, off_grid], AdversaryPolicy(),
+                       dt=0.01, horizon=1.0, x0=[(0.5,)])
+    # A bound within 1e-9 steps of a sample is that sample.
+    ref = simulate(net, {0: IDX}, on_grid, AdversaryPolicy(), dt=0.01, horizon=1.0,
+                   x0=[(0.5,)])
+    near = simulate(net, {0: IDX}, sched(1.0, (0.1 + 5e-12, 0.2 - 5e-12)), AdversaryPolicy(),
+                    dt=0.01, horizon=1.0, x0=[(0.5,)])
+    assert (np.nonzero(np.diff(near.loc["S1"]))[0] + 1).tolist() == [10, 20]
+    for field in ("states", "inputs", "h", "loc"):
+        np.testing.assert_array_equal(getattr(near, field)["S1"], getattr(ref, field)["S1"])
 
 
 def test_simulate_argument_validation():

@@ -196,13 +196,13 @@ def test_compute_scans_ascending_to_first_pass(monkeypatch):
 
 
 def test_compute_depths_are_generated_lazily(monkeypatch):
-    # A tiny step returns at the first passing depth without visiting the
-    # billion depths behind it.
+    # A small step returns at the first passing depth without visiting the
+    # 20,000 depths behind it.
     scans = record_scans(monkeypatch)
-    idx = compute_index(make_toy(), 1.0, eps=1e-9, settings=TOY_SETTINGS)
+    idx = compute_index(make_toy(), 1.0, eps=1e-4, settings=TOY_SETTINGS)
     assert isinstance(idx, ResilienceIndex)
-    assert idx.d == 1e-9
-    assert scans == [OFFLINE_SCAN] + depth_scans(1e-9)
+    assert idx.d == 1e-4
+    assert scans == [OFFLINE_SCAN] + depth_scans(1e-4)
 
 
 def test_verify_scans_what_compute_scans(monkeypatch):
@@ -222,6 +222,11 @@ def test_compute_rejects_bad_parameters():
             compute_index(make_toy(), 1.0, eps=eps)
     with pytest.raises(ValueError):
         compute_index(make_toy(), -1.0)
+    # sup h = 2: at most 100,000 depths, checked before any depth is scanned.
+    for eps in (1e-5, 1e-9, 5e-324):
+        with pytest.raises(ValueError, match=f"eps = {eps:g} sweeps more than 100000 depths "
+                                             "up to sup h = 2$"):
+            compute_index(make_toy(), 1.0, eps=eps, settings=TOY_SETTINGS)
 
 
 def test_weakening_monotonicity():
