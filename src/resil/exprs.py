@@ -303,7 +303,7 @@ _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
 
 
 def straight_line(trees, names, lines: list[str], temps: dict[str, str],
-                  consts: dict[str, str]) -> list[str]:
+                  consts: dict[str, str], outs=None) -> list[str]:
     """The identifier of each tree's value, appending to lines one ufunc call
     per distinct subtree that reads a variable, written into its own buffer:
     `subtract(c1, x0, t0)`, `exp(t7, t8)`.  names maps variables to their
@@ -311,9 +311,10 @@ def straight_line(trees, names, lines: list[str], temps: dict[str, str],
     buffer t<k>; consts maps the source of each literal-only subtree to its
     constant row c<k>.  Both are keyed on text since Literal(0.0) ==
     Literal(-0.0) as nodes.  compile_kernels allocates the buffers and fills
-    the constant rows."""
+    the constant rows.  outs, one per tree, names the buffer a tree's own
+    call writes into when no earlier line computes it."""
 
-    def emit(e) -> str:
+    def emit(e, out=None) -> str:
         if isinstance(e, Variable):
             return names[e.name]
         if not free_variables(e):
@@ -327,11 +328,11 @@ def straight_line(trees, names, lines: list[str], temps: dict[str, str],
         else:
             call = f"{'negative' if isinstance(e, Negate) else 'exp'}({emit(e.operand)}"
         if call not in temps:
-            temps[call] = f"t{len(temps)}"
+            temps[call] = out or f"t{len(temps)}"
             lines.append(f"{call}, {temps[call]})")
         return temps[call]
 
-    return [emit(e) for e in trees]
+    return [emit(e, out) for e, out in zip(trees, outs or [None] * len(trees))]
 
 
 @lru_cache(maxsize=4096)
@@ -378,17 +379,19 @@ def compile_expression(e: Expression, names) -> "CompiledExpression":
 
 
 class CompiledExpression:
-    __slots__ = ("_fn", "names", "source")
+    """fn under np.errstate, its errors named by source; fn runs raw."""
+
+    __slots__ = ("fn", "names", "source")
 
     def __init__(self, fn, names: tuple[str, ...], source: str):
-        self._fn = fn
+        self.fn = fn
         self.names = names
         self.source = source
 
     def __call__(self, *args):
         with np.errstate(over="ignore", divide="raise", under="ignore", invalid="ignore"):
             try:
-                return self._fn(*args)
+                return self.fn(*args)
             except (FloatingPointError, ZeroDivisionError):  # numpy's, or Python's on floats
                 raise ZeroDivisionError(f"division by zero evaluating '{self.source}'") from None
             except OverflowError:  # ** on Python floats raises where numpy gives inf

@@ -14,17 +14,21 @@ every state, subsystem j's in columns xs[j], and an input row (held,
 recorded, random bits) every input, subsystem j's in columns us[j]; each
 trace's arrays are views of the batch records.  The network's expressions
 run as generated straight-line kernels that compute a shared subexpression
-once, with one kernel call per RK4 stage and one per recorded sample; the
-adversary is one rule over input rows, written by one masked copy.
+once, with one kernel call per sample: the workspace's advance records the
+sample's inputs and h and takes its RK4 step, whose first stage reuses the
+recorded feedback law.  The adversary is one rule over input rows, written
+by one masked copy.
 
 The kernels and the RK4 stages allocate no arrays: every ufunc call in
 them writes into a workspace that the compiled network keeps per row
 count (the batch, and one row for refinement).  The kernels are compiled
 together with the code that allocates their own buffers, the temporaries,
-inputs and constant rows; the workspace adds the slopes, the stage state
-and two ping-pong states.  Each operation is the one the expression trees
-spell, in the same order, so traces are bit-equal to evaluating every
-expression on fresh arrays.
+inputs and constant rows; the workspace adds the states, slopes, mask and
+held inputs, with column views bound once.  The stepping loop still
+allocates on an offline sample: worst_vertex's np.where and the refresh
+mask per input.  Each operation is the one the expression trees spell, in
+the same order, so traces are bit-equal to evaluating every expression on
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -225,31 +229,61 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
 # -- compiled network kernel ---------------------------------------------------
 
 class _Workspace:
-    """The kernels rhs, record and lg for one row count, closed over their
-    own buffers, and every array the RK4 step writes: the slopes k1-k4, the
-    stage state, two ping-pong states and the lg rows.  State-shaped
-    buffers are column-contiguous, so that a state column X[:, c] is
-    contiguous."""
+    """The kernels first, slope and lg of one row count, closed over their
+    own buffers, and every array an RK4 step reads or writes: two ping-pong
+    states, the stage state, the slopes k1-k4, the offline mask and the held
+    inputs, with their column views bound once, and the lg rows.  Buffers
+    are column-contiguous, so that a column X[:, c] is contiguous.  advance
+    is the one kernel call per sample."""
 
     def __init__(self, cnet: "_CompiledNetwork", rows: int):
-        self.rhs, self.record, self.lg = cnet.make(rows)
+        self.first, self.slope, self.lg = (k.fn for k in cnet.make(rows))
         shape = (rows, len(cnet.state_names))
-        self.k1, self.k2, self.k3, self.k4, self.stage, *self.states = (
+        *self.states, self.stage, self.k1, self.k2, self.k3, self.k4 = (
             np.empty(shape, order="F") for _ in range(7))
+        self.offline = np.empty((rows, len(cnet.names)), bool, order="F")
+        self.held = np.zeros((rows, len(cnet.u_owner)), order="F")
         self.lg_rows = np.empty((rows, len(cnet.u_owner)))
+        self.state_cols = [tuple(a.T) for a in self.states]
+        self.stage_cols, *self.k_cols = (tuple(a.T) for a in (self.stage, self.k1, self.k2,
+                                                               self.k3, self.k4))
+        self.inputs = (*self.offline.T, *self.held.T)
+
+    def advance(self, src: int, step: float | None, u_out, h_out):
+        """Write the effective inputs and every h at states[src] into the
+        record rows u_out and h_out, then, unless step is None, the RK4 step
+        of that length into the other state, in the operation order of X +
+        (h/6)*(((k1 + 2*k2) + 2*k3) + k4); online rows re-evaluate mu at each
+        stage.  The kernels run raw, under the caller's np.errstate."""
+        X, S, k1, k2, k3, k4 = self.states[src], self.stage, self.k1, self.k2, self.k3, self.k4
+        Sc, (d1, d2, d3, d4), V = self.stage_cols, self.k_cols, self.inputs
+        self.first(self.state_cols[src], None if step is None else d1, V, u_out, h_out)
+        if step is None:
+            return
+        np.add(X, np.multiply(0.5 * step, k1, S), S)
+        self.slope(Sc, d2, V)
+        np.add(X, np.multiply(0.5 * step, k2, S), S)
+        self.slope(Sc, d3, V)
+        np.add(X, np.multiply(step, k3, S), S)
+        self.slope(Sc, d4, V)
+        np.add(k1, np.multiply(2.0, k2, S), S)
+        np.add(S, np.multiply(2.0, k3, k2), S)
+        np.add(S, k4, S)
+        np.add(X, np.multiply(step / 6.0, S, S), self.states[1 - src])
 
 
 class _CompiledNetwork:
     """A network's expressions as straight-line kernels over one row layout:
     a batch row holds every state, subsystem j's in columns xs[j], and an
     input row holds every input, subsystem j's in columns us[j].
-    rhs(X, offline, held, out) writes the right-hand side into out and
-    returns it, record(X, offline, held, u_out, h_out) writes the effective
-    input rows and every h, and lg(X, out) writes input k's lg value into
-    column k of out; each is a kernel of workspace(len(X)).  An effective
-    input is the held adversary input where its subsystem is offline, the
-    saturated feedback law where it is online.  The kernels allocate
-    nothing: each writes into buffers of its workspace."""
+    first(X, D, V, u_out, h_out) writes the effective input rows and every h
+    into the record rows u_out and h_out, then, unless D is None, the
+    right-hand side into the slope columns D; slope(X, D, V) writes only the
+    latter.  X holds state columns, V the offline mask, then the held input
+    columns.  lg(X, out) writes input k's lg value into column k of out.  An
+    effective input is the held adversary input where its subsystem is
+    offline, the saturated feedback law where it is online.  The kernels of
+    workspace(len(X)) allocate nothing: each writes into its buffers."""
 
     def __init__(self, net: Network):
         self.net = net
@@ -264,11 +298,15 @@ class _CompiledNetwork:
         self.box_hi = np.array([hi for s in subs for _, hi in s.state_box])
         self.u_lo = np.array([lo for s in subs for lo, _ in s.input_box], dtype=float)
         self.u_hi = np.array([hi for s in subs for _, hi in s.input_box], dtype=float)
+        self.label = f"inputs, h and drift of {', '.join(self.names)}"
         self._workspaces: dict[int, _Workspace] = {}
 
         ids = {n: f"x{c}" for c, n in enumerate(self.state_names)}
-        unpack = [f"{x} = X[:, {c}]" for c, x in enumerate(ids.values())]
-        head, temps, consts, drift = list(unpack), {}, {}, []  # head ends with the inputs u{k}
+        n_u = len(self.u_owner)
+        head = [f"{''.join(x + ', ' for x in ids.values())}= X",
+                f"{''.join(f'o{j}, ' for j in range(len(subs)))}"
+                f"{''.join(f'v{k}, ' for k in range(n_u))}= V"]
+        temps, consts, drift = {}, {}, []  # head ends with the inputs u{k}
         for j, s in enumerate(subs):
             ks = range(self.us[j].start, self.us[j].stop)
             laws = straight_line(s.mu, ids, head, temps, consts)
@@ -279,7 +317,7 @@ class _CompiledNetwork:
                     lo, hi = straight_line([Literal(float(v)) for v in sat], ids, head, temps,
                                            consts)
                     head += [f"maximum({lo}, {law}, out=u{k})", f"minimum({hi}, u{k}, out=u{k})"]
-                head.append(f"copyto(u{k}, held[:, {k}], where=offline[:, {j}])")
+                head.append(f"copyto(u{k}, v{k}, where=o{j})")
             names = {**ids, **{u: f"u{k}" for u, k in zip(s.input_vars, ks)}}
             for i, expr in enumerate(s.f):
                 for g, u in zip(s.g[i], s.input_vars):
@@ -287,25 +325,31 @@ class _CompiledNetwork:
                 for _, w in net.incoming(j):
                     expr = _add(expr, w[i])
                 drift.append((expr, names))
-        label = ", ".join(self.names)
 
-        lines, rhs_temps = list(head), dict(temps)
-        for c, (expr, names) in enumerate(drift):
-            (v,) = straight_line([expr], names, lines, rhs_temps, consts)
-            lines.append(f"copyto(out[:, {c}], {v})")
-        rhs = (lines + ["return out"], ("X", "offline", "held", "out"), f"drift of {label}")
-        lines = head + [f"u_out[:, {k}] = u{k}" for k in range(len(self.u_owner))]
-        hs = straight_line([s.h for s in subs], ids, lines, temps, consts)
-        lines += [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)]
-        record = (lines, ("X", "offline", "held", "u_out", "h_out"), f"inputs and h of {label}")
-        lines, lg_temps = list(unpack), {}
+        def slopes(lines, temps):
+            """Each drift's last call writes into its slope column d<c>."""
+            lines.append(f"{''.join(f'd{c}, ' for c in range(len(drift)))}= D")
+            for c, (expr, names) in enumerate(drift):
+                (v,) = straight_line([expr], names, lines, temps, consts, [f"d{c}"])
+                if v != f"d{c}":  # a variable, a constant row or a value computed before
+                    lines.append(f"copyto(d{c}, {v})")
+            return lines
+
+        slope_temps = dict(temps)
+        slope = slopes(list(head), slope_temps)
+        first = head + [f"u_out[:, {k}] = u{k}" for k in range(n_u)]
+        hs = straight_line([s.h for s in subs], ids, first, temps, consts)
+        first += [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)] + ["if D is None: return"]
+        first = slopes(first, temps)
+        lines, lg_temps = [f"{x} = X[:, {c}]" for c, x in enumerate(ids.values())], {}
         lg = straight_line([e for s in subs for e in s.compiled.lg_trees],
                            ids, lines, lg_temps, consts)
-        lg = (lines + [f"out[:, {k}] = {v}" for k, v in enumerate(lg)], ("X", "out"),
-              f"lg of {label}")
-        n_temps = max(len(rhs_temps), len(temps), len(lg_temps))
-        self.make = compile_kernels((rhs, record, lg), consts, [
-            *(f"t{i}" for i in range(n_temps)), *(f"u{k}" for k in range(len(self.u_owner)))])
+        lines += [f"out[:, {k}] = {v}" for k, v in enumerate(lg)]
+        n_temps = max(len(slope_temps), len(temps), len(lg_temps))
+        self.make = compile_kernels(
+            ((first, ("X", "D", "V", "u_out", "h_out"), self.label),
+             (slope, ("X", "D", "V"), self.label), (lines, ("X", "out"), self.label)),
+            consts, [*(f"t{i}" for i in range(n_temps)), *(f"u{k}" for k in range(n_u))])
 
     def workspace(self, rows: int) -> _Workspace:
         ws = self._workspaces.get(rows)
@@ -325,29 +369,11 @@ def _adversary_rows(cnet, adversary, X, bits):
     return worst_vertex(ws.lg_rows, cnet.u_lo, cnet.u_hi)
 
 
-def _rk4_step(cnet, X, h_seg, offline, held):
-    """One RK4 step, one kernel call per stage; online traces re-evaluate mu
-    at each stage state, offline traces keep their held adversary input.
-    Every stage writes into the workspace in the operation order of
-    X + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), and the new state goes to the
-    ping-pong buffer that X is not, so X itself is never written."""
-    ws = cnet.workspace(len(X))
-    rhs, k1, k2, k3, k4, S = ws.rhs, ws.k1, ws.k2, ws.k3, ws.k4, ws.stage
-    rhs(X, offline, held, k1)
-    rhs(np.add(X, np.multiply(0.5 * h_seg, k1, S), S), offline, held, k2)
-    rhs(np.add(X, np.multiply(0.5 * h_seg, k2, S), S), offline, held, k3)
-    rhs(np.add(X, np.multiply(h_seg, k3, S), S), offline, held, k4)
-    np.add(k1, np.multiply(2.0, k2, S), S)
-    np.add(S, np.multiply(2.0, k3, k2), S)
-    np.add(S, k4, S)
-    return np.add(X, np.multiply(h_seg / 6.0, S, S), ws.states[X is ws.states[0]])
-
-
 def _locations(schedules, dt, n):
     """offline[b, k, j]: sample k of n lies in an offline interval of
     subsystem j in schedule b; entering[b, k, j]: one starts there, also
     where the one before ends.  Every bound must be a multiple of dt to
-    within 1e-9 steps; bounds past sample n - 1 are cut off."""
+    within 1e-9 steps."""
     offline = np.zeros((len(schedules), n, len(schedules[0].intervals)), dtype=bool)
     entering = np.zeros_like(offline)
     for b, sched in enumerate(schedules):
@@ -365,20 +391,35 @@ def _locations(schedules, dt, n):
     return offline, entering
 
 
-def _integrate(cnet, adversary, T, X, offline, entering, held, bits):
-    """The one stepping loop over the sample times T, with offline[:, m] and
-    entering[:, m] the locations at T[m].  At each T[m]: write the
-    adversary rows (random bits bits[:, m]) into the held inputs of every
-    offline (row, subsystem) cell, or for the constant adversary of the
-    cells entering an interval, yield (m, X), then take one RK4 step."""
+def _integrate(cnet, adversary, ws, T, offline, entering, bits, rec_states, rec_u, rec_h):
+    """The one stepping loop over the sample times T, from ws.states[0], with
+    offline[:, m] and entering[:, m] the locations at T[m].  At each T[m]:
+    write the adversary rows (random bits bits[:, m]) into the held inputs
+    of every offline (row, subsystem) cell, or for the constant adversary of
+    the cells entering an interval, check the box, record the state, and
+    advance from it with offline[:, m] as the workspace mask."""
     refresh = entering if adversary.kind == "constant" else offline
+    width10 = _BOX_EXCURSION * (cnet.box_hi - cnet.box_lo)
+    lo_lim, hi_lim = cnet.box_lo - width10, cnet.box_hi + width10
+    inside, below_hi = np.empty((2, *ws.stage.shape), dtype=bool)
+    src = 0
     for m in range(len(T)):
+        X = ws.states[src]
         if refresh[:, m].any():
             rows = _adversary_rows(cnet, adversary, X, bits[:, m] if bits is not None else None)
-            np.copyto(held, rows, where=refresh[:, m][:, cnet.u_owner])
-        yield m, X
-        if m + 1 < len(T):
-            X = _rk4_step(cnet, X, float(T[m + 1]) - float(T[m]), offline[:, m], held)
+            np.copyto(ws.held, rows, where=refresh[:, m][:, cnet.u_owner])
+        # nan fails both comparisons, and +-inf one of them
+        np.greater_equal(X, lo_lim, inside)
+        np.logical_and(inside, np.less_equal(X, hi_lim, below_hi), inside)
+        if not inside.all():
+            b, c = np.argwhere(~inside)[0]
+            j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
+            raise NonFiniteStateError(float(T[m]), cnet.names[j], int(b))
+        rec_states[:, m] = X
+        np.copyto(ws.offline, offline[:, m])
+        step = float(T[m + 1]) - float(T[m]) if m + 1 < len(T) else None
+        ws.advance(src, step, rec_u[:, m], rec_h[:, m])
+        src = 1 - src
 
 
 def _resolve_x0(net, indices, floor, x0):
@@ -410,10 +451,11 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
                    schedules: list[FaultSchedule], adversary: AdversaryPolicy,
                    dt: float, horizon: float, x0=None) -> list[HybridTrace]:
     """Integrate every schedule on the sample grid k dt, k = 0..horizon/dt,
-    each row by the same operations as its run alone.  Every interval bound
-    must be a sample time (ScheduleError otherwise); ``sim run`` aligns its
-    schedules to dt.  x0 (one tuple per subsystem) defaults to each
-    subsystem's deepest safe point and must lie in every buffer region."""
+    each row by the same operations as its run alone.  Every schedule must
+    span this horizon and every interval bound be a sample time
+    (ScheduleError otherwise); ``sim run`` aligns its schedules to dt.  x0
+    (one tuple per subsystem) defaults to each subsystem's deepest safe
+    point and must lie in every buffer region."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < horizon < math.inf:
@@ -423,6 +465,9 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         raise ValueError(f"dt = {dt:g} does not divide the horizon {horizon:g}")
     n_sub = len(net.subsystems)
     for sched in schedules:
+        if abs(sched.horizon - horizon) > 1e-9 * horizon:
+            raise ScheduleError(f"schedule horizon {sched.horizon:g} differs from the "
+                                f"simulation horizon {horizon:g}")
         if len(sched.intervals) != n_sub:
             raise ScheduleError(f"schedule has {len(sched.intervals)} interval tuples "
                                 f"for {n_sub} subsystems")
@@ -446,31 +491,22 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         [np.random.default_rng([adversary.seed, b, 1]).integers(0, 2, (N, n_u), np.uint8)
          for b in range(B)])
 
-    held = np.zeros((B, n_u))
-
     rec_states = np.empty((B, N, len(cnet.state_names)))
     rec_u = np.empty((B, N, n_u))
     rec_h = np.empty((B, N, n_sub))
-
-    width10 = _BOX_EXCURSION * (cnet.box_hi - cnet.box_lo)
-    lo_lim, hi_lim = cnet.box_lo - width10, cnet.box_hi + width10
-    inside, below_hi = np.empty((2, B, len(cnet.state_names)), dtype=bool)
     ws = cnet.workspace(B)
+    ws.states[0][:] = x0_row
 
-    # A step that overflows gives inf or nan, which the box check reports
-    # as a runaway state, so numpy does not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, X in _integrate(cnet, adversary, samples, np.tile(x0_row, (B, 1)), offline,
-                               entering, held, rand_bits):
-            # nan fails both comparisons, and +-inf one of them
-            np.greater_equal(X, lo_lim, inside)
-            np.logical_and(inside, np.less_equal(X, hi_lim, below_hi), inside)
-            if not inside.all():
-                b, c = np.argwhere(~inside)[0]
-                j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
-                raise NonFiniteStateError(float(samples[k]), net.subsystems[j].name, int(b))
-            rec_states[:, k] = X
-            ws.record(X, offline[:, k], held, rec_u[:, k], rec_h[:, k])
+    # One errstate per batch for the raw kernels: an overflow gives inf or
+    # nan, which the box check reports as a runaway state, so it is ignored.
+    try:
+        with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="raise"):
+            _integrate(cnet, adversary, ws, samples, offline, entering, rand_bits, rec_states,
+                       rec_u, rec_h)
+            violations = [_refine_violations(cnet, samples, rec_states[b], rec_h[b], rec_u[b],
+                                             offline[b]) for b in range(B)]
+    except FloatingPointError:
+        raise ZeroDivisionError(f"division by zero evaluating '{cnet.label}'") from None
 
     rec_loc = (~offline).view(np.int8)
     in_buffer = rec_h >= floor
@@ -482,15 +518,12 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     traces = []
     for b, sched in enumerate(schedules):
         events = sorted((t, name, kind) for name, ivs in zip(cnet.names, sched.intervals)
-                        for iv in ivs for t, kind in zip(iv, ("offline", "online"))
-                        if round(t / dt) < N)
-        violations = _refine_violations(cnet, samples, rec_states[b], rec_h[b], rec_u[b],
-                                        offline[b])
+                        for iv in ivs for t, kind in zip(iv, ("offline", "online")))
         traces.append(HybridTrace(
             names=cnet.names, times=samples, states=views(rec_states, b, cnet.xs),
             inputs=views(rec_u, b, cnet.us), h=views(rec_h, b, range(n_sub)),
             loc=views(rec_loc, b, range(n_sub)), in_buffer=views(in_buffer, b, range(n_sub)),
-            events=tuple(events), violations=violations, dt=dt))
+            events=tuple(events), violations=violations[b], dt=dt))
     return traces
 
 
@@ -498,15 +531,18 @@ def _refine_violations(cnet, samples, states_b, h_b, u_b, offline_b):
     """One bisection per h sign change between consecutive samples: the first
     half-step is re-integrated from the recorded sample k, to decide which
     half holds the crossing.  No switch lies inside a step, so the half-step
-    keeps sample k's location, and an offline input its recorded value."""
-    out = []
+    keeps sample k's location, and an offline input its recorded value: one
+    advance of workspace(1) from a copy of the recorded row."""
+    out, ws = [], cnet.workspace(1)
+    u_out, h_out = np.empty_like(u_b[:1]), np.empty_like(h_b[:1])
     for j in range(h_b.shape[1]):
         hs, h = h_b[:, j], cnet.net.subsystems[j].compiled.h
         for k in np.nonzero((hs[:-1] >= 0) & (hs[1:] < 0))[0]:
             t0, t1 = float(samples[k]), float(samples[k + 1])
             tm = 0.5 * (t0 + t1)
-            X = _rk4_step(cnet, states_b[k:k + 1], tm - t0, offline_b[k:k + 1], u_b[k:k + 1])
-            h_mid = float(np.asarray(h(*X[:, cnet.xs[j]].T)).reshape(()))
+            ws.states[0][0], ws.held[0], ws.offline[0] = states_b[k], u_b[k], offline_b[k]
+            ws.advance(0, tm - t0, u_out, h_out)
+            h_mid = float(np.asarray(h(*ws.states[1][:, cnet.xs[j]].T)).reshape(()))
             if h_mid < 0:
                 out.append((tm, cnet.names[j], h_mid))
             else:

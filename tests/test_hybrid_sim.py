@@ -27,7 +27,6 @@ from resil.hybrid_sim import (
     ScheduleError,
     _CompiledNetwork,
     _adversary_rows,
-    _rk4_step,
     check_trace_safety,
     export_trace_csv,
     generate_schedule,
@@ -634,6 +633,20 @@ def test_schedule_needs_one_interval_tuple_per_subsystem():
                      AdversaryPolicy(), dt=0.01, horizon=1.0, x0=[(0.5,), (0.5,)])
 
 
+def test_schedule_horizon_must_be_the_simulations():
+    # a schedule drawn for a longer horizon used to lose its later
+    # intervals without a word
+    for horizon in (5.0, 0.5, 1.0 + 1e-6):
+        with pytest.raises(ScheduleError, match=f"schedule horizon {horizon:g} differs from "
+                                                "the simulation horizon 1"):
+            simulate(single_net(), {0: IDX}, sched(horizon, (0.3, 0.35)), AdversaryPolicy(),
+                     dt=0.01, horizon=1.0, x0=[(0.5,)])
+    # equal up to rounding is the same horizon
+    trace = simulate(single_net(), {0: IDX}, sched(0.1 * 10, (0.3, 0.35)), AdversaryPolicy(),
+                     dt=0.01, horizon=1.0, x0=[(0.5,)])
+    assert trace.events == ((0.3, "S1", "offline"), (0.35, "S1", "online"))
+
+
 def no_input_block(name="S0", x="x0"):
     sv = (x,)
     return Subsystem(
@@ -787,11 +800,20 @@ def test_export_trace_csv_bytes_match_savetxt(tmp_path, rows):
 
 
 def test_division_by_zero_in_simulator_names_subsystem():
-    net = single_net(f="1/(x1 - x1)")
-    with pytest.raises(ZeroDivisionError, match="division by zero") as err:
-        simulate_batch(net, {0: IDX}, [sched(1.0)], AdversaryPolicy(), dt=0.01,
-                       horizon=1.0, x0=[(0.5,)])
-    assert "S1" in str(err.value)
+    # x' = -1 from x1 = 0.5: the second RK4 stage of the first step reads
+    # stage = 0.5 + (0.5 dt)(-1), and sample 1 is 0.5 + (dt/6)(-6)
+    stage = 0.5 + (0.5 * 0.01) * -1.0
+    sample1 = float(simulate(single_net(), {0: IDX}, sched(1.0), AdversaryPolicy(), dt=0.01,
+                             horizon=1.0, x0=[(0.5,)]).states["S1"][1, 0])
+    for net in (single_net(f="1/(x1 - x1)"),
+                # zero at the stage state only: a later RK4 stage divides by zero
+                single_net(f=f"(x1 - 0.5)*(1/(x1 - {stage!r}))"),
+                # zero in the h recorded at sample 1, 100 at x0
+                single_net(h=f"1/(x1 - {sample1!r})")):
+        with pytest.raises(ZeroDivisionError, match="division by zero") as err:
+            simulate_batch(net, {0: IDX}, [sched(1.0)], AdversaryPolicy(), dt=0.01,
+                           horizon=1.0, x0=[(0.5,)])
+        assert "S1" in str(err.value)
 
 
 def coupled_model():
@@ -871,6 +893,11 @@ def draw_batch(data, net, rows):
     return X, offline, held
 
 
+def load(ws, X, offline, held, src=0):
+    """The batch copied into the workspace: states[src], the mask and the held inputs."""
+    ws.states[src][:], ws.offline[:], ws.held[:] = X, offline, held
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_kernel_is_bit_equal_to_per_expression_reference(data):
@@ -878,8 +905,9 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
     cnet = _CompiledNetwork(net)
     subs = net.subsystems
     # one network at changing row counts: each count has its own workspace,
-    # and a count seen before reuses its buffers
+    # and a count seen before reuses it
     rows = data.draw(st.integers(1, 5), label="rows")
+    seen = {}
     for rows in (rows, 1, rows):
         X, offline, held = draw_batch(data, net, rows)
         if data.draw(st.booleans(), label="midpoint row"):
@@ -887,11 +915,13 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
             X[0] = [(lo + hi) / 2 for s in subs for lo, hi in s.state_box]
 
         ws = cnet.workspace(len(X))
-        got = ws.rhs(X, offline, held, np.empty_like(X))
-        assert got.tobytes() == reference_rhs(net, X, offline, held).tobytes()
-
+        assert seen.setdefault(rows, ws) is ws
+        load(ws, X, offline, held)
         u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
-        ws.record(X, offline, held, u_out, h_out)
+        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+            ws.advance(0, data.draw(st.floats(1e-5, 1e-3), label="h"), u_out, h_out)
+        # the first stage's slope is the right-hand side at the sample
+        assert ws.k1.tobytes() == reference_rhs(net, X, offline, held).tobytes()
         lg = np.empty_like(held)
         ws.lg(X, lg)
         vertex = _adversary_rows(cnet, AdversaryPolicy("bang-bang"), X, None)
@@ -928,16 +958,18 @@ def test_rk4_step_is_bit_equal_to_fresh_array_reference(data):
     cnet = _CompiledNetwork(net)
     X, offline, held = draw_batch(data, net, data.draw(st.integers(1, 5), label="rows"))
     h = data.draw(st.floats(1e-5, 1e-3), label="h")
-    X_before = X.copy()
     want1 = reference_rk4(net, X, h, offline, held)
     want2 = reference_rk4(net, want1, h, offline, held)
 
-    got1 = _rk4_step(cnet, X, h, offline, held)
-    assert got1.tobytes() == want1.tobytes()
-    got2 = _rk4_step(cnet, got1, h, offline, held)
-    assert got2.tobytes() == want2.tobytes()
-    # the input state is never written, and the step after writes the
-    # other ping-pong buffer
-    assert X.tobytes() == X_before.tobytes()
-    assert got1.tobytes() == want1.tobytes()
-    assert got2 is not got1
+    ws = cnet.workspace(len(X))
+    load(ws, X, offline, held)
+    u_out, h_out = np.empty_like(held), np.empty((len(X), len(net.subsystems)))
+    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+        ws.advance(0, h, u_out, h_out)
+        assert ws.states[1].tobytes() == want1.tobytes()
+        # the input state is never written
+        assert ws.states[0].tobytes() == X.tobytes()
+        # the step after reads the new state and writes the other ping-pong buffer
+        ws.advance(1, h, u_out, h_out)
+    assert ws.states[0].tobytes() == want2.tobytes()
+    assert ws.states[1].tobytes() == want1.tobytes()
