@@ -302,33 +302,46 @@ def _to_python_source(e: Expression) -> str:
 _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
 
 
-def straight_line(trees, names, lines: list[str], temps: dict[str, str],
-                  consts: dict[str, str], outs=None) -> list[str]:
+def lane_tree(trees, names, const) -> Expression:
+    """trees, one per lane and equal up to variables and literal values, as
+    one tree: the first tree's variables renamed by names, and each
+    literal-only subtree the variable const(src), src the source of the tuple
+    of the lanes' values (text, since Literal(0.0) == Literal(-0.0) as
+    nodes).  A ^ exponent stays a scalar literal: numpy's power rounds
+    x ** 2.0 differently for a row of 2.0 on longer arrays."""
+    e = trees[0]
+    if not free_variables(e):
+        return Variable(const(f"({''.join(f'{_to_python_source(t)}, ' for t in trees)})"))
+    if isinstance(e, Variable):
+        return Variable(names[e.name])
+    if isinstance(e, (Negate, ExpCall)):
+        return type(e)(lane_tree([t.operand for t in trees], names, const))
+    left = lane_tree([t.left for t in trees], names, const)
+    right = e.right if e.op == "^" else lane_tree([t.right for t in trees], names, const)
+    return BinaryOp(e.op, left, right)
+
+
+def straight_line(trees, lines: list[str], temps: dict[str, str], outs=None,
+                  prefix: str = "t") -> list[str]:
     """The identifier of each tree's value, appending to lines one ufunc call
-    per distinct subtree that reads a variable, written into its own buffer:
-    `subtract(c1, x0, t0)`, `exp(t7, t8)`.  names maps variables to their
-    identifiers; temps, one per generated function, maps each call to its
-    buffer t<k>; consts maps the source of each literal-only subtree to its
-    constant row c<k>.  Both are keyed on text since Literal(0.0) ==
-    Literal(-0.0) as nodes.  compile_kernels allocates the buffers and fills
-    the constant rows.  outs, one per tree, names the buffer a tree's own
-    call writes into when no earlier line computes it."""
+    per distinct subtree that is not a variable, written into its own
+    buffer: `subtract(c1, x0, t0)`, `exp(t7, t8)`.  Variables name
+    identifiers (see lane_tree).  temps, one per generated function, maps
+    each call to its buffer, a new one <prefix><k> with k counting that
+    prefix's buffers in temps.  outs, one per tree, names the buffer a
+    tree's own call writes into when no earlier line computes it."""
 
     def emit(e, out=None) -> str:
         if isinstance(e, Variable):
-            return names[e.name]
-        if not free_variables(e):
-            return consts.setdefault(_to_python_source(e), f"c{len(consts)}")
+            return e.name
         if isinstance(e, BinaryOp) and e.op == "^":
-            # The exponent stays a scalar: numpy's power rounds x ** 2.0
-            # differently for a row of 2.0 on longer arrays.
             call = f"power({emit(e.left)}, {_to_python_source(e.right)}"
         elif isinstance(e, BinaryOp):
             call = f"{_UFUNCS[e.op]}({emit(e.left)}, {emit(e.right)}"
         else:
             call = f"{'negative' if isinstance(e, Negate) else 'exp'}({emit(e.operand)}"
         if call not in temps:
-            temps[call] = out or f"t{len(temps)}"
+            temps[call] = out or f"{prefix}{sum(t.startswith(prefix) for t in temps.values())}"
             lines.append(f"{call}, {temps[call]})")
         return temps[call]
 
@@ -354,19 +367,17 @@ def compile_lines(lines, names, label: str) -> "CompiledExpression":
                               names, label)
 
 
-def compile_kernels(kernels, consts, buffers) -> "CompiledExpression":
-    """A function of rows that allocates every buffer name with rows rows,
-    fills each constant row c<k> of consts (see straight_line) with the value
-    its source compiles to, and returns the kernels, each (lines, args,
-    label), as CompiledExpressions closed over those arrays.  Equal names
-    share one array."""
-    body = [*(f"{b} = empty(rows)" for b in buffers),
-            *(f"{name} = full(rows, {src})" for src, name in consts.items())]
+def compile_kernels(kernels, arrays) -> "CompiledExpression":
+    """A function of rows that binds every name of arrays to the array its
+    source allocates (an empty buffer, or constants filled from the values
+    lane_tree names) and returns the kernels, each (lines, args, label), as
+    CompiledExpressions closed over those arrays."""
+    body = [f"{name} = {src}" for name, src in arrays.items()]
     for i, (lines, args, _) in enumerate(kernels):
         body += [f"def _k{i}({', '.join(args)}):", *(f"    {ln}" for ln in lines)]
     body.append("return (" + "".join(f"CompiledExpression(_k{i}, {tuple(args)!r}, {label!r}), "
                                      for i, (_, args, label) in enumerate(kernels)) + ")")
-    return compile_lines(body, ("rows",), ", ".join(consts))
+    return compile_lines(body, ("rows",), ", ".join(dict.fromkeys(k[2] for k in kernels)))
 
 
 def compile_expression(e: Expression, names) -> "CompiledExpression":

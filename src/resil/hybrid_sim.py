@@ -9,36 +9,41 @@ is a sample time, so the locations are data: one offline mask per batch,
 known before the first step, and each batch row is its run alone.
 
 Batches of schedules integrate together as one vectorized system; traces
-are deterministic given (seed, model, schedules, dt).  A state row holds
-every state, subsystem j's in columns xs[j], and an input row (held,
-recorded, random bits) every input, subsystem j's in columns us[j]; each
-trace's arrays are views of the batch records.  The network's expressions
-run as generated straight-line kernels that compute a shared subexpression
-once, with one kernel call per sample: the workspace's advance records the
-sample's inputs and h and takes its RK4 step, whose first stage reuses the
-recorded feedback law.  The adversary is one rule over input rows, written
-by one masked copy.
+are deterministic given (seed, model, schedules, dt).  Subsystems whose
+expressions differ only in literal values are lanes of one group, and the
+columns are lane-major: a state row holds every state, subsystem j's in the
+step slice xs[j], and an input row (held, recorded, random bits) every
+input, subsystem j's in us[j]; each trace's arrays are views of the batch
+records.  The network's expressions run as generated straight-line kernels
+that compute a shared subexpression once and a group's trees once over all
+its lanes, with one kernel call per sample: the workspace's advance records
+the sample's inputs and h and takes its RK4 step, whose first stage reuses
+the recorded feedback law.  The adversary is one rule over input rows,
+written by one masked copy.
 
 The kernels and the RK4 stages allocate no arrays: every ufunc call in
 them writes into a workspace that the compiled network keeps per row
 count (the batch, and one row for refinement).  The kernels are compiled
 together with the code that allocates their own buffers, the temporaries,
-inputs and constant rows; the workspace adds the states, slopes, mask and
-held inputs, with column views bound once.  The stepping loop still
-allocates on an offline sample: worst_vertex's np.where and the refresh
-mask per input.  Each operation is the one the expression trees spell, in
-the same order, so traces are bit-equal to evaluating every expression on
-fresh arrays.
+inputs and constant blocks; the workspace adds the states, slopes, mask
+and held inputs, with column blocks bound once.  The stepping loop
+allocates only the adversary rows of a sample where some input is
+refreshed (worst_vertex's np.where); the per-input refresh mask and those
+samples are found once per batch.  Each operation is the one the
+expression trees spell, in the same order, so traces are bit-equal to
+evaluating every expression on fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .exprs import Literal, Variable, _add, _mul, compile_kernels, straight_line
+from .exprs import (Literal, Variable, _add, _is_zero, _mul, _to_python_source, compile_kernels,
+                    free_variables, lane_tree, straight_line)
 from .interconnect import Network
 from .oracle import OracleSettings, argmax_h
 from .resilience import ResilienceIndex
@@ -231,23 +236,24 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
 class _Workspace:
     """The kernels first, slope and lg of one row count, closed over their
     own buffers, and every array an RK4 step reads or writes: two ping-pong
-    states, the stage state, the slopes k1-k4, the offline mask and the held
-    inputs, with their column views bound once, and the lg rows.  Buffers
-    are column-contiguous, so that a column X[:, c] is contiguous.  advance
-    is the one kernel call per sample."""
+    states, the stage state, the slopes k1-k4, the per-input offline mask
+    and the held inputs, with the column blocks the kernels read bound once,
+    and the lg rows.  Buffers are column-contiguous, so that a block of
+    adjacent columns is contiguous.  advance is the one kernel call per
+    sample."""
 
     def __init__(self, cnet: "_CompiledNetwork", rows: int):
         self.first, self.slope, self.lg = (k.fn for k in cnet.make(rows))
-        shape = (rows, len(cnet.state_names))
+        shape, n_u = (rows, len(cnet.x_owner)), len(cnet.u_owner)
         *self.states, self.stage, self.k1, self.k2, self.k3, self.k4 = (
             np.empty(shape, order="F") for _ in range(7))
-        self.offline = np.empty((rows, len(cnet.names)), bool, order="F")
-        self.held = np.zeros((rows, len(cnet.u_owner)), order="F")
-        self.lg_rows = np.empty((rows, len(cnet.u_owner)))
-        self.state_cols = [tuple(a.T) for a in self.states]
-        self.stage_cols, *self.k_cols = (tuple(a.T) for a in (self.stage, self.k1, self.k2,
-                                                               self.k3, self.k4))
-        self.inputs = (*self.offline.T, *self.held.T)
+        self.offline = np.empty((rows, n_u), bool, order="F")
+        self.held = np.zeros((rows, n_u), order="F")
+        self.lg_rows = np.empty((rows, n_u))
+        blocks = [tuple(a[:, i:j] for i, j in cnet.x_views)
+                  for a in (*self.states, self.stage, self.k1, self.k2, self.k3, self.k4)]
+        self.state_cols, (self.stage_cols, *self.k_cols) = blocks[:2], blocks[2:]
+        self.inputs = tuple(a[:, i:j] for a in (self.offline, self.held) for i, j in cnet.u_views)
 
     def advance(self, src: int, step: float | None, u_out, h_out):
         """Write the effective inputs and every h at states[src] into the
@@ -273,89 +279,152 @@ class _Workspace:
 
 
 class _CompiledNetwork:
-    """A network's expressions as straight-line kernels over one row layout:
-    a batch row holds every state, subsystem j's in columns xs[j], and an
-    input row holds every input, subsystem j's in columns us[j].
+    """A network's expressions as straight-line kernels over lanes:
+    subsystems whose trees are equal up to their variables and literal
+    values form a group (a subsystem with no twin, a group of one), whose
+    trees run once over (rows, L) blocks of its L lanes, a literal a block
+    of the lanes' own values.  Columns are lane-major (group, then role,
+    then lane), so one role's lanes are one contiguous block; subsystem j's
+    states are the step-L columns xs[j] of a state row, its inputs us[j] of
+    an input row, its h column hs[j] of an h row.  x_perm and u_perm give
+    each column's subsystem-major column, x_owner and u_owner its subsystem.
+
     first(X, D, V, u_out, h_out) writes the effective input rows and every h
     into the record rows u_out and h_out, then, unless D is None, the
-    right-hand side into the slope columns D; slope(X, D, V) writes only the
-    latter.  X holds state columns, V the offline mask, then the held input
-    columns.  lg(X, out) writes input k's lg value into column k of out.  An
-    effective input is the held adversary input where its subsystem is
-    offline, the saturated feedback law where it is online.  The kernels of
-    workspace(len(X)) allocate nothing: each writes into its buffers."""
+    right-hand side into the slope blocks D; slope(X, D, V) writes only the
+    latter.  X and D hold the blocks x_views (the lane blocks, and the single
+    columns a coupling term reads or adds into, after the lanes', in incoming
+    order) of column-contiguous arrays, V those u_views of the per-input
+    offline mask, then of the held inputs.  lg(X, out) writes input k's lg
+    value into column k of out.  An effective input is the held adversary
+    input where its subsystem is offline, the saturated feedback law where it
+    is online.  The kernels of workspace(len(X)) allocate nothing: each
+    writes into its buffers."""
 
     def __init__(self, net: Network):
-        self.net = net
-        self.names = net.names
-        subs = net.subsystems
-        self.state_names: tuple[str, ...] = tuple(n for s in subs for n in s.state_vars)
-        ends = np.cumsum([[s.n_states, s.n_inputs] for s in subs], axis=0).tolist()
-        self.xs = [slice(e - s.n_states, e) for s, (e, _) in zip(subs, ends)]
-        self.us = [slice(e - s.n_inputs, e) for s, (_, e) in zip(subs, ends)]
-        self.u_owner = np.repeat(np.arange(len(subs)), [s.n_inputs for s in subs])
-        self.box_lo = np.array([lo for s in subs for lo, _ in s.state_box])
-        self.box_hi = np.array([hi for s in subs for _, hi in s.state_box])
-        self.u_lo = np.array([lo for s in subs for lo, _ in s.input_box], dtype=float)
-        self.u_hi = np.array([hi for s in subs for _, hi in s.input_box], dtype=float)
+        self.net, self.names, subs = net, net.names, net.subsystems
+        drifts = [[reduce(_add, [_mul(g, Variable(u)) for g, u in zip(gs, s.input_vars)], f)
+                   for f, gs in zip(s.f, s.g)] for s in subs]  # f_i + sum_k g_ik u_k
+        groups = {}
+        for j, s in enumerate(subs):
+            groups.setdefault(_lane_key(s, drifts[j]), []).append(j)
+        self.groups = list(groups.values())
+        self.x_perm, self.xs, self.x_owner = self._layout([s.n_states for s in subs])
+        self.u_perm, self.us, self.u_owner = self._layout([s.n_inputs for s in subs])
+        self.hs = [c.start for c in self._layout([1] * len(subs))[1]]
+        self.box_lo, self.box_hi = np.array([b for s in subs for b in s.state_box],
+                                            float).reshape(-1, 2)[self.x_perm].T
+        self.u_lo, self.u_hi = np.array([b for s in subs for b in s.input_box],
+                                        float).reshape(-1, 2)[self.u_perm].T
         self.label = f"inputs, h and drift of {', '.join(self.names)}"
         self._workspaces: dict[int, _Workspace] = {}
 
-        ids = {n: f"x{c}" for c, n in enumerate(self.state_names)}
-        n_u = len(self.u_owner)
-        head = [f"{''.join(x + ', ' for x in ids.values())}= X",
-                f"{''.join(f'o{j}, ' for j in range(len(subs)))}"
-                f"{''.join(f'v{k}, ' for k in range(n_u))}= V"]
-        temps, consts, drift = {}, {}, []  # head ends with the inputs u{k}
-        for j, s in enumerate(subs):
-            ks = range(self.us[j].start, self.us[j].stop)
-            laws = straight_line(s.mu, ids, head, temps, consts)
-            for k, law, sat in zip(ks, laws, s.mu_saturation or [None] * s.n_inputs):
-                if sat is None:
-                    head.append(f"copyto(u{k}, {law})")
+        consts, lanes, n_x = {}, [], len(self.x_perm)  # lanes: (group, x and u blocks, names)
+
+        def emit(g, names, trees, lines, temps, outs=None):
+            """Group g's lane trees, trees(j) member j's, as straight-line code."""
+            return straight_line([lane(t, names) for t in zip(*map(trees, g))], lines, temps,
+                                 outs, f"t{len(g)}_")
+
+        def lane(trees, names):  # trees, one per lane, as one tree over the blocks names
+            return lane_tree(trees, names, lambda src: consts.setdefault(
+                f"full((rows, {len(trees)}), {src}, order='F')", f"c{len(consts)}"))
+
+        for g in self.groups:
+            s, L, x, u = subs[g[0]], len(g), self.xs[g[0]].start, self.us[g[0]].start
+            xb = [(x + i * L, x + i * L + L) for i in range(s.n_states)]
+            ub = [(u + r * L, u + r * L + L) for r in range(s.n_inputs)]
+            lanes.append((g, xb, ub, {**{v: "x%d_%d" % b for v, b in zip(s.state_vars, xb)},
+                                      **{v: "u%d_%d" % b for v, b in zip(s.input_vars, ub)}}))
+        at = dict(zip([v for s in subs for v in s.state_vars], np.argsort(self.x_perm).tolist()))
+        couplings = []  # (column, w replaces a lane drift of 0, w) in incoming order
+        for j in range(len(subs)):
+            for i, c in enumerate(range(n_x)[self.xs[j]]):
+                ws = [w[i] for _, w in net.incoming(j) if not _is_zero(w[i])]
+                couplings += [(c, k == 0 and _is_zero(drifts[j][i]), w) for k, w in enumerate(ws)]
+        single = {k for c, _, w in couplings for k in (c, *map(at.get, free_variables(w)))}
+        self.x_views = sorted({(c, c + 1) for c in single}.union(*(e[1] for e in lanes)))
+        self.u_views = [b for _, _, ub, _ in lanes for b in ub]
+        col = {v: f"x{c}_{c + 1}" for v, c in at.items()}
+
+        head = [f"({''.join(f'x{a}_{b}, ' for a, b in self.x_views)}) = X",
+                f"({''.join(f'{p}{a}_{b}, ' for p in 'ov' for a, b in self.u_views)}) = V"]
+        temps, records = {}, []
+        for g, _, ub, names in lanes:
+            laws = emit(g, names, lambda j: subs[j].mu, head, temps)
+            for r, ((a, b), law) in enumerate(zip(ub, laws)):
+                if subs[g[0]].mu_saturation is None:
+                    head.append(f"copyto(u{a}_{b}, {law})")
                 else:  # np.clip(law, lo, hi), bit for bit
-                    lo, hi = straight_line([Literal(float(v)) for v in sat], ids, head, temps,
-                                           consts)
-                    head += [f"maximum({lo}, {law}, out=u{k})", f"minimum({hi}, u{k}, out=u{k})"]
-                head.append(f"copyto(u{k}, v{k}, where=o{j})")
-            names = {**ids, **{u: f"u{k}" for u, k in zip(s.input_vars, ks)}}
-            for i, expr in enumerate(s.f):
-                for g, u in zip(s.g[i], s.input_vars):
-                    expr = _add(expr, _mul(g, Variable(u)))
-                for _, w in net.incoming(j):
-                    expr = _add(expr, w[i])
-                drift.append((expr, names))
+                    lo, hi = (lane([Literal(float(subs[j].mu_saturation[r][e])) for j in g],
+                                   names).name for e in (0, 1))
+                    head += [f"maximum({lo}, {law}, out=u{a}_{b})",
+                             f"minimum({hi}, u{a}_{b}, out=u{a}_{b})"]
+                head.append(f"copyto(u{a}_{b}, v{a}_{b}, where=o{a}_{b})")
+                records.append(f"u_out[:, {a}:{b}] = u{a}_{b}")
 
         def slopes(lines, temps):
-            """Each drift's last call writes into its slope column d<c>."""
-            lines.append(f"{''.join(f'd{c}, ' for c in range(len(drift)))}= D")
-            for c, (expr, names) in enumerate(drift):
-                (v,) = straight_line([expr], names, lines, temps, consts, [f"d{c}"])
-                if v != f"d{c}":  # a variable, a constant row or a value computed before
-                    lines.append(f"copyto(d{c}, {v})")
+            """Each lane drift's last call writes into its slope block; the
+            coupling terms, computed before any slope is written, then add
+            into their columns."""
+            lines.append(f"({''.join(f'd{a}_{b}, ' for a, b in self.x_views)}) = D")
+            terms = straight_line([lane([w], col) for *_, w in couplings], lines, temps,
+                                  prefix="t1_")
+            for g, xb, _, names in lanes:
+                outs = ["d%d_%d" % b for b in xb]
+                for v, out in zip(emit(g, names, drifts.__getitem__, lines, temps, outs), outs):
+                    if v != out:  # a variable, a constant block or a value computed before
+                        lines.append(f"copyto({out}, {v})")
+            for (c, replace, _), v in zip(couplings, terms):
+                d = f"d{c}_{c + 1}"
+                lines.append(f"copyto({d}, {v})" if replace else f"add({d}, {v}, {d})")
             return lines
 
         slope_temps = dict(temps)
         slope = slopes(list(head), slope_temps)
-        first = head + [f"u_out[:, {k}] = u{k}" for k in range(n_u)]
-        hs = straight_line([s.h for s in subs], ids, first, temps, consts)
-        first += [f"h_out[:, {j}] = {v}" for j, v in enumerate(hs)] + ["if D is None: return"]
-        first = slopes(first, temps)
-        lines, lg_temps = [f"{x} = X[:, {c}]" for c, x in enumerate(ids.values())], {}
-        lg = straight_line([e for s in subs for e in s.compiled.lg_trees],
-                           ids, lines, lg_temps, consts)
-        lines += [f"out[:, {k}] = {v}" for k, v in enumerate(lg)]
-        n_temps = max(len(slope_temps), len(temps), len(lg_temps))
+        first = head + records
+        for g, _, _, names in lanes:
+            (h,) = emit(g, names, lambda j: [subs[j].h], first, temps)
+            first.append(f"h_out[:, {self.hs[g[0]]}:{self.hs[g[0]] + len(g)}] = {h}")
+        first = slopes(first + ["if D is None: return"], temps)
+        lg, lg_temps = [f"x{a}_{b} = X[:, {a}:{b}]" for _, xb, _, _ in lanes for a, b in xb], {}
+        for g, _, ub, names in lanes:
+            values = emit(g, names, lambda j: subs[j].compiled.lg_trees, lg, lg_temps)
+            lg += [f"out[:, {a}:{b}] = {v}" for (a, b), v in zip(ub, values)]
+        arrays = {t: f"empty((rows, {t[1:t.index('_')]}), order='F')"  # t<width>_<k>
+                  for d in (temps, slope_temps, lg_temps) for t in d.values() if t[0] == "t"}
+        arrays.update({f"u{a}_{b}": f"empty((rows, {b - a}), order='F')" for a, b in self.u_views})
+        arrays.update({name: src for src, name in consts.items()})
         self.make = compile_kernels(
             ((first, ("X", "D", "V", "u_out", "h_out"), self.label),
-             (slope, ("X", "D", "V"), self.label), (lines, ("X", "out"), self.label)),
-            consts, [*(f"t{i}" for i in range(n_temps)), *(f"u{k}" for k in range(n_u))])
+             (slope, ("X", "D", "V"), self.label), (lg, ("X", "out"), self.label)), arrays)
+
+    def _layout(self, sizes):
+        """Lane-major columns for sizes[j] of subsystem j: each one's
+        subsystem-major column and subsystem, and subsystem j's step slice."""
+        perm, owner, cols, at = [], [], [None] * len(sizes), np.cumsum([0, *sizes]).tolist()
+        for g in self.groups:
+            for lane, j in enumerate(g):
+                cols[j] = slice(len(perm) + lane, len(perm) + len(g) * sizes[j], len(g))
+            perm += [at[j] + i for i in range(sizes[g[0]]) for j in g]
+            owner += [j for _ in range(sizes[g[0]]) for j in g]
+        return perm, cols, owner
 
     def workspace(self, rows: int) -> _Workspace:
         ws = self._workspaces.get(rows)
         if ws is None:
             ws = self._workspaces[rows] = _Workspace(self, rows)
         return ws
+
+
+def _lane_key(s, drifts):
+    """Subsystem s's per-sample trees as fully parenthesized text (two groupings
+    of a sum print alike otherwise), variables renamed by position and each
+    literal-only subtree a placeholder: equal keys are lanes of one group."""
+    pos = {v: f"v{i}" for i, v in enumerate((*s.state_vars, *s.input_vars))}
+    return (s.mu_saturation is None, s.n_states, s.n_inputs,
+            *(_to_python_source(lane_tree([e], pos, lambda _: "#"))
+              for e in (*s.mu, *drifts, s.h, *s.compiled.lg_trees)))
 
 
 def _adversary_rows(cnet, adversary, X, bits):
@@ -393,28 +462,29 @@ def _locations(schedules, dt, n):
 
 def _integrate(cnet, adversary, ws, T, offline, entering, bits, rec_states, rec_u, rec_h):
     """The one stepping loop over the sample times T, from ws.states[0], with
-    offline[:, m] and entering[:, m] the locations at T[m].  At each T[m]:
-    write the adversary rows (random bits bits[:, m]) into the held inputs
-    of every offline (row, subsystem) cell, or for the constant adversary of
-    the cells entering an interval, check the box, record the state, and
-    advance from it with offline[:, m] as the workspace mask."""
-    refresh = entering if adversary.kind == "constant" else offline
+    offline[:, m] and entering[:, m] the locations at T[m], made per input
+    once.  At each T[m]: write the adversary rows (random bits bits[:, m])
+    into the held inputs of every offline (row, input) cell, or for the
+    constant adversary of the cells entering an interval, check the box,
+    record the state, and advance from it with offline[:, m] as the mask."""
+    offline = offline[:, :, cnet.u_owner]
+    refresh = entering[:, :, cnet.u_owner] if adversary.kind == "constant" else offline
+    due = refresh.any(axis=(0, 2)).tolist()
     width10 = _BOX_EXCURSION * (cnet.box_hi - cnet.box_lo)
     lo_lim, hi_lim = cnet.box_lo - width10, cnet.box_hi + width10
     inside, below_hi = np.empty((2, *ws.stage.shape), dtype=bool)
     src = 0
     for m in range(len(T)):
         X = ws.states[src]
-        if refresh[:, m].any():
+        if due[m]:
             rows = _adversary_rows(cnet, adversary, X, bits[:, m] if bits is not None else None)
-            np.copyto(ws.held, rows, where=refresh[:, m][:, cnet.u_owner])
+            np.copyto(ws.held, rows, where=refresh[:, m])
         # nan fails both comparisons, and +-inf one of them
         np.greater_equal(X, lo_lim, inside)
         np.logical_and(inside, np.less_equal(X, hi_lim, below_hi), inside)
         if not inside.all():
             b, c = np.argwhere(~inside)[0]
-            j = next(j for j, xs in enumerate(cnet.xs) if c < xs.stop)
-            raise NonFiniteStateError(float(T[m]), cnet.names[j], int(b))
+            raise NonFiniteStateError(float(T[m]), cnet.names[cnet.x_owner[c]], int(b))
         rec_states[:, m] = X
         np.copyto(ws.offline, offline[:, m])
         step = float(T[m + 1]) - float(T[m]) if m + 1 < len(T) else None
@@ -481,19 +551,17 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     cnet = _CompiledNetwork(net)
     # h >= d up to rounding: the buffer region, for x0 and for in_buffer
     floor = np.array([indices[j].d - 1e-9 * max(1.0, abs(indices[j].d)) for j in range(n_sub)])
-    x0_row = _resolve_x0(net, indices, floor, x0)
+    x0_row = _resolve_x0(net, indices, floor, x0)[cnet.x_perm]
 
     samples = np.arange(N) * dt
     samples.flags.writeable = False  # shared by every trace
     n_u = len(cnet.u_owner)
-
+    # the draw's columns are the subsystem-major inputs
     rand_bits = None if adversary.kind != "random" else np.stack(
         [np.random.default_rng([adversary.seed, b, 1]).integers(0, 2, (N, n_u), np.uint8)
-         for b in range(B)])
+         [:, cnet.u_perm] for b in range(B)])
 
-    rec_states = np.empty((B, N, len(cnet.state_names)))
-    rec_u = np.empty((B, N, n_u))
-    rec_h = np.empty((B, N, n_sub))
+    rec_states, rec_u, rec_h = (np.empty((B, N, n)) for n in (len(cnet.x_owner), n_u, n_sub))
     ws = cnet.workspace(B)
     ws.states[0][:] = x0_row
 
@@ -509,7 +577,7 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         raise ZeroDivisionError(f"division by zero evaluating '{cnet.label}'") from None
 
     rec_loc = (~offline).view(np.int8)
-    in_buffer = rec_h >= floor
+    in_buffer = rec_h >= floor[np.argsort(cnet.hs)]
 
     def views(rec, b, cols):
         """Trace b's columns of a record, per subsystem: views, as traces never overlap."""
@@ -521,8 +589,8 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
                         for iv in ivs for t, kind in zip(iv, ("offline", "online")))
         traces.append(HybridTrace(
             names=cnet.names, times=samples, states=views(rec_states, b, cnet.xs),
-            inputs=views(rec_u, b, cnet.us), h=views(rec_h, b, range(n_sub)),
-            loc=views(rec_loc, b, range(n_sub)), in_buffer=views(in_buffer, b, range(n_sub)),
+            inputs=views(rec_u, b, cnet.us), h=views(rec_h, b, cnet.hs),
+            loc=views(rec_loc, b, range(n_sub)), in_buffer=views(in_buffer, b, cnet.hs),
             events=tuple(events), violations=violations[b], dt=dt))
     return traces
 
@@ -535,12 +603,13 @@ def _refine_violations(cnet, samples, states_b, h_b, u_b, offline_b):
     advance of workspace(1) from a copy of the recorded row."""
     out, ws = [], cnet.workspace(1)
     u_out, h_out = np.empty_like(u_b[:1]), np.empty_like(h_b[:1])
-    for j in range(h_b.shape[1]):
-        hs, h = h_b[:, j], cnet.net.subsystems[j].compiled.h
+    for j, s in enumerate(cnet.net.subsystems):
+        hs, h = h_b[:, cnet.hs[j]], s.compiled.h
         for k in np.nonzero((hs[:-1] >= 0) & (hs[1:] < 0))[0]:
             t0, t1 = float(samples[k]), float(samples[k + 1])
             tm = 0.5 * (t0 + t1)
-            ws.states[0][0], ws.held[0], ws.offline[0] = states_b[k], u_b[k], offline_b[k]
+            ws.states[0][0], ws.held[0] = states_b[k], u_b[k]
+            ws.offline[0] = offline_b[k, cnet.u_owner]
             ws.advance(0, tm - t0, u_out, h_out)
             h_mid = float(np.asarray(h(*ws.states[1][:, cnet.xs[j]].T)).reshape(()))
             if h_mid < 0:
@@ -605,5 +674,5 @@ def export_trace_csv(trace: HybridTrace, path: str):
     mat, row = np.column_stack(arrays), ",".join(["%.9g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(0, len(mat), 256):  # a block at a time keeps the lists small
-            fh.writelines(row % tuple(r) for r in mat[i:i + 256].tolist())
+        for block in (mat[i:i + 256] for i in range(0, len(mat), 256)):  # small lists
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

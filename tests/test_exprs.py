@@ -17,6 +17,7 @@ from resil.exprs import (
     eval_expression,
     format_expression,
     free_variables,
+    lane_tree,
     parse_expression,
     straight_line,
 )
@@ -231,9 +232,14 @@ def straight_line_fn(trees, names, label, rows):
     """straight_line's code for trees as a kernel of the variables names,
     returning every tree's value, with buffers of rows rows."""
     lines, temps, consts = [], {}, {}
-    values = straight_line(trees, {n: n for n in names}, lines, temps, consts)
+    trees = [lane_tree([t], {n: n for n in names},
+                       lambda src: consts.setdefault(f"full(rows, {src})", f"c{len(consts)}"))
+             for t in trees]
+    values = straight_line(trees, lines, temps)
     kernel = (lines + [f"return ({''.join(v + ', ' for v in values)})"], names, label)
-    (fn,) = compile_kernels([kernel], consts, temps.values())(rows)
+    arrays = {**{t: "empty(rows)" for t in temps.values()},
+              **{c: src for src, c in consts.items()}}
+    (fn,) = compile_kernels([kernel], arrays)(rows)
     return fn, lines, values
 
 
@@ -268,8 +274,9 @@ def test_straight_line_writes_every_call_into_a_buffer():
 def test_fold_is_the_value_compiled_code_computes():
     for text in ("(50000/231)*3000000", "exp(-1.5)", "2^3", "-(4 - 0.5)/3"):
         tree, consts = parse_expression(text, ()), {}
-        assert straight_line([tree], {}, [], {}, consts) == ["c0"]
-        (fn,) = compile_kernels([(["return c0"], (), text)], consts, ())(3)
+        const = lane_tree([tree], {}, lambda src: consts.setdefault(f"full(3, {src})", "c0"))
+        assert straight_line([const], [], {}) == ["c0"]
+        (fn,) = compile_kernels([(["return c0"], (), text)], {"c0": next(iter(consts))})(3)
         assert fn().tobytes() == np.full(3, eval_expression(tree, {})).tobytes()
 
 

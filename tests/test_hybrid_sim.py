@@ -850,12 +850,81 @@ def shared_model():
     return Network((s,))
 
 
+def lanes_model():
+    """A1 and A2 differ only in literals, boxes and saturation bounds; B is
+    A1 with p^3 for p^2 in g; C has a structure of its own.  A1's second
+    drift is the literal 0, and takes A2's coupling; A1 drives C.  Listed
+    A1, B, A2, C, so that the lanes of a group are not neighbours."""
+    def a(name, i, lit, exponent=2):
+        p, q, sv = f"p{i}", f"q{i}", (f"p{i}", f"q{i}")
+        return Subsystem(
+            name=name, state_vars=sv, input_vars=(f"v{i}",),
+            f=(parse_expression(f"-{lit[0]}*{p} + {q}*exp(-{lit[1]}*{p})", sv),
+               parse_expression(lit[2], sv)),
+            g=((parse_expression(f"1 + {lit[3]}*{p}^{exponent}", sv),), (Literal(0.0),)),
+            h=parse_expression(f"{lit[4]} - {p}^2 - {lit[5]}*{q}^2", sv),
+            mu=(parse_expression(f"-{lit[6]}*{p}", sv),), mu_saturation=(lit[7],),
+            state_box=lit[8], input_box=((-2.0, 2.0),))
+    a1 = ("2", "0.5", "0", "0.5", "1", "0.25", "3", (-1.0, 1.0), ((-1.0, 1.0), (-2.0, 2.0)))
+    a2 = ("3", "0.25", "0.5", "2", "2", "0.5", "4", (-1.5, 0.5), ((-1.5, 1.5), (-1.0, 1.0)))
+    sv = ("r",)
+    c = Subsystem(
+        name="C", state_vars=sv, input_vars=("w",), f=(parse_expression("-r + 0.5*r^2", sv),),
+        g=((parse_expression("2", sv),),), h=parse_expression("1 - r^2", sv),
+        mu=(parse_expression("-(r + 1)", sv),), state_box=((-1.0, 1.0),),
+        input_box=((-3.0, 3.0),))
+    return Network((a("A1", 1, a1), a("B", 3, a1, exponent=3), a("A2", 2, a2), c), {
+        (2, 0): (parse_expression("0.1*(p2 - p1)", ("p1", "p2")),
+                 parse_expression("0.2*q2", ("q2",))),
+        (0, 3): (parse_expression("0.25*(p1 - r)", ("p1", "r")),)})
+
+
+def groupings_model():
+    """Subsystems whose f print alike but group differently: S1 is S0 with
+    p + p + 2*3 for p + (p + 2), S2 with 2*p*q for 2*(p*q), S3 with
+    p + q + r for p + (q + r); S4 is S0 with other literals."""
+    def sub(j, f):
+        sv = tuple(f"{v}{j}" for v in "pqr")
+        f = [parse_expression(e.replace("p", sv[0]).replace("q", sv[1]).replace("r", sv[2]), sv)
+             for e in f]
+        return Subsystem(
+            name=f"S{j}", state_vars=sv, input_vars=(f"u{j}",), f=tuple(f),
+            g=((parse_expression("1", sv),), (Literal(0.0),), (Literal(0.0),)),
+            h=parse_expression(f"1 - {sv[0]}^2 - {sv[1]}^2 - {sv[2]}^2", sv),
+            mu=(parse_expression(f"-{sv[0]}", sv),), state_box=((-1.0, 1.0),) * 3,
+            input_box=((-1.0, 1.0),))
+    s0 = ("p + (p + 2)", "2*(p*q)", "p + (q + r)")
+    return Network(tuple(sub(j, f) for j, f in enumerate([
+        s0, ("p + p + 2*3", *s0[1:]), (s0[0], "2*p*q", s0[2]), (*s0[:2], "p + q + r"),
+        ("p + (p + 5)", "3*(p*q)", s0[2])])))
+
+
 NETWORKS = {
     "cstr_series": load_model(str(resources.files("resil") / "models" / "cstr_series.json")
                               ).network,
     "coupled": coupled_model(),
     "shared": shared_model(),
+    "lanes": lanes_model(),
+    "groupings": groupings_model(),
 }
+
+
+def test_lanes_are_subsystems_equal_up_to_literals():
+    # A1 and A2 share a group; B (an exponent apart) and C do not
+    assert _CompiledNetwork(NETWORKS["lanes"]).groups == [[0, 2], [1], [3]]
+    assert _CompiledNetwork(NETWORKS["cstr_series"]).groups == [[0, 1]]
+    assert _CompiledNetwork(NETWORKS["coupled"]).groups == [[0], [1]]
+    # trees that print alike but group differently are not lanes
+    assert _CompiledNetwork(NETWORKS["groupings"]).groups == [[0, 4], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("name", ["cstr_series", "lanes"])
+def test_every_allocated_buffer_is_used(name):
+    # The buffers that some kernel line names are closure cells of the
+    # function that allocates them; one that no line names stays a local.
+    code = _CompiledNetwork(NETWORKS[name]).make.fn.__code__
+    assert [v for v in code.co_varnames if v[0] in "tuc"] == []
+    assert {v[0] for v in code.co_cellvars} >= set("tuc")
 
 
 def reference_rhs(net, X, offline, held):
@@ -893,8 +962,15 @@ def draw_batch(data, net, rows):
     return X, offline, held
 
 
+def lane_major(cnet, X, offline, held):
+    """A batch drawn subsystem-major in cnet's lane-major columns, the states
+    column-contiguous as in a workspace, with the per-input offline mask."""
+    return np.asfortranarray(X[:, cnet.x_perm]), offline[:, cnet.u_owner], held[:, cnet.u_perm]
+
+
 def load(ws, X, offline, held, src=0):
-    """The batch copied into the workspace: states[src], the mask and the held inputs."""
+    """The lane-major batch copied into the workspace: states[src], the mask
+    and the held inputs."""
     ws.states[src][:], ws.offline[:], ws.held[:] = X, offline, held
 
 
@@ -916,25 +992,25 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
 
         ws = cnet.workspace(len(X))
         assert seen.setdefault(rows, ws) is ws
-        load(ws, X, offline, held)
+        lanes = lane_major(cnet, X, offline, held)
+        load(ws, *lanes)
         u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
         with np.errstate(over="ignore", invalid="ignore", divide="raise"):
             ws.advance(0, data.draw(st.floats(1e-5, 1e-3), label="h"), u_out, h_out)
         # the first stage's slope is the right-hand side at the sample
-        assert ws.k1.tobytes() == reference_rhs(net, X, offline, held).tobytes()
+        assert ws.k1.tobytes() == reference_rhs(net, X, offline, held)[:, cnet.x_perm].tobytes()
         lg = np.empty_like(held)
-        ws.lg(X, lg)
-        vertex = _adversary_rows(cnet, AdversaryPolicy("bang-bang"), X, None)
+        ws.lg(lanes[0], lg)
+        vertex = _adversary_rows(cnet, AdversaryPolicy("bang-bang"), lanes[0], None)
         for j, s in enumerate(subs):
-            cols = list(X[:, cnet.xs[j]].T)
+            cols, ks = list(lanes[0][:, cnet.xs[j]].T), range(held.shape[1])[cnet.us[j]]
             on = ~offline[:, j]
-            for k, mu in zip(range(cnet.us[j].start, cnet.us[j].stop), s.mu_values(cols)):
+            for k, mu in zip(ks, s.mu_values(cols)):
                 assert u_out[on, k].tobytes() == np.broadcast_to(mu, rows)[on].tobytes()
-                assert u_out[~on, k].tobytes() == held[~on, k].tobytes()
-            assert h_out[:, j].tobytes() == s.compiled.h(*cols).tobytes()
+                assert u_out[~on, k].tobytes() == lanes[2][~on, k].tobytes()
+            assert h_out[:, cnet.hs[j]].tobytes() == s.compiled.h(*cols).tobytes()
             by_name = dict(zip(s.state_vars, cols))
-            for k, fn, (lo, hi) in zip(range(cnet.us[j].start, cnet.us[j].stop),
-                                       s.compiled.lg, s.input_box):
+            for k, fn, (lo, hi) in zip(ks, s.compiled.lg, s.input_box):
                 want = np.broadcast_to(fn(*(by_name[n] for n in fn.names)), rows)
                 assert lg[:, k].tobytes() == want.tobytes()
                 want = worst_vertex(want, float(lo), float(hi))
@@ -962,13 +1038,15 @@ def test_rk4_step_is_bit_equal_to_fresh_array_reference(data):
     want2 = reference_rk4(net, want1, h, offline, held)
 
     ws = cnet.workspace(len(X))
-    load(ws, X, offline, held)
+    lanes = lane_major(cnet, X, offline, held)
+    load(ws, *lanes)
+    want1, want2 = want1[:, cnet.x_perm], want2[:, cnet.x_perm]
     u_out, h_out = np.empty_like(held), np.empty((len(X), len(net.subsystems)))
     with np.errstate(over="ignore", invalid="ignore", divide="raise"):
         ws.advance(0, h, u_out, h_out)
         assert ws.states[1].tobytes() == want1.tobytes()
         # the input state is never written
-        assert ws.states[0].tobytes() == X.tobytes()
+        assert ws.states[0].tobytes() == lanes[0].tobytes()
         # the step after reads the new state and writes the other ping-pong buffer
         ws.advance(1, h, u_out, h_out)
     assert ws.states[0].tobytes() == want2.tobytes()
