@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 infeasible result / failed verification / unsafe
-simulation, 2 usage, model, file or numeric errors (a file that cannot be
-read or written; division by zero, nan or -inf while evaluating a model,
-or a region that holds no grid point).
+Exit codes: 0 success, 1 infeasible result / failed verification (a
+recovery band that the grid misses included) / unsafe simulation, 2 usage,
+model, file or numeric errors (a file that cannot be read or written;
+division by zero, nan or -inf while evaluating a model, a region that holds
+no grid point, or a scan too large for memory).
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_UsageError, ModelError, ExpressionError, ScheduleError,
             NonFiniteStateError, OSError, ValueError,
-            ZeroDivisionError, FloatingPointError, EmptyRegionError) as err:
+            ZeroDivisionError, FloatingPointError, EmptyRegionError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

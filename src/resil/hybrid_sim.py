@@ -22,8 +22,8 @@ the recorded feedback law.  The adversary is one rule over input rows,
 written by one masked copy.
 
 The kernels and the RK4 stages allocate no arrays: every ufunc call in
-them writes into a workspace that the compiled network keeps per row
-count (the batch, and one row for refinement).  The kernels are compiled
+them writes into a workspace of one row count (a batch builds one for its
+rows, and one of one row for refinement).  The kernels are compiled
 together with the code that allocates their own buffers, the temporaries,
 inputs and constant blocks; the workspace adds the states, slopes, mask
 and held inputs, with column blocks bound once.  The stepping loop
@@ -42,7 +42,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exprs import (Literal, Variable, _add, _is_zero, _mul, _to_python_source, compile_kernels,
+from .exprs import (Literal, Variable, _add, _is_zero, _mul, compile_kernels, eval_expression,
                     free_variables, lane_tree, straight_line)
 from .interconnect import Network
 from .oracle import OracleSettings, argmax_h
@@ -298,11 +298,11 @@ class _CompiledNetwork:
     offline mask, then of the held inputs.  lg(X, out) writes input k's lg
     value into column k of out.  An effective input is the held adversary
     input where its subsystem is offline, the saturated feedback law where it
-    is online.  The kernels of workspace(len(X)) allocate nothing: each
-    writes into its buffers."""
+    is online.  The kernels of a _Workspace of len(X) rows allocate nothing:
+    each writes into its buffers."""
 
     def __init__(self, net: Network):
-        self.net, self.names, subs = net, net.names, net.subsystems
+        self.names, subs = net.names, net.subsystems
         drifts = [[reduce(_add, [_mul(g, Variable(u)) for g, u in zip(gs, s.input_vars)], f)
                    for f, gs in zip(s.f, s.g)] for s in subs]  # f_i + sum_k g_ik u_k
         groups = {}
@@ -317,7 +317,6 @@ class _CompiledNetwork:
         self.u_lo, self.u_hi = np.array([b for s in subs for b in s.input_box],
                                         float).reshape(-1, 2)[self.u_perm].T
         self.label = f"inputs, h and drift of {', '.join(self.names)}"
-        self._workspaces: dict[int, _Workspace] = {}
 
         consts, lanes, n_x = {}, [], len(self.x_perm)  # lanes: (group, x and u blocks, names)
 
@@ -410,30 +409,23 @@ class _CompiledNetwork:
             owner += [j for _ in range(sizes[g[0]]) for j in g]
         return perm, cols, owner
 
-    def workspace(self, rows: int) -> _Workspace:
-        ws = self._workspaces.get(rows)
-        if ws is None:
-            ws = self._workspaces[rows] = _Workspace(self, rows)
-        return ws
-
 
 def _lane_key(s, drifts):
-    """Subsystem s's per-sample trees as fully parenthesized text (two groupings
-    of a sum print alike otherwise), variables renamed by position and each
-    literal-only subtree a placeholder: equal keys are lanes of one group."""
+    """Subsystem s's per-sample trees, variables renamed by position and each
+    literal-only subtree a placeholder: trees compare by structure, so equal
+    keys are lanes of one group."""
     pos = {v: f"v{i}" for i, v in enumerate((*s.state_vars, *s.input_vars))}
     return (s.mu_saturation is None, s.n_states, s.n_inputs,
-            *(_to_python_source(lane_tree([e], pos, lambda _: "#"))
+            *(lane_tree([e], pos, lambda _: "#")
               for e in (*s.mu, *drifts, s.h, *s.compiled.lg_trees)))
 
 
-def _adversary_rows(cnet, adversary, X, bits):
-    """Every input's adversary vertex in each row of X: the one the random
-    bits pick, u_lo + bits (u_hi - u_lo), or else the one minimizing the
-    instantaneous drift of its subsystem's h."""
+def _adversary_rows(cnet, ws, adversary, X, bits):
+    """Every input's adversary vertex in each row of X, ws's states: the one
+    the random bits pick, u_lo + bits (u_hi - u_lo), or else the one
+    minimizing the instantaneous drift of its subsystem's h."""
     if adversary.kind == "random":
         return cnet.u_lo + bits * (cnet.u_hi - cnet.u_lo)
-    ws = cnet.workspace(len(X))
     ws.lg(X, ws.lg_rows)
     return worst_vertex(ws.lg_rows, cnet.u_lo, cnet.u_hi)
 
@@ -477,7 +469,7 @@ def _integrate(cnet, adversary, ws, T, offline, entering, bits, rec_states, rec_
     for m in range(len(T)):
         X = ws.states[src]
         if due[m]:
-            rows = _adversary_rows(cnet, adversary, X, bits[:, m] if bits is not None else None)
+            rows = _adversary_rows(cnet, ws, adversary, X, None if bits is None else bits[:, m])
             np.copyto(ws.held, rows, where=refresh[:, m])
         # nan fails both comparisons, and +-inf one of them
         np.greater_equal(X, lo_lim, inside)
@@ -504,7 +496,7 @@ def _resolve_x0(net, indices, floor, x0):
             if len(p) != s.n_states:
                 raise ValueError(f"x0 for {s.name!r} must have {s.n_states} components")
     for j, (s, p) in enumerate(zip(net.subsystems, parts)):
-        h0 = float(s.compiled.h(*p))
+        h0 = float(eval_expression(s.h, dict(zip(s.state_vars, p))))
         if h0 < floor[j]:
             raise ValueError(f"x0 for {s.name!r} has h = {h0:.6g} below the "
                              f"buffer depth d = {indices[j].d:.6g}")
@@ -562,7 +554,7 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
          [:, cnet.u_perm] for b in range(B)])
 
     rec_states, rec_u, rec_h = (np.empty((B, N, n)) for n in (len(cnet.x_owner), n_u, n_sub))
-    ws = cnet.workspace(B)
+    ws = _Workspace(cnet, B)
     ws.states[0][:] = x0_row
 
     # One errstate per batch for the raw kernels: an overflow gives inf or
@@ -571,8 +563,9 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
         with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="raise"):
             _integrate(cnet, adversary, ws, samples, offline, entering, rand_bits, rec_states,
                        rec_u, rec_h)
-            violations = [_refine_violations(cnet, samples, rec_states[b], rec_h[b], rec_u[b],
-                                             offline[b]) for b in range(B)]
+            ws1 = _Workspace(cnet, 1)
+            violations = [_refine_violations(cnet, ws1, samples, rec_states[b], rec_h[b],
+                                             rec_u[b], offline[b]) for b in range(B)]
     except FloatingPointError:
         raise ZeroDivisionError(f"division by zero evaluating '{cnet.label}'") from None
 
@@ -595,27 +588,29 @@ def simulate_batch(net: Network, indices: dict[int, ResilienceIndex],
     return traces
 
 
-def _refine_violations(cnet, samples, states_b, h_b, u_b, offline_b):
+def _refine_violations(cnet, ws, samples, states_b, h_b, u_b, offline_b):
     """One bisection per h sign change between consecutive samples: the first
     half-step is re-integrated from the recorded sample k, to decide which
     half holds the crossing.  No switch lies inside a step, so the half-step
     keeps sample k's location, and an offline input its recorded value: one
-    advance of workspace(1) from a copy of the recorded row."""
-    out, ws = [], cnet.workspace(1)
+    advance of the one-row workspace ws from a copy of the recorded row, and
+    one of no step for the h row at the half-step."""
+    out = []
     u_out, h_out = np.empty_like(u_b[:1]), np.empty_like(h_b[:1])
-    for j, s in enumerate(cnet.net.subsystems):
-        hs, h = h_b[:, cnet.hs[j]], s.compiled.h
+    for j, name in enumerate(cnet.names):
+        hs = h_b[:, cnet.hs[j]]
         for k in np.nonzero((hs[:-1] >= 0) & (hs[1:] < 0))[0]:
             t0, t1 = float(samples[k]), float(samples[k + 1])
             tm = 0.5 * (t0 + t1)
             ws.states[0][0], ws.held[0] = states_b[k], u_b[k]
             ws.offline[0] = offline_b[k, cnet.u_owner]
             ws.advance(0, tm - t0, u_out, h_out)
-            h_mid = float(np.asarray(h(*ws.states[1][:, cnet.xs[j]].T)).reshape(()))
+            ws.advance(1, None, u_out, h_out)
+            h_mid = float(h_out[0, cnet.hs[j]])
             if h_mid < 0:
-                out.append((tm, cnet.names[j], h_mid))
+                out.append((tm, name, h_mid))
             else:
-                out.append((0.5 * (tm + t1), cnet.names[j], 0.5 * (h_mid + float(hs[k + 1]))))
+                out.append((0.5 * (tm + t1), name, 0.5 * (h_mid + float(hs[k + 1]))))
     return tuple(out)
 
 

@@ -15,27 +15,33 @@ scan costs the grid of the axes the terms share, not the product of all
 axes.  Rounded addition is monotone in each operand, so this gives the same
 values and the same minimizer as the full grid.
 
-``StateGrid`` lays the axes out over the state variables an objective
-reads, for one subsystem or several coupled ones, and is private to this
-module.  ``StateGrid.minimize``, the one caller of ``grid_minimize``, scans
-it where each subsystem lies in its safety set and a target in a
-``Region`` (an interval of its h values), and returns an ``Extremum`` whose
-witness ``arg`` is (name, value) pairs in axis order.  It serves two
-queries.  ``minimum`` minimizes an expression over the product of
-subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its minimum of -h.
-``drift_minimum`` builds the drift objectives from the drift layer (``lf``,
-``lg``, see ``subsystem``) as terms: coupling, ``lf``, one per input (worst
-input-box vertex, which ends the witness, or closed loop), and an optional
-``z (h - lo)``.  Only the three index-condition queries call it:
-``min_offline_drift``, ``min_recovery_drift`` and ``min_invariance_margin``,
-which take a network's participants and coupling drift.
+``StateGrid`` lays the axes out over the state variables that the terms
+and the safety functions read, for one subsystem or several coupled ones,
+and is private to this module.  Every compiled function of a subsystem
+(``h``, ``mu``, ``lf``, ``lg``) takes exactly the variables it reads, so
+``StateGrid.term`` binds one by its names, and a variable that no function
+reads has no axis.  ``StateGrid.minimize``, the one caller of
+``grid_minimize``, scans where each subsystem lies in its safety set and a
+target in a ``Region`` (an interval of its h values), and returns an
+``Extremum`` whose witness ``arg`` is (name, value) pairs in axis order.
+It serves two queries.  ``minimum`` minimizes an expression over the
+product of subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its
+minimum of -h.  ``drift_minimum`` builds the drift objectives from the
+drift layer (``lf``, ``lg``, see ``subsystem``) as terms: coupling, ``lf``,
+one per input (worst input-box vertex, which ends the witness, or closed
+loop), and an optional ``z (h - lo)``.  The three index-condition queries
+call it: ``min_offline_drift``, ``min_recovery_drift`` and
+``min_invariance_margin``, which take a network's participants and
+coupling drift; so does the verifier, to learn whether h goes below d
+where the grid misses a recovery band.
 
 Non-finite values: a term value of nan or -inf anywhere on the scanned
 box raises FloatingPointError, and so does a sum of finite terms that
 overflows to -inf in the region.  +inf is allowed and makes a point no
 candidate, like a point outside the region.  A scan whose first grid holds
 no point of the region raises EmptyRegionError; one whose points of the
-region are all valued +inf raises FloatingPointError.
+region are all valued +inf raises FloatingPointError.  A scan that cannot
+be allocated raises MemoryError naming its axes and the grid.
 
 Determinism: ties on the grid resolve to the lexicographically smallest
 point in axis order, regardless of chunking or eliminated axes.
@@ -51,7 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exprs import _ZERO, Expression, Negate, _is_zero, free_variables
+from .exprs import _ZERO, Expression, Negate, _is_zero
 from .subsystem import (
     SAFE_SET,
     Region,
@@ -239,54 +245,47 @@ def _shrink(orig, bounds, arg, n):
 # -- grids over the variables an objective reads ------------------------------
 
 class StateGrid:
-    """Axes for the needed state variables of one or more subsystems, with
-    every other state variable frozen at its box midpoint.  Pruning an axis
-    the objective and the regions ignore leaves the grid minimum unchanged."""
+    """Axes for the state variables of one or more subsystems that the
+    terms or a safety function read, in subsystem and state order.  No
+    other variable enters a scan, so the grid minimum is the full one's."""
 
     def __init__(self, subsystems, needed):
-        needed = set(needed).union(*(free_variables(s.h) for s in subsystems))
+        needed = set(needed).union(*(s.compiled.h.names for s in subsystems))
         self.subsystems = tuple(subsystems)
-        self.axis_names: list[str] = []
-        self.axes: list[tuple[float, float]] = []
-        self.slots: dict[str, object] = {}
-        for s in self.subsystems:
-            for name, (lo, hi) in zip(s.state_vars, s.state_box):
-                if name in needed:
-                    self.slots[name] = len(self.axes)
-                    self.axis_names.append(name)
-                    self.axes.append((lo, hi))
-                else:
-                    self.slots[name] = 0.5 * (lo + hi)
+        self.axis_names = [n for s in self.subsystems for n in s.state_vars if n in needed]
+        self.axes = [box for s in self.subsystems
+                     for n, box in zip(s.state_vars, s.state_box) if n in needed]
+        self.slots = {n: i for i, n in enumerate(self.axis_names)}
 
-    def bind(self, fn):
-        """Closure of a compiled expression over shaped bindings or a grid
-        point in axis order; pruned variables give their midpoints."""
+    def term(self, fn) -> Term:
+        """A compiled function as a Term over the axes of its names, called
+        on shaped bindings or a grid point in axis order."""
         slots = [self.slots[n] for n in fn.names]
-        return lambda b: fn(*[b[slot] if isinstance(slot, int) else slot for slot in slots])
-
-    def term(self, fn, names) -> Term:
-        """fn (a function of the bindings) as a Term reading the axes of the
-        named variables."""
-        slots = (self.slots[n] for n in names)
-        return Term(fn, frozenset(slot for slot in slots if isinstance(slot, int)))
+        return Term(lambda b: fn(*[b[i] for i in slots]), frozenset(slots))
 
     def minimize(self, terms, settings: OracleSettings,
                  target: Subsystem | None = None, region: Region = SAFE_SET) -> Extremum:
         """Minimize the sum of terms over the grid points where every
         subsystem lies in its safety set and target in region.  The witness
-        names the axes in axis order."""
-        regions = [(region if s is target else SAFE_SET, self.bind(s.compiled.h))
+        names the axes in axis order.  A scan too large for memory raises
+        MemoryError naming the axes and the grid."""
+        regions = [(region if s is target else SAFE_SET, self.term(s.compiled.h))
                    for s in self.subsystems]
 
         def predicate(bindings):
             out = None
             for r, h in regions:
-                cond = r.contains(h(bindings), MARGIN_TOLERANCE)
+                cond = r.contains(h.fn(bindings), MARGIN_TOLERANCE)
                 out = cond if out is None else (out & cond)
             return out
 
-        h_reads = set().union(*(free_variables(s.h) for s in self.subsystems))
-        value, arg = grid_minimize(terms, self.axes, self.term(predicate, h_reads), settings)
+        h_reads = frozenset().union(*(h.reads for _, h in regions))
+        try:
+            value, arg = grid_minimize(terms, self.axes, Term(predicate, h_reads), settings)
+        except MemoryError:
+            raise MemoryError(f"a scan over the axes {', '.join(self.axis_names)} at "
+                              f"{settings.grid_points_per_dim} points each does not fit in "
+                              "memory; lower --grid") from None
         return Extremum(value, tuple(zip(self.axis_names, arg)))
 
 
@@ -294,7 +293,7 @@ def minimum(e: Expression, subsystems, settings: OracleSettings) -> Extremum:
     """Minimize e over the product of the subsystems' safety sets."""
     fn = compile_reads(e)
     grid = StateGrid(subsystems, fn.names)
-    return grid.minimize([grid.term(grid.bind(fn), fn.names)], settings)
+    return grid.minimize([grid.term(fn)], settings)
 
 
 # -- objectives over the drift layer --------------------------------------------
@@ -307,40 +306,33 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
     feedback law when closed_loop, else the worst input-box vertex at each
     grid point, reconstructed at the minimizer for the witness; z adds
     z (h - region.lo).  The sum is handed to the grid as Terms in that
-    order, each reading the free variables of its expressions (h and mu are
-    compiled over every state variable, so their compiled names would
-    overstate what they read)."""
+    order, each reading the variables its compiled functions take."""
     comp = s.compiled
-    coupling_fn = None if _is_zero(coupling) else compile_reads(coupling)
-    mu_reads = [free_variables(e) for e in s.mu]
-    drift = ([coupling_fn] if coupling_fn else []) + [comp.lf]
-    needed = {n for fn in (*drift, *comp.lg) for n in fn.names}
-    if closed_loop:
-        needed.update(*mu_reads)
-    grid = StateGrid(participants or (s,), needed)
-    h, mu = grid.bind(comp.h), [grid.bind(fn) for fn in comp.mu]
-    lg = [grid.bind(fn) for fn in comp.lg]
-
-    terms = [grid.term(grid.bind(fn), fn.names) for fn in drift]
-    for k, fn in enumerate(comp.lg):
+    fns = ([] if _is_zero(coupling) else [compile_reads(coupling)]) + [comp.lf]
+    laws = comp.mu if closed_loop else ()
+    grid = StateGrid(participants or (s,), {n for fn in (*fns, *comp.lg, *laws) for n in fn.names})
+    terms = [grid.term(fn) for fn in fns]
+    lg, mu = [grid.term(fn) for fn in comp.lg], [grid.term(fn) for fn in laws]
+    for k, (c, box) in enumerate(zip(lg, s.input_box)):
         if closed_loop:
-            def u_term(b, c_fn=lg[k], k=k):
+            def u_term(b, c=c.fn, k=k):
                 # clamp_mu is the one saturation rule; it clamps every law.
-                return c_fn(b) * s.clamp_mu([m(b) for m in mu])[k]
-            terms.append(grid.term(u_term, {*fn.names, *mu_reads[k]}))
+                return c(b) * s.clamp_mu([m.fn(b) for m in mu])[k]
+            terms.append(Term(u_term, c.reads | mu[k].reads))
         else:
-            def u_term(b, c_fn=lg[k], box=s.input_box[k]):
+            def u_term(b, c=c.fn, box=box):
                 # Affine in u: the input's worst value is a box endpoint.
-                c = np.asarray(c_fn(b))
-                return np.minimum(c * box[0], c * box[1])
-            terms.append(grid.term(u_term, fn.names))
+                v = np.asarray(c(b))
+                return np.minimum(v * box[0], v * box[1])
+            terms.append(Term(u_term, c.reads))
     if z is not None:
-        terms.append(grid.term(lambda b: z * (h(b) - region.lo), free_variables(s.h)))
+        h = grid.term(comp.h)
+        terms.append(Term(lambda b: z * (h.fn(b) - region.lo), h.reads))
 
     ex = grid.minimize(terms, settings, s, region)
     point = [v for _, v in ex.arg]
-    vertex = () if closed_loop else worst_vertex(
-        np.array([float(np.asarray(c(point))) for c in lg]), *np.reshape(s.input_box, (-1, 2)).T)
+    vertex = () if closed_loop else worst_vertex(np.array(
+        [float(np.asarray(c.fn(point))) for c in lg]), *np.reshape(s.input_box, (-1, 2)).T)
     return Extremum(ex.value, ex.arg + tuple(zip(s.input_vars, map(float, vertex))))
 
 

@@ -20,12 +20,13 @@ from .oracle import (
     MARGIN_TOLERANCE,
     EmptyRegionError,
     OracleSettings,
+    drift_minimum,
     min_invariance_margin,
     min_offline_drift,
     min_recovery_drift,
     sup_h,
 )
-from .subsystem import Subsystem
+from .subsystem import Region, Subsystem
 
 DEFAULT_TAU_MAX = 1e9
 DEFAULT_PHI_MIN = 1e-9
@@ -123,6 +124,12 @@ def _verify_one(target: Subsystem, participants, coupling: Expression,
             recovery = scan("recovery", min_recovery_drift, index.d)
         except EmptyRegionError:
             notes.append("recovery band is empty at this grid resolution")
+            try:  # h is continuous, so a grid point below d and a safe one span the band
+                drift_minimum(target, Region(-math.inf, index.d), settings, True, None,
+                              participants, coupling)
+                recovery = -math.inf  # the grid misses the band: not verified
+            except EmptyRegionError:
+                pass  # h >= d at every grid point: the band is empty
 
     try:
         invariance = scan("invariance", min_invariance_margin, index.d, z)

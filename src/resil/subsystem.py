@@ -9,8 +9,9 @@ input boxes every analysis is restricted to.
 Every index condition is a statement about the drift of ``h`` along the
 dynamics, ``L_f h + sum_k L_{g_k} h u_k``.  ``Subsystem.compiled`` builds
 that drift layer once: the Lie derivatives ``lf = grad h . f`` and
-``lg[k] = grad h . g[:, k]`` are folded symbolically by ``grad_dot`` and
-compiled over the state variables they read.  Couplings inside a network
+``lg[k] = grad h . g[:, k]`` are folded symbolically by ``grad_dot``.
+Every compiled function, h and mu too, takes the state variables it reads,
+sorted, and names them in ``names``.  Couplings inside a network
 add ``grad_dot(grad h, W)`` on top.
 """
 
@@ -88,21 +89,20 @@ def compile_reads(e: Expression):
 
 
 class _Compiled:
-    """The subsystem's callables, built once: h and mu over the state
-    variables, the symbolic gradient of h, and the drift layer lf and lg,
-    with lg's trees (lg_trees) for code generation."""
+    """The subsystem's callables, built once, each over the variables it
+    reads: h, mu and the drift layer lf and lg; with the symbolic gradient
+    of h, and lg's trees (lg_trees) for code generation."""
 
     __slots__ = ("h", "grad", "lf", "lg", "lg_trees", "mu")
 
     def __init__(self, s: "Subsystem"):
-        sv = s.state_vars
-        self.h = compile_expression(s.h, sv)
-        self.grad = tuple(differentiate(s.h, v) for v in sv)
+        self.h = compile_reads(s.h)
+        self.grad = tuple(differentiate(s.h, v) for v in s.state_vars)
         self.lf = compile_reads(grad_dot(self.grad, s.f))
         self.lg_trees = tuple(grad_dot(self.grad, [row[k] for row in s.g])
                               for k in range(s.n_inputs))
         self.lg = tuple(map(compile_reads, self.lg_trees))
-        self.mu = tuple(compile_expression(e, sv) for e in s.mu)
+        self.mu = tuple(map(compile_reads, s.mu))
 
 
 @dataclass
@@ -172,6 +172,7 @@ class Subsystem:
         return [np.clip(v, lo, hi) for v, (lo, hi) in zip(raw_values, self.mu_saturation)]
 
     def mu_values(self, state_cols):
-        comp = self.compiled
-        return self.clamp_mu([fn(*state_cols) for fn in comp.mu])
+        """The clamped feedback laws at state_cols, given in state order."""
+        at = dict(zip(self.state_vars, state_cols))
+        return self.clamp_mu([fn(*map(at.get, fn.names)) for fn in self.compiled.mu])
 

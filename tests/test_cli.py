@@ -14,7 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import resil.cli
+import resil.oracle
 from resil.cli import main
+from resil.model_io import load_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -568,6 +571,49 @@ def test_h_that_reads_no_state_keeps_its_region(capsys, tmp_path):
     mpath = one_state_model(tmp_path, "0", "-1")
     code = main(["index", "compute", "--model", mpath, "--subsystem", "S1", "--grid", "21"])
     assert_error_exit(capsys, code, "S1: safety set h >= 0 is empty")
+
+
+def test_recovery_band_that_the_grid_misses_fails(capsys, tmp_path):
+    # h = 1 - x1^2 on [-2, 2]: grid 4 has nodes -2, -2/3, 2/3 and 2, where h
+    # is -3 or 5/9, so no node lies in the band 0 <= h < 0.1.  The band is
+    # there, between a node below d and a safe one, and its drift is about
+    # 1.8, far from the d/phi = 1e5 the index needs: not verified, with the
+    # note kept.  Grid 5 has a node in the band and fails it by -99998.
+    mpath = one_state_model(tmp_path, "0", "1 - x1*x1")
+    doc = json.loads(Path(mpath).read_text())
+    doc["subsystems"][0].update(mu=["-x1"], state_box=[[-2, 2]])
+    Path(mpath).write_text(json.dumps(doc))
+    argv = ["index", "verify", "--model", mpath, "--subsystem", "S1",
+            "--index", "0.1,0.05,1e-6,0.5"]
+    code = main([*argv, "--grid", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "recovery margin:   -inf" in out
+    assert "note: recovery band is empty at this grid resolution" in out
+    assert out.endswith("FAIL\n")
+    code = main([*argv, "--grid", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "recovery margin:   -99998" in out
+    # At d = 0 there is no band, and the condition stays vacuous.
+    code = main([*argv[:-1], "0,0.05,1e-6,0.5", "--grid", "4"])
+    assert "recovery margin:   inf" in capsys.readouterr().out
+
+
+def test_scan_too_large_for_memory_exits_2(capsys, monkeypatch):
+    # A grid that numpy cannot allocate is an input the scan cannot serve:
+    # exit 2, with the scanned axes and the grid named.
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 306. GiB")
+
+    model = load_model(resil.cli._resolve_model("cstr_series"))  # its checks scan too
+    monkeypatch.setattr(resil.cli, "load_model", lambda path: model)
+    monkeypatch.setattr(resil.oracle, "grid_minimize", no_memory)
+    for argv, axes in ((["index", "compute", "--subsystem", "S1"], "T1"),
+                       (["net", "delta", "--exact"], "T1, T2")):
+        code = main([*argv, "--model", "cstr_series", "--grid", "201"])
+        assert_error_exit(capsys, code, f"a scan over the axes {axes} at 201 points each "
+                                        "does not fit in memory; lower --grid")
 
 
 def test_drift_overflowing_to_minus_inf_exits_2(capsys, tmp_path):

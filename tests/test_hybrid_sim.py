@@ -26,6 +26,7 @@ from resil.hybrid_sim import (
     SafetyVerdict,
     ScheduleError,
     _CompiledNetwork,
+    _Workspace,
     _adversary_rows,
     check_trace_safety,
     export_trace_csv,
@@ -980,18 +981,15 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
     net = NETWORKS[data.draw(st.sampled_from(sorted(NETWORKS)), label="network")]
     cnet = _CompiledNetwork(net)
     subs = net.subsystems
-    # one network at changing row counts: each count has its own workspace,
-    # and a count seen before reuses it
+    # one network at changing row counts, each with a workspace of its own
     rows = data.draw(st.integers(1, 5), label="rows")
-    seen = {}
     for rows in (rows, 1, rows):
         X, offline, held = draw_batch(data, net, rows)
         if data.draw(st.booleans(), label="midpoint row"):
             # lg is 0 at every network's box midpoint: the adversary's tie
             X[0] = [(lo + hi) / 2 for s in subs for lo, hi in s.state_box]
 
-        ws = cnet.workspace(len(X))
-        assert seen.setdefault(rows, ws) is ws
+        ws = _Workspace(cnet, len(X))
         lanes = lane_major(cnet, X, offline, held)
         load(ws, *lanes)
         u_out, h_out = np.empty_like(held), np.empty((rows, len(subs)))
@@ -1001,15 +999,16 @@ def test_kernel_is_bit_equal_to_per_expression_reference(data):
         assert ws.k1.tobytes() == reference_rhs(net, X, offline, held)[:, cnet.x_perm].tobytes()
         lg = np.empty_like(held)
         ws.lg(lanes[0], lg)
-        vertex = _adversary_rows(cnet, AdversaryPolicy("bang-bang"), lanes[0], None)
+        vertex = _adversary_rows(cnet, ws, AdversaryPolicy("bang-bang"), lanes[0], None)
         for j, s in enumerate(subs):
             cols, ks = list(lanes[0][:, cnet.xs[j]].T), range(held.shape[1])[cnet.us[j]]
             on = ~offline[:, j]
             for k, mu in zip(ks, s.mu_values(cols)):
                 assert u_out[on, k].tobytes() == np.broadcast_to(mu, rows)[on].tobytes()
                 assert u_out[~on, k].tobytes() == lanes[2][~on, k].tobytes()
-            assert h_out[:, cnet.hs[j]].tobytes() == s.compiled.h(*cols).tobytes()
             by_name = dict(zip(s.state_vars, cols))
+            want = s.compiled.h(*(by_name[n] for n in s.compiled.h.names))
+            assert h_out[:, cnet.hs[j]].tobytes() == np.broadcast_to(want, rows).tobytes()
             for k, fn, (lo, hi) in zip(ks, s.compiled.lg, s.input_box):
                 want = np.broadcast_to(fn(*(by_name[n] for n in fn.names)), rows)
                 assert lg[:, k].tobytes() == want.tobytes()
@@ -1037,7 +1036,7 @@ def test_rk4_step_is_bit_equal_to_fresh_array_reference(data):
     want1 = reference_rk4(net, X, h, offline, held)
     want2 = reference_rk4(net, want1, h, offline, held)
 
-    ws = cnet.workspace(len(X))
+    ws = _Workspace(cnet, len(X))
     lanes = lane_major(cnet, X, offline, held)
     load(ws, *lanes)
     want1, want2 = want1[:, cnet.x_perm], want2[:, cnet.x_perm]

@@ -26,8 +26,9 @@ from resil.oracle import (
     minimum,
     sup_h,
 )
-from resil.subsystem import SAFE_SET, Subsystem, buffer_region, safe_minus_buffer
+from resil.subsystem import SAFE_SET, Subsystem, buffer_region, grad_dot, safe_minus_buffer
 
+from test_exit_codes import draw_tree
 from test_subsystem import cstr_hand_drift, make_cstr, make_toy
 
 
@@ -509,3 +510,43 @@ def test_minimum_is_the_brute_force_grid_minimum(problem, n):
     point = {v: 0.5 * (lo + hi) for v, (lo, hi) in zip(names, boxes)} | witness
     assert eval_expression(e, point) == ex.value
     assert all(eval_expression(s.h, point) >= -MARGIN_TOLERANCE for s in subsystems)
+
+
+def outcome(f):
+    """The bytes of f()'s float value, or the type of the error it raises."""
+    try:
+        return np.float64(f()).tobytes()
+    except ArithmeticError as err:
+        return type(err)
+
+
+@hsettings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compiled_functions_read_their_trees_and_grid_terms_bind_them(data):
+    # Every compiled function of a subsystem takes the sorted free variables
+    # of its tree, and the grid's term binds it by name: at a grid point it
+    # is the tree's value there, and it reads exactly the axes of its names.
+    n = data.draw(st.integers(1, 3), label="states")
+    sv = tuple(data.draw(st.permutations(["q", "p", "r"]), label="state order")[:n])
+
+    def tree():
+        return parse_expression(draw_tree(data.draw, sv), sv)
+
+    s = Subsystem(name="S", state_vars=sv, input_vars=("u",), f=tuple(tree() for _ in sv),
+                  g=tuple((tree(),) for _ in sv), h=tree(), mu=(tree(),),
+                  state_box=((-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5))[:n], input_box=((-1.0, 1.0),))
+    comp = s.compiled
+    pairs = [(comp.h, s.h), (comp.mu[0], s.mu[0]), (comp.lf, grad_dot(comp.grad, s.f)),
+             (comp.lg[0], comp.lg_trees[0])]
+    for fn, e in pairs:
+        assert fn.names == tuple(sorted(free_variables(e)))
+
+    grid_n = data.draw(st.integers(2, 9), label="grid")
+    grid = StateGrid((s,), {v for fn, _ in pairs for v in fn.names})
+    point = [float(np.linspace(lo, hi, grid_n)[data.draw(st.integers(0, grid_n - 1))])
+             for lo, hi in grid.axes]
+    at = dict(zip(grid.axis_names, point))
+    for fn, e in pairs:
+        term = grid.term(fn)
+        assert term.reads == {grid.axis_names.index(v) for v in fn.names}
+        assert outcome(lambda: term.fn(point)) == outcome(lambda: eval_expression(e, at))

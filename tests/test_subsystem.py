@@ -71,15 +71,16 @@ def cstr_hand_drift(T, c, u):
     return (700 - 2 * T) * (f_T + u / 231)
 
 
+def at(s, fn, x):
+    """A compiled function of s at the state x, bound by its names."""
+    env = dict(zip(s.state_vars, x))
+    return float(fn(*(env[n] for n in fn.names)))
+
+
 def drift(s, x, u):
     """lf + sum_k lg_k u_k at one state and input, read off the drift layer."""
     comp = s.compiled
-    env = dict(zip(s.state_vars, x))
-
-    def at(fn):
-        return float(fn(*(env[n] for n in fn.names)))
-
-    return at(comp.lf) + sum(at(fn) * uk for fn, uk in zip(comp.lg, u))
+    return at(s, comp.lf, x) + sum(at(s, fn, x) * uk for fn, uk in zip(comp.lg, u))
 
 
 def closed_loop(s, x):
@@ -89,7 +90,7 @@ def closed_loop(s, x):
 
 def shifted(s, d, x):
     """h(x) - d, the safety margin relative to the buffered boundary."""
-    return float(s.compiled.h(*x)) - d
+    return at(s, s.compiled.h, x) - d
 
 
 def test_shifted_h_toy():
@@ -272,7 +273,7 @@ def test_drift_layer_matches_finite_difference_gradient(data):
         up, down = list(x), list(x)
         up[i] += step
         down[i] -= step
-        grad_i = float(s.compiled.h(*up) - s.compiled.h(*down)) / (2 * step)
+        grad_i = (at(s, s.compiled.h, up) - at(s, s.compiled.h, down)) / (2 * step)
         terms = [float(compile_expression(s.f[i], s.state_vars)(*x))]
         terms += [float(compile_expression(g, s.state_vars)(*x)) * uk
                   for g, uk in zip(s.g[i], u)]
