@@ -29,11 +29,15 @@ product of subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its
 minimum of -h.  ``drift_minimum`` builds the drift objectives from the
 drift layer (``lf``, ``lg``, see ``subsystem``) as terms: coupling, ``lf``,
 one per input (worst input-box vertex, which ends the witness, or closed
-loop), and an optional ``z (h - lo)``.  The three index-condition queries
+loop), and an optional ``z max(h - lo, 0)``.  The three index-condition queries
 call it: ``min_offline_drift``, ``min_recovery_drift`` and
 ``min_invariance_margin``, which take a network's participants and
 coupling drift; so does the verifier, to learn whether h goes below d
-where the grid misses a recovery band.
+where the grid misses a recovery band.  ``depth_profile`` evaluates the
+round-0 grid of every depth's recovery and invariance scan at once: the
+closed-loop drift at each grid point of the safety set, sorted by h, from
+which ``DepthProfile.rules_out`` finds the depths that a grid point already
+fails, and that the scans would therefore reject.
 
 Non-finite values: a term value of nan or -inf anywhere on the scanned
 box raises FloatingPointError, and so does a sum of finite terms that
@@ -150,16 +154,23 @@ def _fold(terms, bindings, k: int):
     return total
 
 
-def _scan_chunk(terms, predicate, grids, k):
-    """Evaluate one slab (a slice along axis 0) and return its best point
-    over the first k axes, or None when the slab holds no point of the
-    region.  The best value is +inf when every point of the region has it.
-    Values, mask and argmin live on those axes; the rest are minimized out
-    of their terms (see _fold for the non-finite rule)."""
+def _slab_values(terms, grids, k):
+    """The bindings of one slab (a slice along axis 0) and the sum of the
+    terms on its first k axes, the rest minimized out of their terms (see
+    _fold for the non-finite rule)."""
     ndim = len(grids)
     shape = tuple(g.size for g in grids[:k]) + (1,) * (ndim - k)
     bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
-    vals = np.broadcast_to(np.asarray(_fold(terms, bindings, k), dtype=float), shape)
+    return bindings, np.broadcast_to(np.asarray(_fold(terms, bindings, k), dtype=float), shape)
+
+
+def _scan_chunk(terms, predicate, grids, k):
+    """Evaluate one slab and return its best point over the first k axes,
+    or None when the slab holds no point of the region.  The best value is
+    +inf when every point of the region has it.  Values, mask and argmin
+    live on those axes."""
+    bindings, vals = _slab_values(terms, grids, k)
+    shape = vals.shape
     if predicate is not None:
         mask = predicate.fn(bindings)
         if not np.any(mask):
@@ -214,10 +225,7 @@ def _scan_round(terms, predicate, grids, k):
     along axis 0; the coordinates on the eliminated axes are found for the
     winner alone."""
     axis0 = grids[0]
-    sizes = [g.size for g in grids]
-    per_row = max([math.prod(sizes[1:k])]
-                  + [math.prod(sizes[i] for i in t.reads if i) for t in terms if 0 in t.reads])
-    rows_per_chunk = max(1, _CHUNK_BUDGET // per_row)
+    rows_per_chunk = _rows_per_chunk(terms, grids, k)
     best = None
     for lo in range(0, axis0.size, rows_per_chunk):
         r = _scan_chunk(terms, predicate, [axis0[lo:lo + rows_per_chunk]] + grids[1:], k)
@@ -231,6 +239,14 @@ def _scan_round(terms, predicate, grids, k):
     # point in C order that reaches it completes the coordinates.
     line = [np.array([c]) for c in best[1]] + grids[k:]
     return best[0], _scan_chunk(terms, None, line, len(grids))[1]
+
+
+def _rows_per_chunk(terms, grids, k):
+    """Rows of axis 0 per chunk that keep a chunk's arrays in _CHUNK_BUDGET."""
+    sizes = [g.size for g in grids]
+    per_row = max([math.prod(sizes[1:k])]
+                  + [math.prod(sizes[i] for i in t.reads if i) for t in terms if 0 in t.reads])
+    return max(1, _CHUNK_BUDGET // per_row)
 
 
 def _shrink(orig, bounds, arg, n):
@@ -298,15 +314,10 @@ def minimum(e: Expression, subsystems, settings: OracleSettings) -> Extremum:
 
 # -- objectives over the drift layer --------------------------------------------
 
-def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
-                  closed_loop: bool, z: float | None = None,
-                  participants=None, coupling: Expression = _ZERO) -> Extremum:
-    """Minimize the drift of h_s, coupling + lf + sum_k lg_k u_k, over region
-    (with every other participant in its safety set).  u is the clamped
-    feedback law when closed_loop, else the worst input-box vertex at each
-    grid point, reconstructed at the minimizer for the witness; z adds
-    z (h - region.lo).  The sum is handed to the grid as Terms in that
-    order, each reading the variables its compiled functions take."""
+def _drift_terms(s: Subsystem, participants, closed_loop: bool, coupling: Expression):
+    """The grid of a drift scan of h_s and its terms: coupling, lf, then one
+    per input, reading the variables its compiled functions take; with the
+    lg terms, for the input-vertex witness."""
     comp = s.compiled
     fns = ([] if _is_zero(coupling) else [compile_reads(coupling)]) + [comp.lf]
     laws = comp.mu if closed_loop else ()
@@ -325,15 +336,90 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
                 v = np.asarray(c(b))
                 return np.minimum(v * box[0], v * box[1])
             terms.append(Term(u_term, c.reads))
+    return grid, terms, lg
+
+
+def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
+                  closed_loop: bool, z: float | None = None,
+                  participants=None, coupling: Expression = _ZERO) -> Extremum:
+    """Minimize the drift of h_s, coupling + lf + sum_k lg_k u_k, over region
+    (with every other participant in its safety set).  u is the clamped
+    feedback law when closed_loop, else the worst input-box vertex at each
+    grid point, reconstructed at the minimizer for the witness; z adds
+    z max(h - region.lo, 0), which is z (h - lo) on the region save where
+    the MARGIN_TOLERANCE slack admits h just below lo.  The sum is handed
+    to the grid as Terms in that order."""
+    grid, terms, lg = _drift_terms(s, participants, closed_loop, coupling)
     if z is not None:
-        h = grid.term(comp.h)
-        terms.append(Term(lambda b: z * (h.fn(b) - region.lo), h.reads))
+        h = grid.term(s.compiled.h)
+        terms.append(Term(lambda b: z * np.maximum(h.fn(b) - region.lo, 0.0), h.reads))
 
     ex = grid.minimize(terms, settings, s, region)
     point = [v for _, v in ex.arg]
     vertex = () if closed_loop else worst_vertex(np.array(
         [float(np.asarray(c.fn(point))) for c in lg]), *np.reshape(s.input_box, (-1, 2)).T)
     return Extremum(ex.value, ex.arg + tuple(zip(s.input_vars, map(float, vertex))))
+
+
+class DepthProfile(NamedTuple):
+    """The closed-loop drift D of one subsystem at the round-0 grid points
+    of its safety set, sorted by h, as its recovery and invariance scans
+    evaluate it (see depth_profile)."""
+
+    h: np.ndarray           # ascending
+    drift: np.ndarray
+    low_drift: np.ndarray   # low_drift[i]: min of drift[:i + 1]
+    best_margin: np.ndarray  # best_margin[i]: argmin of drift[i:] + z h[i:], from i
+    z: float
+
+    def rules_out(self, d: float) -> bool:
+        """Whether a round-0 point of d's region already fails d: its band
+        (d > 0) holds no point or one with D <= 0, or its buffer holds no
+        point or one with D + z max(h - d, 0) < 0, summed as the scan sums
+        it.  A scan's minimum is at most its round-0 value at any point of
+        the region, so the scans reject d; a scan that would raise (nan or
+        -inf) rules nothing out."""
+        cut = d - MARGIN_TOLERANCE  # the Region.contains slack
+        if d > 0:
+            band = int(np.searchsorted(self.h, cut, side="right"))
+            if band == 0 or self.low_drift[band - 1] <= 0:
+                return True
+        start = int(np.searchsorted(self.h, cut, side="left"))
+        if start == self.h.size:
+            return True
+        p = self.best_margin[start]
+        return -math.inf < float(self.drift[p]) + self.z * max(float(self.h[p]) - d, 0.0) < 0
+
+
+def depth_profile(s: Subsystem, z: float, settings: OracleSettings) -> DepthProfile | None:
+    """The profile of every depth's recovery and invariance scan from one
+    evaluation of their round-0 grid: the same StateGrid, Terms, left-to-right
+    _fold and axis elimination.  None, and the depths are scanned one by
+    one, when that grid takes more than one chunk, or when D is nan or -inf
+    at a point of the safety set, where a scan raises."""
+    grid, terms, _ = _drift_terms(s, None, True, _ZERO)
+    h = grid.term(s.compiled.h)  # the region predicate reads h's axes
+    k = _kept_axes(terms, h, len(grid.axes))
+    n = settings.grid_points_per_dim
+    grids = [np.linspace(float(lo), float(hi), n) for lo, hi in grid.axes]
+    if _rows_per_chunk(terms, grids, k) < n:
+        return None
+    bindings, drift = _slab_values(terms, grids, k)
+    hv = np.broadcast_to(np.asarray(h.fn(bindings), dtype=float), drift.shape)
+    safe = SAFE_SET.contains(hv, MARGIN_TOLERANCE)
+    hv, drift = hv[safe], drift[safe]
+    if not np.all(drift > -math.inf):
+        return None
+    order = np.argsort(hv, kind="stable")
+    hv, drift = hv[order], drift[order]
+    # Suffix argmin of drift + z h: scanning from the end, the latest point
+    # that ties the running minimum attains it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = (drift + z * hv)[::-1]
+    last = np.maximum.accumulate(np.where(margin == np.minimum.accumulate(margin),
+                                          np.arange(margin.size), 0))
+    return DepthProfile(hv, drift, np.minimum.accumulate(drift),
+                        (margin.size - 1 - last)[::-1], z)
 
 
 def sup_h(s: Subsystem, settings: OracleSettings) -> float:
@@ -362,5 +448,5 @@ def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings,
 
 def min_invariance_margin(s: Subsystem, d: float, z: float, settings: OracleSettings,
                           participants=None, coupling: Expression = _ZERO) -> Extremum:
-    """min over h >= d of closed-loop drift + z * (h - d)."""
+    """min over h >= d of closed-loop drift + z * max(h - d, 0)."""
     return drift_minimum(s, buffer_region(d), settings, True, z, participants, coupling)

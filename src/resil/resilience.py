@@ -20,6 +20,7 @@ from .oracle import (
     MARGIN_TOLERANCE,
     EmptyRegionError,
     OracleSettings,
+    depth_profile,
     drift_minimum,
     min_invariance_margin,
     min_offline_drift,
@@ -156,7 +157,10 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
     (when d > 0) and a nonnegative invariance minimum.
     Depths are tried in ascending order, or with maximize_tau by decreasing
     tau (known from d and the offline minimum before any scan; ties stay
-    ascending), so the first that admits one is the answer.  The candidate
+    ascending), so the first that admits one is the answer.  A depth that a
+    point of the round-0 grid already fails (oracle.depth_profile) is
+    skipped unscanned: its scans would reject it.  The last depth is always
+    scanned, so an Infeasible reports its scans' values.  The candidate
     meets the three conditions on the drift minima it is built from: phi
     steps up by ulps, as tau steps down in _tau, until its margin is
     nonnegative in floating point, and eta is the invariance minimum.
@@ -185,7 +189,12 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
     if maximize_tau:
         order = sorted(order, key=lambda d_tau: -d_tau[1])
 
-    for d, tau in order:
+    profile = None
+    for i, ((d, tau), last) in enumerate(_marking_last(order)):
+        if i == 0 and not last:
+            profile = depth_profile(s, z, settings)
+        if not last and profile is not None and profile.rules_out(d):
+            continue  # its scans would reject it; the last depth is scanned for last_fail
         phi = phi_min
         if d > 0:
             try:
@@ -212,6 +221,16 @@ def compute_index(s: Subsystem, z: float, eps: float = 0.1,
             continue
         return ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv)
     return Infeasible("no buffer depth in the sweep admits a valid index", last_fail)
+
+
+def _marking_last(items):
+    """(item, whether it is the last one) for each item, reading one ahead."""
+    items = iter(items)
+    for item in items:
+        for following in items:
+            yield item, False
+            item = following
+        yield item, True
 
 
 def _tau(d: float, off: float, tau_max: float) -> float:

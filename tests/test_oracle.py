@@ -19,6 +19,7 @@ from resil.oracle import (
     StateGrid,
     Term,
     argmax_h,
+    depth_profile,
     grid_minimize,
     min_invariance_margin,
     min_offline_drift,
@@ -386,6 +387,41 @@ def test_sum_overflowing_to_minus_inf_raises():
     with pytest.raises(FloatingPointError, match="objective produced nan"):
         grid_minimize([big, big, wall], [(-1, 1)], whole(lambda b: b[0] > 0.6, 1),
                       settings(11, 0))
+
+
+def test_depth_profile_skips_nothing_where_the_drift_overflows():
+    # lf = -1e308 and the law's term -1e308 are finite, their sum is -inf:
+    # the scans of those points raise, so the profile declines to stand in
+    # for them and the sweep's first scan raises as before.
+    s = make_toy_variant("1e308", f="1e308")
+    assert depth_profile(s, 1.0, settings(11, 0)) is None
+    with pytest.raises(FloatingPointError, match="objective produced -inf"):
+        resilience_mod.compute_index(s, 1.0, eps=0.5, settings=settings(11, 0))
+
+
+def test_depth_profile_is_the_round_0_grid_of_the_certify_sweep():
+    # cstr_series at grid 201: the c axis is eliminated, so the profile has
+    # 201 points.  Each band minimum is the round-0 recovery scan's to the
+    # bit, and every depth the profile rules out fails the refined scans.
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    z = model.alpha_z
+    for s in model.network.subsystems:
+        prof = depth_profile(s, z, settings(201))
+        assert prof.h.size == 201
+        for d in np.arange(1, int(sup_h(s, settings(201)) // 25) + 1) * 25.0:
+            band = np.searchsorted(prof.h, d - MARGIN_TOLERANCE, side="right")
+            try:
+                rec0 = min_recovery_drift(s, d, settings(201, 0)).value
+            except EmptyRegionError:
+                rec0 = None
+            assert rec0 == (None if band == 0 else prof.low_drift[band - 1])
+            if prof.rules_out(d):
+                try:
+                    fails = (min_recovery_drift(s, d, settings(201)).value <= 0
+                             or min_invariance_margin(s, d, z, settings(201)).value < 0)
+                except EmptyRegionError:
+                    fails = True
+                assert fails, (s.name, d)
 
 
 def test_inf_everywhere_in_region_raises():

@@ -78,6 +78,15 @@ def test_verify_balanced_index_passes():
     assert set(rep.worst_points) == {"offline", "recovery", "invariance"}
 
 
+def test_verify_exactly_holding_invariance_passes():
+    # On h >= 2 the closed loop has h-dot = 1 and z (h - 2) >= 0, so eta = 1
+    # holds exactly.  The grid node x1 = -0.999999999 has h just below 2,
+    # inside the region's slack; the z term is 0 there, not negative.
+    rep = verify_index(make_toy(), ResilienceIndex(2.0, 2.0, 2.0, 1.0), 1.0, TOY_SETTINGS)
+    assert rep.passed
+    assert rep.margin_invariance == 0.0
+
+
 def test_verify_overlong_tau_fails_offline():
     rep = verify_index(make_toy(), ResilienceIndex(0.5, 0.6, 0.5, 1.0), 1.0,
                        TOY_SETTINGS)
@@ -184,15 +193,54 @@ def test_compute_scans_each_region_and_depth_once(monkeypatch):
 
 
 def test_compute_scans_ascending_to_first_pass(monkeypatch):
-    # On a 5-point grid no node has 0 <= h < 0.25, so d = 0.25 is dropped
-    # when its recovery scan finds the band empty and d = 0.5 passes.  d = 0
-    # makes no scan: the offline drift is -1.
+    # On a 5-point grid no node has 0 <= h < 0.25, so the depth profile
+    # drops d = 0.25 without a scan (its recovery scan would find the band
+    # empty) and d = 0.5 passes.  d = 0 makes no scan: the offline drift
+    # is -1.
     scans = record_scans(monkeypatch)
     idx = compute_index(make_toy_variant("-1", h="0.75 - x1"), 1.0, eps=0.25,
                         settings=OracleSettings(grid_points_per_dim=5, refinement_rounds=0))
     assert isinstance(idx, ResilienceIndex)
     assert idx.d == 0.5
-    assert scans == [OFFLINE_SCAN, (safe_minus_buffer(0.25), True, None)] + depth_scans(0.5)
+    assert scans == [OFFLINE_SCAN] + depth_scans(0.5)
+
+
+def test_compute_scans_the_last_depth_for_its_diagnostics(monkeypatch):
+    # mu = 0 fails every depth on the profile, but the last depth of the
+    # sweep is scanned, so Infeasible reports its scans' own values.
+    scans = record_scans(monkeypatch)
+    out = compute_index(make_toy(mu="0"), 1.0, eps=0.5, settings=TOY_SETTINGS)
+    assert isinstance(out, Infeasible)
+    assert scans == [OFFLINE_SCAN, (safe_minus_buffer(2.0), True, None)]
+    assert out.diagnostics == {"sup_h": 2.0, "min_offline_drift": -1.0,
+                               "d": 2.0, "stage": "recovery", "detail": 0.0}
+
+
+def test_compute_sweeps_as_before_when_the_profile_does_not_fit(monkeypatch):
+    # A grid of more than one chunk builds no profile: the recovery scan of
+    # every depth runs (mu = 0 fails them all), and the result is the same.
+    want = compute_index(make_toy(mu="0"), 1.0, eps=0.5, settings=TOY_SETTINGS)
+    monkeypatch.setattr(oracle, "_CHUNK_BUDGET", 1000)
+    assert oracle.depth_profile(make_toy(mu="0"), 1.0, TOY_SETTINGS) is None
+    scans = record_scans(monkeypatch)
+    got = compute_index(make_toy(mu="0"), 1.0, eps=0.5, settings=TOY_SETTINGS)
+    assert got == want and got.diagnostics == want.diagnostics
+    assert scans == [OFFLINE_SCAN] + [(safe_minus_buffer(d), True, None)
+                                      for d in (0.5, 1.0, 1.5, 2.0)]
+
+
+@pytest.mark.parametrize("name, most", [("S1", 5), ("S2", 4)])
+def test_certify_sweep_scans_only_the_depths_that_can_pass(monkeypatch, name, most):
+    # index compute --eps 25 --grid 201 --maximize-tau on cstr_series: a
+    # sweep that scans every depth makes 6 drift scans for S1 and 36 for S2;
+    # the depth profile rules out the depths whose round-0 grid fails them.
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    (s,) = [s for s in model.network.subsystems if s.name == name]
+    scans = record_scans(monkeypatch)
+    idx = compute_index(s, model.alpha_z, eps=25, settings=OracleSettings(grid_points_per_dim=201),
+                        maximize_tau=True)
+    assert isinstance(idx, ResilienceIndex)
+    assert len(scans) <= most
 
 
 def test_compute_depths_are_generated_lazily(monkeypatch):
@@ -379,10 +427,13 @@ def test_cstr_series_propagated_golden():
 def reference_compute_index(s, z, eps, tau_max, phi_min, settings, maximize_tau):
     """The depth sweep that builds and checks a candidate at every depth and,
     with maximize_tau, keeps the first one with the largest tau: the
-    reference the ordered search must agree with."""
+    reference the ordered search must agree with.  Infeasible reports the
+    failure of the depth the search tries last: the deepest, or with
+    maximize_tau the deepest of those with the smallest tau."""
     depth = sup_h(s, settings)
     off = min_offline_drift(s, settings)
     last_fail: dict = {"sup_h": depth, "min_offline_drift": off.value}
+    fails = []  # (tau, d, failure) of each depth the search orders
     best = None
     k = 0
     while True:
@@ -390,14 +441,19 @@ def reference_compute_index(s, z, eps, tau_max, phi_min, settings, maximize_tau)
         k += 1
         if d > depth * (1 + 1e-12):
             break
-        found = reference_candidate_at(s, d, z, off, tau_max, phi_min, settings,
-                                       last_fail)
+        tau = reference_tau(d, off.value, tau_max)
+        if tau is None:
+            last_fail.update(d=d, stage="offline", detail="zero depth with negative drift")
+            continue
+        failure = {}
+        found = reference_candidate_at(s, d, z, tau, phi_min, settings, failure)
         if found is None:
+            fails.append((tau, d, failure))
             continue
         candidate, rec, inv = found
         passed, margins = reference_margin_rule(candidate, off.value, rec, inv)
         if not passed:
-            last_fail = {"d": d, "margins": margins}
+            fails.append((tau, d, {"d": d, "margins": margins}))
             continue
         if not maximize_tau:
             return candidate
@@ -405,8 +461,10 @@ def reference_compute_index(s, z, eps, tau_max, phi_min, settings, maximize_tau)
             best = candidate
     if best is not None:
         return best
-    return Infeasible("no buffer depth in the sweep admits a valid index",
-                      dict(last_fail))
+    if fails:
+        last = min(fails, key=lambda f: (f[0], -f[1])) if maximize_tau else fails[-1]
+        last_fail.update(last[2])
+    return Infeasible("no buffer depth in the sweep admits a valid index", last_fail)
 
 
 def reference_margin_rule(index, offline, recovery, invariance):
@@ -419,17 +477,19 @@ def reference_margin_rule(index, offline, recovery, invariance):
     return all(m >= -oracle.MARGIN_TOLERANCE for m in margins), margins
 
 
-def reference_candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail):
-    if off.value >= 0:
-        tau = tau_max
-    elif d == 0:
-        last_fail.update(d=d, stage="offline", detail="zero depth with negative drift")
+def reference_tau(d, off, tau_max):
+    """The offline time at depth d, or None where no positive one exists."""
+    if off >= 0:
+        return tau_max
+    if d == 0:
         return None
-    else:
-        tau = min(tau_max, d / (-off.value))
-    while off.value + d / tau < 0:
+    tau = min(tau_max, d / (-off))
+    while off + d / tau < 0:
         tau = math.nextafter(tau, 0.0)
+    return tau
 
+
+def reference_candidate_at(s, d, z, tau, phi_min, settings, last_fail):
     rec = None
     if d == 0:
         phi = phi_min
@@ -460,21 +520,41 @@ def reference_candidate_at(s, d, z, off, tau_max, phi_min, settings, last_fail):
     return ResilienceIndex(d=d, tau=tau, phi=phi, eta=inv), rec, inv
 
 
+def make_two_state(mu, input_box, f, h):
+    """x1' = f + u, x2' = -x2 on [-1, 1]^2 with h reading x1 alone: a drift
+    term that reads x2 where no h does, whose axis the scans eliminate."""
+    sv = ("x1", "x2")
+    return Subsystem(
+        name="S1", state_vars=sv, input_vars=("u1",),
+        f=(parse_expression(f, sv), parse_expression("-x2", sv)),
+        g=((parse_expression("1", sv),), (parse_expression("0", sv),)),
+        h=parse_expression(h, sv), mu=(parse_expression(mu, sv),),
+        state_box=((-1.0, 1.0), (-1.0, 1.0)), input_box=input_box)
+
+
 @hsettings(max_examples=150, deadline=None)
 @given(scale=st.sampled_from((1.0, 1e3, 1e7)), f=st.floats(-1.0, 1.0),
        lo=st.floats(-2.0, 1.0), width=st.floats(0.1, 2.0),
        law=st.sampled_from(("-1", "-x1", "0", "x1", "-0.5 - x1")),
        h=st.sampled_from(("1 - x1", "0.75 - x1", "1 - x1^2")),
        eps=st.floats(0.05, 1.0), cap=st.one_of(st.none(), st.floats(0.01, 2.0)),
-       z=st.floats(0.0, 2.0), grid=st.integers(5, 41), maximize_tau=st.booleans())
+       z=st.floats(0.0, 2.0), grid=st.integers(5, 41), maximize_tau=st.booleans(),
+       pull=st.one_of(st.none(), st.floats(-1.0, 1.0)), mix=st.sampled_from((0.0, 0.25)))
 def test_search_returns_what_the_full_sweep_returned(scale, f, lo, width, law, h, eps,
-                                                     cap, z, grid, maximize_tau):
+                                                     cap, z, grid, maximize_tau, pull, mix):
     # x' = scale * (f + u) with u in scale * [lo, lo + width] under the law
     # scale * law;
     # h = 0.75 - x1 leaves the shallow bands empty on most grids, and a tau
-    # cap of order 1 / scale makes many depths tie at tau_max.
-    s = make_toy_variant(f"{scale!r}*({law})", ((lo * scale, (lo + width) * scale),),
-                         f=repr(f * scale), h=h)
+    # cap of order 1 / scale makes many depths tie at tau_max.  With pull,
+    # a second state x2 adds scale * pull * x2 to x1' (and mix * x2 to the
+    # law): the drift reads x2 and h does not, so the scans eliminate the x2
+    # axis unless the law reads it too.
+    box = ((lo * scale, (lo + width) * scale),)
+    if pull is None:
+        s = make_toy_variant(f"{scale!r}*({law})", box, f=repr(f * scale), h=h)
+    else:
+        s = make_two_state(f"{scale!r}*({law} + {mix!r}*x2)", box,
+                           f"{f * scale!r} + {pull * scale!r}*x2", h)
     tau_max = DEFAULT_TAU_MAX if cap is None else cap / scale
     settings = OracleSettings(grid_points_per_dim=grid)
     got = compute_index(s, z, eps, tau_max, DEFAULT_PHI_MIN, settings, maximize_tau)
@@ -482,3 +562,5 @@ def test_search_returns_what_the_full_sweep_returned(scale, f, lo, width, law, h
                                    maximize_tau)
     assert type(got) is type(want)
     assert got == want
+    if isinstance(want, Infeasible):  # diagnostics compare=False: what the CLI prints
+        assert got.diagnostics == want.diagnostics
