@@ -38,7 +38,7 @@ from .resilience import (
     compute_index,
     verify_index,
 )
-from .subsystem import ModelError
+from .subsystem import ModelError, Subsystem
 
 
 class _UsageError(Exception):
@@ -91,18 +91,17 @@ def _check_out(path: str):
     read_index_doc(path)
 
 
-def _pick_subsystem(model: Model, name: str) -> int:
+def _pick_subsystem(model: Model, name: str) -> Subsystem:
     try:
-        return model.network.index_of(name)
+        return model.network.subsystems[model.network.index_of(name)]
     except KeyError:
         known = ", ".join(model.network.names)
         raise _UsageError(f"unknown subsystem {name!r}; model defines: {known}")
 
 
 def _cmd_index_compute(args) -> int:
-    model = load_model(_resolve_model(args.model))
-    j = _pick_subsystem(model, args.subsystem)
-    s = model.network.subsystems[j]
+    model = load_model(_resolve_model(args.model), _settings(args))
+    s = _pick_subsystem(model, args.subsystem)
     if args.out:
         _check_out(args.out)
     result = compute_index(s, model.alpha_z, eps=args.eps, tau_max=args.tau_max,
@@ -131,9 +130,8 @@ def _parse_quadruple(text: str) -> ResilienceIndex:
 
 
 def _cmd_index_verify(args) -> int:
-    model = load_model(_resolve_model(args.model))
-    j = _pick_subsystem(model, args.subsystem)
-    s = model.network.subsystems[j]
+    model = load_model(_resolve_model(args.model), _settings(args))
+    s = _pick_subsystem(model, args.subsystem)
     idx = _parse_quadruple(args.index)
     report = verify_index(s, idx, model.alpha_z, _settings(args))
     print(f"offline margin:    {_fmt(report.margin_offline)}")
@@ -146,8 +144,8 @@ def _cmd_index_verify(args) -> int:
 
 
 def _cmd_net_delta(args) -> int:
-    model = load_model(_resolve_model(args.model))
     settings = _settings(args)
+    model = load_model(_resolve_model(args.model), settings)
     for j, s in enumerate(model.network.subsystems):
         est = compute_delta(model.network, j, settings, args.exact)
         print(f"{s.name}: delta = {_fmt(est.value)} ({est.method})")
@@ -155,7 +153,7 @@ def _cmd_net_delta(args) -> int:
 
 
 def _cmd_net_propagate(args) -> int:
-    model = load_model(_resolve_model(args.model))
+    model = load_model(_resolve_model(args.model), _settings(args))
     net = model.network
     indices = load_indices(args.indices, net)
     if args.out:
@@ -182,7 +180,7 @@ def _cmd_net_propagate(args) -> int:
 
 
 def _cmd_net_verify(args) -> int:
-    model = load_model(_resolve_model(args.model))
+    model = load_model(_resolve_model(args.model), _settings(args))
     net = model.network
     indices = load_indices(args.indices, net)
     reports = verify_network(net, indices, model.alpha_z, _settings(args))

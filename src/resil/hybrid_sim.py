@@ -212,6 +212,8 @@ def generate_schedule(seed: int, horizon: float, indices: dict[int, ResilienceIn
     """
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
+    if align_dt is not None and not 0 < align_dt < math.inf:
+        raise ValueError("align_dt must be positive and finite")
     if count < 0:
         raise ValueError("count must be nonnegative")
     out = []

@@ -14,8 +14,9 @@ written as JSON with indent 2 and a trailing newline.
 
 Loading validates the schema with location-annotated messages, parses every
 expression against its declared variables, and checks two semantic
-obligations on a coarse grid: the safety set of each subsystem is nonempty,
-and unsaturated feedback laws stay inside the input box on the safety set.
+obligations on the grid of the caller's oracle settings: each subsystem's
+safety set is nonempty, and unsaturated feedback laws stay inside the input
+box on it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .interconnect import Network
 from .oracle import EmptyRegionError, OracleSettings, minimum, sup_h
 from .resilience import ResilienceIndex
 from .subsystem import ModelError, Subsystem
-
-_CHECK_SETTINGS = OracleSettings(grid_points_per_dim=64, refinement_rounds=1)
 
 
 @dataclass
@@ -121,20 +120,20 @@ def _load_subsystem(obj, path) -> Subsystem:
         _fail(path, str(err))
 
 
-def _semantic_checks(s: Subsystem):
+def _semantic_checks(s: Subsystem, settings: OracleSettings):
     try:
-        peak = sup_h(s, _CHECK_SETTINGS)
+        peak = sup_h(s, settings)
     except EmptyRegionError:
         peak = -math.inf
     if peak < 0:
-        raise ModelError(f"{s.name}: safety set h >= 0 is empty inside the "
-                         f"state box")
+        raise ModelError(f"{s.name}: safety set h >= 0 is empty on a grid of "
+                         f"{settings.grid_points_per_dim} points per axis")
     if s.mu_saturation is not None:
         return  # the clamp keeps mu inside the box by construction
     for k, mu in enumerate(s.mu):
         lo_box, hi_box = s.input_box[k]
-        low = minimum(mu, (s,), _CHECK_SETTINGS).value
-        high = -minimum(Negate(mu), (s,), _CHECK_SETTINGS).value
+        low = minimum(mu, (s,), settings).value
+        high = -minimum(Negate(mu), (s,), settings).value
         slack = 1e-9 * max(1.0, abs(lo_box), abs(hi_box))
         if low < lo_box - slack or high > hi_box + slack:
             raise ModelError(
@@ -143,7 +142,7 @@ def _semantic_checks(s: Subsystem):
                 f"[{lo_box:.6g}, {hi_box:.6g}]; declare mu_saturation or fix mu")
 
 
-def load_model(path: str) -> Model:
+def load_model(path: str, settings: OracleSettings | None = None) -> Model:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -179,7 +178,7 @@ def load_model(path: str) -> Model:
     except ModelError as err:
         raise ModelError(f"model: {err}") from None
     for s in subsystems:
-        _semantic_checks(s)
+        _semantic_checks(s, settings or OracleSettings())
     return Model(network=net, alpha_z=alpha_z)
 
 

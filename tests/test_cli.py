@@ -541,17 +541,18 @@ def assert_error_exit(capsys, code, message):
 
 
 def test_empty_grid_safe_set_exits_2(capsys, tmp_path):
-    # h = 0.01 - x1^2 is positive only within 0.1 of 0: the load check, at
-    # grid 64, finds the safe set, but the two nodes x1 = -1, 1 of grid 2
-    # do not.  That is an input the grid cannot serve, not an infeasible
-    # index or a failed check (exit 1).
+    # h = 0.01 - x1^2 is positive only within 0.1 of 0, and the two nodes
+    # x1 = -1, 1 of grid 2 miss it.  The model loads at the command's grid,
+    # so the load says so.  That is an input the grid cannot serve, not an
+    # infeasible index or a failed check (exit 1).
     mpath = one_state_model(tmp_path, "-x1", "0.01 - x1^2")
     idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX})
     for argv in (["index", "compute", "--subsystem", "S1"],
                  ["index", "verify", "--subsystem", "S1", "--index", "0.1,0.1,0.1,1"],
                  ["net", "verify", "--indices", idx]):
         code = main([*argv, "--model", mpath, "--grid", "2"])
-        assert_error_exit(capsys, code, "region contains no grid point")
+        assert_error_exit(capsys, code, "S1: safety set h >= 0 is empty on a grid "
+                                        "of 2 points per axis")
 
 
 def test_h_that_reads_no_state_keeps_its_region(capsys, tmp_path):
@@ -607,13 +608,33 @@ def test_scan_too_large_for_memory_exits_2(capsys, monkeypatch):
         raise MemoryError("Unable to allocate 306. GiB")
 
     model = load_model(resil.cli._resolve_model("cstr_series"))  # its checks scan too
-    monkeypatch.setattr(resil.cli, "load_model", lambda path: model)
+    monkeypatch.setattr(resil.cli, "load_model", lambda path, settings: model)
     monkeypatch.setattr(resil.oracle, "grid_minimize", no_memory)
     for argv, axes in ((["index", "compute", "--subsystem", "S1"], "T1"),
                        (["net", "delta", "--exact"], "T1, T2")):
         code = main([*argv, "--model", "cstr_series", "--grid", "201"])
         assert_error_exit(capsys, code, f"a scan over the axes {axes} at 201 points each "
                                         "does not fit in memory; lower --grid")
+
+
+def test_five_state_chain_index(capsys, tmp_path):
+    # x_i' = -x_i + 0.3 x_{i+1} (cyclic), u on x1, h = 1 - |x|^2 / 0.8: h reads
+    # all five states, so every scan keeps every axis.  The load checks scan
+    # at the command's grid, 11^5 points; at a fixed 64 points per axis they
+    # scanned 64^5, about 1.1e9, and took nearly all of the run.
+    xs = [f"x{i}" for i in range(1, 6)]
+    model = {"alpha_z": 1.0, "subsystems": [{
+        "name": "S1", "states": xs, "inputs": ["u1"],
+        "f": [f"-{x} + 0.3*{y}" for x, y in zip(xs, xs[1:] + xs[:1])],
+        "g": [["1"]] + [["0"]] * 4,
+        "h": f"1 - ({' + '.join(f'{x}^2' for x in xs)})/0.8", "mu": ["-x1"],
+        "state_box": [[-1, 1]] * 5, "input_box": [[-1, 1]]}]}
+    mpath = tmp_path / "chain5.json"
+    mpath.write_text(json.dumps(model))
+    code = main(["index", "compute", "--model", str(mpath), "--subsystem", "S1",
+                 "--eps", "0.1", "--grid", "11"])
+    assert code == 0
+    assert capsys.readouterr().out == "S1: (0.1, 0.152812, 0.0742254, 0.9)\n"
 
 
 def test_drift_overflowing_to_minus_inf_exits_2(capsys, tmp_path):

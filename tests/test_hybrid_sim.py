@@ -199,6 +199,11 @@ def test_generate_schedule_argument_validation():
     for horizon in (math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             generate_schedule(1, horizon, {0: IDX}, 1)
+    # A step that is not positive and finite used to snap every interval
+    # away: a schedule with no fault.
+    for dt in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="align_dt must be positive and finite"):
+            generate_schedule(7, 1.0, {0: IDX}, 1, align_dt=dt)
 
 
 def test_generate_schedule_infinite_tau_stays_offline_to_horizon():

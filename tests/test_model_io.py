@@ -6,7 +6,9 @@ from importlib import resources
 
 import pytest
 
+import resil.model_io
 from resil.model_io import Model, load_indices, load_model, write_indices
+from resil.oracle import OracleSettings
 from resil.resilience import ResilienceIndex
 from resil.subsystem import ModelError
 
@@ -151,6 +153,28 @@ def test_mu_outside_input_box(tmp_path):
     model = load_doc(tmp_path, doc)
     s = model.network.subsystems[0]
     assert list(s.mu_values((0.0,))) == [1.0]
+
+
+def test_checks_run_at_the_settings_passed(tmp_path, monkeypatch):
+    # The safety-set and mu range checks scan at the caller's settings, and
+    # at OracleSettings() when none are given; there is no grid of their own.
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args):
+            seen.append((fn.__name__, args[-1]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(resil.model_io, "sup_h", recording(resil.model_io.sup_h))
+    monkeypatch.setattr(resil.model_io, "minimum", recording(resil.model_io.minimum))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc_single()))
+    settings = OracleSettings(grid_points_per_dim=7, refinement_rounds=0)
+    for passed, expected in ((settings, settings), (None, OracleSettings())):
+        seen.clear()
+        load_model(str(path), passed)
+        assert seen == [("sup_h", expected), ("minimum", expected), ("minimum", expected)]
 
 
 def test_indices_round_trip(tmp_path):
