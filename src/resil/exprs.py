@@ -233,6 +233,88 @@ def free_variables(e: Expression) -> frozenset[str]:
     return free_variables(e.left) | free_variables(e.right)
 
 
+class _Unproven(Exception):
+    pass
+
+
+def monotone_variables(e: Expression) -> frozenset[str]:
+    """The variables v of e in which e's floating-point value is provably
+    monotone, for every fixed value of the other variables: v enters only
+    through +, -, unary minus, * by a factor free of v and / by a divisor
+    free of v, and every sum of terms that read v has them all run the same
+    way.  IEEE rounding is monotone, so each of these operations is monotone
+    in its operand.  Along v, between two points where the value is finite,
+    every subtree that reads v is finite too (none of these operations turns
+    inf or nan into a finite value) and lies between its values there."""
+    out = set()
+    for v in free_variables(e):
+        try:
+            _slope(e, v)
+        except _Unproven:
+            continue
+        out.add(v)
+    return frozenset(out)
+
+
+def _slope(e: Expression, v: str) -> int | None:
+    """0 when e does not read v; +1 or -1 when e is nondecreasing or
+    nonincreasing in v; None when it is monotone in a direction that depends
+    on the other variables.  Raises _Unproven when no rule applies."""
+    if isinstance(e, Variable):
+        return int(e.name == v)
+    if isinstance(e, Literal):
+        return 0
+    if isinstance(e, Negate):
+        s = _slope(e.operand, v)
+        return None if s is None else -s
+    if isinstance(e, ExpCall) or e.op == "^":
+        if _slope(e.operand if isinstance(e, ExpCall) else e.left, v) != 0:
+            raise _Unproven
+        return 0
+    left, right = _slope(e.left, v), _slope(e.right, v)
+    if e.op in "*/":
+        if right == 0:
+            s, factor = left, e.right
+        elif left == 0 and e.op == "*":
+            s, factor = right, e.left
+        else:
+            raise _Unproven
+        sign = 0 if s == 0 else _sign(factor)
+        return None if s is None or sign is None else s * sign
+    if e.op == "-":
+        right = None if right is None else -right
+    if left == 0:
+        return right
+    if right == 0 or (left is not None and left == right):
+        return left
+    raise _Unproven
+
+
+def _sign(e: Expression) -> int | None:
+    """+1 when e's value is >= 0 or nan, -1 when <= 0 or nan, None when
+    unknown: from the literals' signs and exp(x) >= 0."""
+    if isinstance(e, Literal):
+        return 1 if e.value >= 0 else -1
+    if isinstance(e, ExpCall):
+        return 1
+    if isinstance(e, Variable):
+        return None
+    if isinstance(e, Negate):
+        s = _sign(e.operand)
+        return None if s is None else -s
+    left = _sign(e.left)
+    if e.op == "^":
+        return 1 if e.right.value % 2 == 0 else left
+    right = _sign(e.right)
+    if left is None or right is None:
+        return None
+    if e.op in "*/":
+        return left * right
+    if e.op == "-":
+        right = -right
+    return left if left == right else None
+
+
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
@@ -390,14 +472,17 @@ def compile_expression(e: Expression, names) -> "CompiledExpression":
 
 
 class CompiledExpression:
-    """fn under np.errstate, its errors named by source; fn runs raw."""
+    """fn under np.errstate, its errors named by source; fn runs raw.
+    monotone names the arguments the value is provably monotone in (see
+    monotone_variables), empty unless the compiler of its tree set it."""
 
-    __slots__ = ("fn", "names", "source")
+    __slots__ = ("fn", "names", "source", "monotone")
 
     def __init__(self, fn, names: tuple[str, ...], source: str):
         self.fn = fn
         self.names = names
         self.source = source
+        self.monotone = frozenset()
 
     def __call__(self, *args):
         with np.errstate(over="ignore", divide="raise", under="ignore", invalid="ignore"):

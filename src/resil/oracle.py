@@ -15,6 +15,19 @@ scan costs the grid of the axes the terms share, not the product of all
 axes.  Rounded addition is monotone in each operand, so this gives the same
 values and the same minimizer as the full grid.
 
+A term may also name eliminated axes along which its value is monotone
+(``exprs.monotone_variables`` proves it for a compiled tree).  Such an axis
+is evaluated at its first and last grid points only, and the minimum along
+it lies at one of them: a term over m of them costs 2^m points, not n^m.
+The rule is exact, not approximate.  Where both ends are finite, every
+point between is finite and raises no error, and a nonzero minimum has one
+bit pattern.  So the full line is evaluated instead wherever a value at
+the ends is not finite (a nan, -inf or error between them shows as it
+would) or the minimum at the ends is 0 (the line may hold both -0.0 and
+0.0, and the reduction's choice depends on where they lie).  The
+coordinates of the winner on the eliminated axes still come from a full
+scan of its line.
+
 ``StateGrid`` lays the axes out over the state variables that the terms
 and the safety functions read, for one subsystem or several coupled ones,
 and is private to this module.  Every compiled function of a subsystem
@@ -26,11 +39,12 @@ target in a ``Region`` (an interval of its h values), and returns an
 ``Extremum`` whose witness ``arg`` is (name, value) pairs in axis order.
 It serves two queries.  ``minimum`` minimizes an expression over the
 product of subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its
-minimum of -h.  ``drift_minimum`` builds the drift objectives from the
-drift layer (``lf``, ``lg``, see ``subsystem``) as terms: coupling, ``lf``,
-one per input (worst input-box vertex, which ends the witness, or closed
-loop), and an optional ``z max(h - lo, 0)``.  The three index-condition queries
-call it: ``min_offline_drift``, ``min_recovery_drift`` and
+minimum of -h, scanned once per subsystem and settings.  ``drift_minimum``
+builds the drift objectives from the drift layer (``lf``, ``lg``, see
+``subsystem``) as terms: coupling, ``lf``, one per input (worst input-box
+vertex, which ends the witness, or closed loop), and an optional
+``z max(h - lo, 0)``.  The three index-condition queries call it:
+``min_offline_drift``, ``min_recovery_drift`` and
 ``min_invariance_margin``, which take a network's participants and
 coupling drift; so does the verifier, to learn whether h goes below d
 where the grid misses a recovery band.  ``depth_profile`` evaluates the
@@ -105,10 +119,14 @@ class Extremum:
 
 class Term(NamedTuple):
     """A callable over the bindings and the positions of the axes it reads.
-    The value must not depend on any other axis."""
+    The value must not depend on any other axis.  monotone holds read axes
+    along which the value is monotone for every fixed value of the others,
+    finite between any two points where it is finite, and raises nowhere
+    between two points where it is finite (see exprs.monotone_variables)."""
 
     fn: Callable
     reads: frozenset
+    monotone: frozenset = frozenset()
 
 
 def _shaped(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -132,26 +150,60 @@ def _kept_axes(terms, predicate: Term | None, ndim: int) -> int:
 
 def _fold(terms, bindings, k: int):
     """Left-to-right sum of the terms at the bindings, each term that reads
-    an axis from k on minimized over those axes first.  A term value of nan
-    or -inf anywhere on the bindings raises FloatingPointError; +inf is
-    allowed.  With no term at -inf, no sum is inf + -inf unless finite
-    values overflow (_scan_chunk raises there), so the eliminated sum has
-    the minimum of the full one.  Overflow and invalid operations in the
-    terms and the sum are not warned about: they give the values that raise."""
-    ndim = len(bindings)
+    an axis from k on minimized over those axes first (_term_minimum).  A
+    term value of nan or -inf anywhere on the bindings raises
+    FloatingPointError; +inf is allowed.  With no term at -inf, no sum is
+    inf + -inf unless finite values overflow (_scan_chunk raises there), so
+    the eliminated sum has the minimum of the full one.  Overflow and
+    invalid operations in the terms and the sum are not warned about: they
+    give the values that raise."""
     total = None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in terms:
-            v = t.fn(bindings)
-            if any(i >= k for i in t.reads):
-                v = np.asarray(v, dtype=float)
-                v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
-                v = v.min(axis=tuple(range(k, ndim)), keepdims=True)
+            v = (_term_minimum(t, bindings, k) if any(i >= k for i in t.reads)
+                 else t.fn(bindings))
             low = np.min(v)
             if not low > -math.inf:  # the min propagates nan
                 raise FloatingPointError(f"objective produced {low} on the grid")
             total = v if total is None else total + v
     return total
+
+
+def _term_minimum(t: Term, bindings, k: int) -> np.ndarray:
+    """t at the bindings, minimized over the axes from k on.  The axes among
+    them that t is monotone in are bound to their first and last grid
+    points only, 2^m points for m of them, where the minimum along each
+    lies.  Lines through a point of the other axes where a value at those
+    points is not finite, or where their minimum is 0, are evaluated in full
+    instead: the full line can hold -0.0 and 0.0, and which of them the
+    reduction returns depends on where they lie.  So the result is the full
+    minimum bit for bit, and an error or a nan or -inf on the full grid is
+    raised or returned as it would be."""
+    ndim = len(bindings)
+    elim = tuple(range(k, ndim))
+    ends = [i for i in elim if i in t.monotone]
+
+    def values(b):
+        v = np.asarray(t.fn(b), dtype=float)
+        return v.reshape((1,) * (ndim - v.ndim) + v.shape)
+
+    if not ends:
+        return values(bindings).min(axis=elim, keepdims=True)
+    raw = values([np.take(b, [0, -1], axis=i) if i in ends else b
+                  for i, b in enumerate(bindings)])
+    v = raw.min(axis=elim, keepdims=True)
+    redo = (v == 0) | ~np.isfinite(raw).all(axis=elim, keepdims=True)
+    if redo.any():
+        # Full lines in slabs along one kept axis, each slab in _CHUNK_BUDGET.
+        axis = next((a for a in range(k) if v.shape[a] > 1), 0)
+        sel = np.flatnonzero(redo.any(axis=tuple(a for a in range(ndim) if a != axis)))
+        line = math.prod(bindings[i].shape[i] for i in elim if raw.shape[i] > 1)
+        step = max(1, _CHUNK_BUDGET // (line * v.size // v.shape[axis]))
+        for lo in range(0, sel.size, step):
+            rows, part = sel[lo:lo + step], list(bindings)
+            part[axis] = np.take(bindings[axis], rows, axis=axis)
+            v[(slice(None),) * axis + (rows,)] = values(part).min(axis=elim, keepdims=True)
+    return v
 
 
 def _slab_values(terms, grids, k):
@@ -242,10 +294,12 @@ def _scan_round(terms, predicate, grids, k):
 
 
 def _rows_per_chunk(terms, grids, k):
-    """Rows of axis 0 per chunk that keep a chunk's arrays in _CHUNK_BUDGET."""
+    """Rows of axis 0 per chunk that keep a chunk's arrays in _CHUNK_BUDGET.
+    An eliminated axis that a term is monotone in counts as its 2 endpoints."""
     sizes = [g.size for g in grids]
     per_row = max([math.prod(sizes[1:k])]
-                  + [math.prod(sizes[i] for i in t.reads if i) for t in terms if 0 in t.reads])
+                  + [math.prod(2 if i >= k and i in t.monotone else sizes[i]
+                               for i in t.reads if i) for t in terms if 0 in t.reads])
     return max(1, _CHUNK_BUDGET // per_row)
 
 
@@ -277,7 +331,8 @@ class StateGrid:
         """A compiled function as a Term over the axes of its names, called
         on shaped bindings or a grid point in axis order."""
         slots = [self.slots[n] for n in fn.names]
-        return Term(lambda b: fn(*[b[i] for i in slots]), frozenset(slots))
+        return Term(lambda b: fn(*[b[i] for i in slots]), frozenset(slots),
+                    frozenset(self.slots[n] for n in fn.monotone))
 
     def minimize(self, terms, settings: OracleSettings,
                  target: Subsystem | None = None, region: Region = SAFE_SET) -> Extremum:
@@ -422,15 +477,25 @@ def depth_profile(s: Subsystem, z: float, settings: OracleSettings) -> DepthProf
                         (margin.size - 1 - last)[::-1], z)
 
 
+def _peak_h(s: Subsystem, settings: OracleSettings) -> Extremum:
+    """The minimum of -h over the safety set, scanned once per subsystem and
+    settings: the load check, compute_index, net propagate and sim run's
+    start point all ask for it."""
+    peaks = s.compiled.peaks
+    if settings not in peaks:
+        peaks[settings] = minimum(Negate(s.h), (s,), settings)
+    return peaks[settings]
+
+
 def sup_h(s: Subsystem, settings: OracleSettings) -> float:
     """Largest value of h over the safety set (the depth of the set)."""
-    return -minimum(Negate(s.h), (s,), settings).value
+    return -_peak_h(s, settings).value
 
 
 def argmax_h(s: Subsystem, settings: OracleSettings) -> tuple[float, ...]:
     """Grid point of the safety set where h peaks; axes h ignores sit at
     their box midpoints.  Used as the deepest-interior default start."""
-    peak = dict(minimum(Negate(s.h), (s,), settings).arg)
+    peak = dict(_peak_h(s, settings).arg)
     return tuple(peak.get(n, 0.5 * (lo + hi)) for n, (lo, hi) in zip(s.state_vars, s.state_box))
 
 

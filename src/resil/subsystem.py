@@ -31,6 +31,7 @@ from .exprs import (
     compile_expression,
     differentiate,
     free_variables,
+    monotone_variables,
 )
 
 
@@ -84,16 +85,20 @@ def worst_vertex(c, lo, hi):
 
 
 def compile_reads(e: Expression):
-    """Compile e over exactly the variables it reads, in sorted order."""
-    return compile_expression(e, sorted(free_variables(e)))
+    """Compile e over exactly the variables it reads, in sorted order, with
+    the ones its value is provably monotone in (exprs.monotone_variables)."""
+    fn = compile_expression(e, sorted(free_variables(e)))
+    fn.monotone = monotone_variables(e)
+    return fn
 
 
 class _Compiled:
     """The subsystem's callables, built once, each over the variables it
     reads: h, mu and the drift layer lf and lg; with the symbolic gradient
-    of h, and lg's trees (lg_trees) for code generation."""
+    of h, and lg's trees (lg_trees) for code generation.  peaks keeps the
+    oracle's scans of the peak of h, one per OracleSettings (oracle.sup_h)."""
 
-    __slots__ = ("h", "grad", "lf", "lg", "lg_trees", "mu")
+    __slots__ = ("h", "grad", "lf", "lg", "lg_trees", "mu", "peaks")
 
     def __init__(self, s: "Subsystem"):
         self.h = compile_reads(s.h)
@@ -103,6 +108,7 @@ class _Compiled:
                               for k in range(s.n_inputs))
         self.lg = tuple(map(compile_reads, self.lg_trees))
         self.mu = tuple(map(compile_reads, s.mu))
+        self.peaks = {}
 
 
 @dataclass

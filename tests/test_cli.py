@@ -17,7 +17,9 @@ import pytest
 import resil.cli
 import resil.oracle
 from resil.cli import main
+from resil.exprs import Negate
 from resil.model_io import load_model
+from resil.oracle import OracleSettings, depth_profile
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -635,6 +637,57 @@ def test_five_state_chain_index(capsys, tmp_path):
                  "--eps", "0.1", "--grid", "11"])
     assert code == 0
     assert capsys.readouterr().out == "S1: (0.1, 0.152812, 0.0742254, 0.9)\n"
+
+
+def test_peak_of_h_is_scanned_once_per_subsystem(capsys, tmp_path, monkeypatch):
+    # The load check, compute_index and sim run's start point all read the
+    # peak of h at the command's settings: one scan of -h per subsystem.
+    scans = []
+    inner = resil.oracle.minimum
+
+    def recorded(e, subsystems, settings):
+        if isinstance(e, Negate) and e.operand == subsystems[0].h:
+            scans.append(subsystems[0].name)
+        return inner(e, subsystems, settings)
+
+    monkeypatch.setattr(resil.oracle, "minimum", recorded)
+    code = main(["index", "compute", "--model", "cstr_series", "--subsystem", "S1",
+                 "--eps", "1000", "--grid", "41"])
+    assert code == 0
+    assert scans == ["S1", "S2"]
+    scans.clear()
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX, "S2": TOY_IDX})
+    code = main(["sim", "run", "--model", "cstr_series", "--indices", idx, "--horizon", "0.01",
+                 "--schedules", "1", "--seed", "1", "--dt", "0.001",
+                 "--out", str(tmp_path / "sim")])
+    assert code in (0, 1)
+    assert scans == ["S1", "S2"]
+
+
+def uncertain_parameter_model(tmp_path):
+    """cstr_series S1 alone with its coefficient 4.998 an uncertain parameter:
+    a state p1 with p1' = 0 on the box [4.5, 5.5], read by lf alone."""
+    doc = json.loads(Path(resil.cli._resolve_model("cstr_series")).read_text())
+    s1 = doc["subsystems"][0]
+    s1.update(states=[*s1["states"], "p1"], f=[f.replace("4.998", "p1") for f in s1["f"]] + ["0"],
+              g=[*s1["g"], ["0"]], state_box=[*s1["state_box"], [4.5, 5.5]])
+    path = tmp_path / "cstr_p1.json"
+    path.write_text(json.dumps({"alpha_z": doc["alpha_z"], "subsystems": [s1]}))
+    return str(path)
+
+
+def test_uncertain_parameter_index(capsys, tmp_path):
+    # lf reads T1, c1 and p1, and only T1 is kept.  lf is monotone in c1 and
+    # p1, so the scans evaluate it at their endpoints, and the round-0 grid
+    # fits in one chunk: the depth profile stands in for the sweep.
+    mpath = uncertain_parameter_model(tmp_path)
+    code = main(["index", "compute", "--model", mpath, "--subsystem", "S1",
+                 "--maximize-tau", "--eps", "25", "--grid", "201"])
+    assert code == 0
+    assert capsys.readouterr().out == "S1: (2450, 0.0020086, 0.0613228, 13.5518)\n"
+    model = load_model(mpath)
+    s = model.network.subsystems[0]
+    assert depth_profile(s, model.alpha_z, OracleSettings(201)) is not None
 
 
 def test_drift_overflowing_to_minus_inf_exits_2(capsys, tmp_path):

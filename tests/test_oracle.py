@@ -9,7 +9,18 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 import resil.oracle as oracle_mod
 import resil.resilience as resilience_mod
-from resil.exprs import compile_expression, eval_expression, free_variables, parse_expression
+from resil.exprs import (
+    BinaryOp,
+    ExpCall,
+    Literal,
+    Negate,
+    Variable,
+    compile_expression,
+    eval_expression,
+    free_variables,
+    monotone_variables,
+    parse_expression,
+)
 from resil.interconnect import verify_network
 from resil.model_io import load_model
 from resil.oracle import (
@@ -27,7 +38,14 @@ from resil.oracle import (
     minimum,
     sup_h,
 )
-from resil.subsystem import SAFE_SET, Subsystem, buffer_region, grad_dot, safe_minus_buffer
+from resil.subsystem import (
+    SAFE_SET,
+    Subsystem,
+    buffer_region,
+    compile_reads,
+    grad_dot,
+    safe_minus_buffer,
+)
 
 from test_exit_codes import draw_tree
 from test_subsystem import cstr_hand_drift, make_cstr, make_toy
@@ -488,6 +506,159 @@ def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
     verify_network(net, {0: idx, 1: idx}, model.alpha_z, settings(21, 0))
     assert [names for name, names in eliminated if name == "S2"] == [["c2"]] * 3
     assert [names for name, names in eliminated if name == "S1"] == [["c1"]] * 3
+
+
+# -- monotone axes: an eliminated axis evaluated at its endpoints --------------
+
+def test_monotone_variables_follow_the_rules():
+    names = ("T", "c", "p")
+
+    def monotone(text):
+        return monotone_variables(parse_expression(text, names))
+
+    for text in ("c*c", "exp(c)", "c^2", "(T-300)*c + (300-T)*c", "1/c", "c/(T + c)",
+                 "(c + 1)*(c - 1)", "2*c - 3*c"):
+        assert "c" not in monotone(text), text
+    assert monotone("(T-300)*c + T") == {"c"}  # a direction that depends on T
+    assert monotone("exp(-T)*c + 2*c - p/4") == {"c", "p"}
+    assert monotone("-(c*T)/2") == {"c", "T"}
+    assert monotone("(T-300)*(400-T)*c") == {"c"}
+    assert monotone("T - c*exp(T)^2 + (-3)*p") == {"c", "p"}  # T also enters exp
+    assert monotone("T*c + c") == {"T"}  # in c: T*c's direction is T's sign, c's is up
+
+
+LEAF_LITERALS = (0.0, 0.5, 2.0, 3.0, 1e308, 1.7e308, 1e-308, 5e-324)
+
+
+def draw_kept_tree(draw, depth):
+    """A tree over x and literals, any operator."""
+    kind = draw(st.sampled_from(["x", "lit", "lit", "+", "-", "*", "/", "neg", "exp", "^"]
+                                if depth else ["x", "lit"]))
+    if kind == "x":
+        return Variable("x")
+    if kind == "lit":
+        return Literal(draw(st.sampled_from(LEAF_LITERALS)))
+    if kind in ("neg", "exp"):
+        return (Negate if kind == "neg" else ExpCall)(draw_kept_tree(draw, depth - 1))
+    if kind == "^":
+        return BinaryOp("^", draw_kept_tree(draw, depth - 1), Literal(2.0))
+    return BinaryOp(kind, draw_kept_tree(draw, depth - 1), draw_kept_tree(draw, depth - 1))
+
+
+def draw_scan_tree(draw, depth):
+    """A tree over x, c and p, mostly of the forms the analysis admits in c
+    and p (sums, differences, negation, products and quotients by trees over
+    x), sometimes not (products of two such trees, exp, ^2)."""
+    kind = draw(st.sampled_from(
+        ["c", "p", "kept", "neg", "+", "-", "*k", "k*", "/k", "*", "exp", "^"]
+        if depth else ["c", "c", "p", "kept"]))
+    if kind in ("c", "p"):
+        return Variable(kind)
+    if kind == "kept":
+        return draw_kept_tree(draw, 2)
+    inner = draw_scan_tree(draw, depth - 1)
+    if kind == "neg":
+        return Negate(inner)
+    if kind == "exp":
+        return ExpCall(inner)
+    if kind == "^":
+        return BinaryOp("^", inner, Literal(2.0))
+    if kind in ("*k", "/k"):
+        return BinaryOp(kind[0], inner, draw_kept_tree(draw, 2))
+    if kind == "k*":
+        return BinaryOp("*", draw_kept_tree(draw, 2), inner)
+    return BinaryOp(kind, inner, draw_scan_tree(draw, depth - 1))
+
+
+def bitwise_outcome(terms, axes, predicate, st_):
+    """The bytes of the scan's value and witness, or its error and message."""
+    try:
+        value, arg = grid_minimize(terms, axes, predicate, st_)
+    except (ArithmeticError, EmptyRegionError) as err:
+        return type(err), str(err)
+    return np.array([value, *arg], dtype=float).tobytes()
+
+
+@hsettings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_monotone_axes_give_the_scan_without_them(data):
+    # A term over a kept axis x and eliminated axes c (and p), with the axes
+    # that the analysis finds monotone declared or not: the same value and
+    # witness bit for bit, signed zeros included, or the same error.  Both
+    # scans run in one chunk, or one row per chunk, so they evaluate the
+    # same points in the same order.
+    draw = data.draw
+    tree = draw_scan_tree(draw, draw(st.integers(1, 4), label="depth"))
+    names = ("x", "c", "p") if "p" in free_variables(tree) else ("x", "c")
+    fn = compile_reads(tree)
+    slots = [names.index(n) for n in fn.names]
+
+    def call(b):
+        return fn(*[b[i] for i in slots])
+
+    reads = frozenset(slots)
+    monotone = frozenset(names.index(n) for n in fn.monotone)
+    others = []
+    if draw(st.booleans(), label="second term"):
+        others = [Term(lambda b: 0.25 * b[0] - 1.0, frozenset({0}))]
+    predicate = None
+    bound = draw(st.sampled_from([None, -0.5, 0.0, 0.9]), label="x >= bound")
+    if bound is not None:
+        predicate = Term(lambda b: b[0] >= bound, frozenset({0}))
+    axes = [draw(st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5), (1.0, 4.0)]))
+            for _ in names]
+    st_ = settings(draw(st.integers(2, 7), label="grid"), draw(st.integers(0, 2), label="rounds"))
+    budget = draw(st.sampled_from([1, 4_000_000]), label="chunk budget")
+    saved = oracle_mod._CHUNK_BUDGET
+    oracle_mod._CHUNK_BUDGET = budget
+    try:
+        with_axes = bitwise_outcome([Term(call, reads, monotone), *others], axes, predicate, st_)
+        without = bitwise_outcome([Term(call, reads), *others], axes, predicate, st_)
+    finally:
+        oracle_mod._CHUNK_BUDGET = saved
+    assert with_axes == without
+
+
+@pytest.mark.parametrize("text, expected", [
+    # inf * c: -inf at c = -1 and inf at c = 1, nan at c = 0 between them.
+    ("1e308*10*c", (FloatingPointError, "objective produced nan on the grid")),
+    # nan at c = -1 and inf at c = 1, a finite numerator over 0 inside.
+    ("(c + 1)*1e307*10/(x - x)",
+     (ZeroDivisionError, "division by zero evaluating '(c + 1.0) * 1e+307 * 10.0 / (x - x)'")),
+])
+def test_non_finite_endpoints_scan_the_full_line(text, expected):
+    fn = compile_reads(parse_expression(text, ("x", "c")))
+    assert "c" in fn.monotone
+    slots = [("x", "c").index(n) for n in fn.names]
+
+    def call(b):
+        return fn(*[b[i] for i in slots])
+
+    reads = frozenset(slots)
+    for monotone in (frozenset({1}), frozenset()):
+        assert bitwise_outcome([Term(call, reads, monotone)], [(1.0, 2.0), (-1.0, 1.0)],
+                               None, settings(5, 0)) == expected
+
+
+def test_monotone_axis_is_scanned_at_its_endpoints(monkeypatch):
+    # lf of cstr_series S1 reads T1 and c1, and only T1 is kept: lf is
+    # evaluated at c1's two endpoints, save for two rows where their minimum
+    # is 0, T1 = 300 (f = 0 at c1 = 0) and T1 = 350 (grad h = 0, so lf is
+    # -0.0 at c1 = 0 and 0.0 at c1 = 5).  Those rows are evaluated in full.
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    s = model.network.subsystems[0]
+    assert s.compiled.lf.monotone == {"c1"}
+    sizes = []
+    inner = s.compiled.lf.fn
+
+    def recorded(*args):
+        sizes.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+        return inner(*args)
+
+    monkeypatch.setattr(s.compiled.lf, "fn", recorded)
+    ex = min_offline_drift(s, settings(201, 0))
+    assert sizes[:2] == [(201, 2), (2, 201)]
+    assert ex.value == pytest.approx(cstr_hand_drift(400.0, 5.0, 2.7e6), rel=1e-9)
 
 
 # -- the expression query -------------------------------------------------------
