@@ -6,10 +6,14 @@ is the scalar delta_j, which ``compute_delta`` asks of ``oracle.minimum``:
 one query per source, summed, or with exact one query over all of them.
 Two systems of linear inequalities (R1 shrinks the buffer, R2 grows it),
 each solved in closed form, convert j's index into one that remains valid
-inside the network.  Joint-grid verification re-checks the final indices
+inside the network.  Joint verification re-checks the final indices
 against the fully coupled dynamics: it runs the single-subsystem verifier
-of ``resilience`` over the subsystem and its coupling sources, with the
-coupling drift ``grad h_j . sum_i W_ij`` added to the subsystem's own.
+of ``resilience`` over the subsystem and its coupling sources, with one
+coupling drift term ``grad h_j . W_ij`` per source added to the
+subsystem's own.  The oracle hands each query one term per source, and
+minimizes each source's axes out of its own term under the source's safety
+set, so an exact or joint query costs the target's grid, as a pairwise one
+does, not the product of every participant's grid.
 """
 
 from __future__ import annotations
@@ -109,19 +113,20 @@ class Feasibility:
 def compute_delta(net: Network, j: int, settings: OracleSettings | None = None,
                   exact: bool = False) -> DeltaEstimate:
     """Lower bound on grad h_j . sum_i W_ij over the participating safety
-    sets; independent of the buffer depth d.  exact minimizes the sum over
-    the joint product of j's and every source's set.  Otherwise it is the
-    sum over sources i of the minimum over i's and j's sets of grad h_j .
-    W_ij: each term relaxes the shared x_j to its own minimizer, so the sum
-    underapproximates the joint minimum.  arg joins the witnesses of the
-    minima, so pairwise it names j's variables once per source."""
+    sets; independent of the buffer depth d.  exact minimizes the sum of
+    the per-source terms grad h_j . W_ij over the joint product of j's and
+    every source's set.  Otherwise it is the sum over sources i of the
+    minimum over i's and j's sets of source i's term: each relaxes the
+    shared x_j to its own minimizer, so the sum underapproximates the joint
+    minimum.  arg joins the witnesses of the minima, so pairwise it names
+    j's variables once per source."""
     settings = settings or OracleSettings()
-    inc = net.incoming(j)
-    groups = ([(sorted({j, *(i for i, _ in inc)}), [w for _, w in inc])] if exact and inc
-              else [([i, j], [w]) for i, w in inc])
-    grad = net.subsystems[j].compiled.grad
-    minima = [minimum(grad_dot(grad, *ws), [net.subsystems[p] for p in participants],
-                      settings) for participants, ws in groups]
+    inc, target = net.incoming(j), net.subsystems[j]
+    terms = [grad_dot(target.compiled.grad, w) for _, w in inc]
+    groups = ([(sorted({j, *(i for i, _ in inc)}), terms)] if exact and inc
+              else [([i, j], [c]) for (i, _), c in zip(inc, terms)])
+    minima = [minimum(cs, [net.subsystems[p] for p in participants], settings, target)
+              for participants, cs in groups]
     # Summed from the first minimum: one source gives exact's value bit for bit.
     values = [m.value for m in minima] or [0.0]
     return DeltaEstimate(j, sum(values[1:], values[0]),
@@ -274,7 +279,7 @@ def verify_network(net: Network, indices: dict[int, ResilienceIndex], z: float,
                    ) -> dict[int, VerificationReport]:
     """Ground-truth re-check of every index against the coupled dynamics:
     the three defining conditions are minimized over the joint grid of the
-    subsystem and all its coupling sources."""
+    subsystem and all its coupling sources, one coupling term per source."""
     settings = settings or OracleSettings()
     if z < 0:
         raise ValueError("z must be nonnegative")
@@ -284,6 +289,6 @@ def verify_network(net: Network, indices: dict[int, ResilienceIndex], z: float,
             raise ValueError(f"subsystem {net.subsystems[j].name!r} has no valid index")
         inc, s = net.incoming(j), net.subsystems[j]
         participants = [net.subsystems[p] for p in sorted({j, *(i for i, _ in inc)})]
-        out[j] = _verify_one(s, participants, grad_dot(s.compiled.grad, *(w for _, w in inc)),
+        out[j] = _verify_one(s, participants, [grad_dot(s.compiled.grad, w) for _, w in inc],
                              indices[j], z, settings)
     return out

@@ -132,8 +132,8 @@ def _semantic_checks(s: Subsystem, settings: OracleSettings):
         return  # the clamp keeps mu inside the box by construction
     for k, mu in enumerate(s.mu):
         lo_box, hi_box = s.input_box[k]
-        low = minimum(mu, (s,), settings).value
-        high = -minimum(Negate(mu), (s,), settings).value
+        low = minimum([mu], (s,), settings).value
+        high = -minimum([Negate(mu)], (s,), settings).value
         slack = 1e-9 * max(1.0, abs(lo_box), abs(hi_box))
         if low < lo_box - slack or high > hi_box + slack:
             raise ModelError(

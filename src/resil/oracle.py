@@ -9,24 +9,30 @@ broadcasting, then shrinks the box around the incumbent for a fixed number
 of refinement rounds.
 
 An objective is a sum of ``Term``s: callables that each declare the axes
-they read, added left to right.  A trailing axis that one term reads, and
-no region, is minimized out of that term before the terms are added, so a
-scan costs the grid of the axes the terms share, not the product of all
-axes.  Rounded addition is monotone in each operand, so this gives the same
-values and the same minimizer as the full grid.
+they read, added left to right.  The region is a conjunction of factors,
+each a mask over its own axes.  An axis that one term reads, and no factor,
+is minimized out of that term before the terms are added.  So are the axes
+of a factor other than the first that one term reads, and no other factor:
+the term is minimized over them at the grid points where the factor holds
+(a coupling source, under its own safety set, minimized out of its own
+coupling term).  A scan costs the grid of the axes the terms share, not the
+product of all axes.  Rounded addition is monotone in each operand, so this
+gives the same values and the same minimizer as the full grid.
 
 A term may also name eliminated axes along which its value is monotone
 (``exprs.monotone_variables`` proves it for a compiled tree).  Such an axis
 is evaluated at its first and last grid points only, and the minimum along
 it lies at one of them: a term over m of them costs 2^m points, not n^m.
-The rule is exact, not approximate.  Where both ends are finite, every
-point between is finite and raises no error, and a nonzero minimum has one
-bit pattern.  So the full line is evaluated instead wherever a value at
-the ends is not finite (a nan, -inf or error between them shows as it
-would) or the minimum at the ends is 0 (the line may hold both -0.0 and
-0.0, and the reduction's choice depends on where they lie).  The
-coordinates of the winner on the eliminated axes still come from a full
-scan of its line.
+Under a factor, the first and last points of each line where the factor
+holds are evaluated as well, and the minimum over the line in the factor
+lies at one of them.  The rule is exact, not approximate.  Where both ends
+are finite, every point between is finite and raises no error, and a
+nonzero minimum has one bit pattern.  So the full line is evaluated
+instead wherever a value at the ends is not finite (a nan, -inf or error
+between them shows as it would) or the minimum at the ends is 0 (the line
+may hold both -0.0 and 0.0, and the reduction's choice depends on where
+they lie).  The coordinates of the winner on the eliminated axes still come
+from full scans of its lines, one axis at a time.
 
 ``StateGrid`` lays the axes out over the state variables that the terms
 and the safety functions read, for one subsystem or several coupled ones,
@@ -35,18 +41,19 @@ and is private to this module.  Every compiled function of a subsystem
 ``StateGrid.term`` binds one by its names, and a variable that no function
 reads has no axis.  ``StateGrid.minimize``, the one caller of
 ``grid_minimize``, scans where each subsystem lies in its safety set and a
-target in a ``Region`` (an interval of its h values), and returns an
-``Extremum`` whose witness ``arg`` is (name, value) pairs in axis order.
-It serves two queries.  ``minimum`` minimizes an expression over the
-product of subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its
-minimum of -h, scanned once per subsystem and settings.  ``drift_minimum``
-builds the drift objectives from the drift layer (``lf``, ``lg``, see
-``subsystem``) as terms: coupling, ``lf``, one per input (worst input-box
-vertex, which ends the witness, or closed loop), and an optional
+target in a ``Region`` (an interval of its h values), one factor per
+subsystem with the target's first, and returns an ``Extremum`` whose
+witness ``arg`` is (name, value) pairs in axis order.  It serves two
+queries.  ``minimum`` minimizes a sum of expressions over the product of
+subsystems' safety sets; ``sup_h`` and ``argmax_h`` are its minimum of -h,
+scanned once per subsystem and settings.  ``drift_minimum`` builds the
+drift objectives from the drift layer (``lf``, ``lg``, see ``subsystem``)
+as terms: one coupling term per source, ``lf``, one per input (worst
+input-box vertex, which ends the witness, or closed loop), and an optional
 ``z max(h - lo, 0)``.  The three index-condition queries call it:
 ``min_offline_drift``, ``min_recovery_drift`` and
 ``min_invariance_margin``, which take a network's participants and
-coupling drift; so does the verifier, to learn whether h goes below d
+coupling drifts; so does the verifier, to learn whether h goes below d
 where the grid misses a recovery band.  ``depth_profile`` evaluates the
 round-0 grid of every depth's recovery and invariance scan at once: the
 closed-loop drift at each grid point of the safety set, sorted by h, from
@@ -75,7 +82,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exprs import _ZERO, Expression, Negate, _is_zero
+from .exprs import Negate, _is_zero
 from .subsystem import (
     SAFE_SET,
     Region,
@@ -135,33 +142,84 @@ def _shaped(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _kept_axes(terms, predicate: Term | None, ndim: int) -> int:
-    """Number k of leading axes a scan keeps.  Axes k, ..., ndim - 1 are each
-    read by at most one term and not by the predicate, so each can be
-    minimized out of its term before the terms are added.  Only a suffix is
-    eliminated, which keeps the C-order tie-break; axis 0 stays, because the
-    scan is chunked along it."""
-    k = ndim
-    while (k > 1 and (predicate is None or k - 1 not in predicate.reads)
-           and sum(k - 1 in t.reads for t in terms) <= 1):
-        k -= 1
-    return k
+def _kept_axes(terms, factors, ndim: int) -> tuple[int, ...]:
+    """The axes a scan keeps, in axis order.  An axis that one term reads,
+    and no factor, is minimized out of that term before the terms are added.
+    So are the axes of a factor after the first that one term reads, and no
+    other factor: that term is minimized over them where the factor holds (a
+    coupling source under its own safety set).  The first factor's axes
+    stay, and so does one axis at least, because the scan is chunked along
+    the first axis it keeps."""
+    readers = [{i for i, t in enumerate(terms) if a in t.reads} for a in range(ndim)]
+    owned = [sum(a in f.reads for f in factors) for a in range(ndim)]
+    kept = set(factors[0].reads) if factors else set()
+    for f in factors[1:]:
+        users = set().union(*(readers[a] for a in f.reads))
+        if len(users) != 1 or any(owned[a] > 1 for a in f.reads):
+            kept |= f.reads
+    kept |= {a for a in range(ndim) if not owned[a] and len(readers[a]) != 1}
+    if not kept:
+        kept = {0}.union(*(f.reads for f in factors if 0 in f.reads))
+    return tuple(sorted(kept))
 
 
-def _fold(terms, bindings, k: int):
+class _Plan(NamedTuple):
+    """A scan's split of its axes (_kept_axes): per term, the eliminated
+    axes it reads and the eliminated factors it is minimized under, and with
+    them its group, the eliminated axes it is minimized over; and the
+    factors checked on the kept grid."""
+
+    kept: tuple
+    elim: tuple
+    under: tuple
+    groups: tuple
+    checked: tuple
+
+
+def _plan(terms, factors, ndim: int) -> _Plan:
+    kept = _kept_axes(terms, factors, ndim)
+    gone = [i for i, f in enumerate(factors) if not f.reads <= set(kept)]
+    under = tuple(tuple(i for i in gone if factors[i].reads & t.reads) for t in terms)
+    elim = tuple(tuple(sorted(t.reads - set(kept))) for t in terms)
+    return _Plan(kept, elim, under,
+                 tuple(set(e).union(*(factors[i].reads for i in u)) for e, u in zip(elim, under)),
+                 tuple(i for i in range(len(factors)) if i not in gone))
+
+
+def _masks(factors, plan: _Plan, grids):
+    """The eliminated factors' masks on one round's grids, each over its own
+    axes; and per term, the conjunction of those it is minimized under,
+    projected (any) onto the eliminated axes it reads, or None."""
+    ndim = len(grids)
+    bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
+    full = {}
+    for i in sorted({i for u in plan.under for i in u}):
+        m = np.asarray(factors[i].fn(bindings), dtype=bool)
+        full[i] = m.reshape((1,) * (ndim - m.ndim) + m.shape)
+    per_term = []
+    for elim, under in zip(plan.elim, plan.under):
+        m = None
+        for i in under:
+            p = full[i].any(axis=tuple(a for a in factors[i].reads if a not in elim),
+                            keepdims=True)
+            m = p if m is None else m & p
+        per_term.append(m)
+    return full, per_term
+
+
+def _fold(terms, bindings, elim, masks):
     """Left-to-right sum of the terms at the bindings, each term that reads
-    an axis from k on minimized over those axes first (_term_minimum).  A
-    term value of nan or -inf anywhere on the bindings raises
-    FloatingPointError; +inf is allowed.  With no term at -inf, no sum is
-    inf + -inf unless finite values overflow (_scan_chunk raises there), so
-    the eliminated sum has the minimum of the full one.  Overflow and
-    invalid operations in the terms and the sum are not warned about: they
-    give the values that raise."""
+    eliminated axes minimized over them where its mask holds first
+    (_term_minimum).  A term value of nan or -inf anywhere on the bindings
+    raises FloatingPointError; +inf is allowed.  With no term at -inf, no
+    sum is inf + -inf unless finite values overflow (_scan_chunk raises
+    there), so the eliminated sum has the minimum of the full one.  Overflow
+    and invalid operations in the terms and the sum are not warned about:
+    they give the values that raise."""
     total = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in terms:
-            v = (_term_minimum(t, bindings, k) if any(i >= k for i in t.reads)
-                 else t.fn(bindings))
+        for t, e, m in zip(terms, elim, masks):
+            v = _term_minimum(t, bindings, e, m) if e else t.fn(bindings)
             low = np.min(v)
             if not low > -math.inf:  # the min propagates nan
                 raise FloatingPointError(f"objective produced {low} on the grid")
@@ -169,91 +227,123 @@ def _fold(terms, bindings, k: int):
     return total
 
 
-def _term_minimum(t: Term, bindings, k: int) -> np.ndarray:
-    """t at the bindings, minimized over the axes from k on.  The axes among
-    them that t is monotone in are bound to their first and last grid
-    points only, 2^m points for m of them, where the minimum along each
-    lies.  Lines through a point of the other axes where a value at those
-    points is not finite, or where their minimum is 0, are evaluated in full
-    instead: the full line can hold -0.0 and 0.0, and which of them the
-    reduction returns depends on where they lie.  So the result is the full
-    minimum bit for bit, and an error or a nan or -inf on the full grid is
-    raised or returned as it would be."""
+def _term_minimum(t: Term, bindings, elim, mask) -> np.ndarray:
+    """t at the bindings, minimized over the axes elim where mask holds
+    (None: everywhere), keepdims.  A line through them that holds nan or
+    -inf, in the mask or not, has that value instead, so _fold raises as the
+    full scan would.  The axes among them that t is monotone in are bound to
+    their first and last grid points only, where the minimum along each
+    lies; the first of them along which mask varies, to the first and last
+    points of each line in the mask as well.  Lines through a point of the
+    other axes where a value at those points is not finite, or where the
+    minimum is 0, are evaluated in full instead: the full line can hold -0.0
+    and 0.0, and which of them the reduction returns depends on where they
+    lie.  So the result is the full minimum bit for bit, and an error on the
+    full grid is raised as it would be."""
     ndim = len(bindings)
-    elim = tuple(range(k, ndim))
-    ends = [i for i in elim if i in t.monotone]
 
     def values(b):
         v = np.asarray(t.fn(b), dtype=float)
         return v.reshape((1,) * (ndim - v.ndim) + v.shape)
 
+    def least(v, m):
+        low = v.min(axis=elim, keepdims=True)
+        if m is None:
+            return low
+        v = np.broadcast_to(v, np.broadcast_shapes(v.shape, m.shape))
+        inside = v.min(axis=elim, keepdims=True, where=m, initial=math.inf)
+        return np.where(low > -math.inf, inside, low)
+
+    ends = [i for i in elim if i in t.monotone]
     if not ends:
-        return values(bindings).min(axis=elim, keepdims=True)
-    raw = values([np.take(b, [0, -1], axis=i) if i in ends else b
-                  for i, b in enumerate(bindings)])
-    v = raw.min(axis=elim, keepdims=True)
+        return least(values(bindings), mask)
+    part, m = list(bindings), mask
+    for i in ends:
+        if m is None or m.shape[i] == 1:
+            part[i] = np.take(bindings[i], [0, -1], axis=i)
+        elif m is mask:  # grid ends, then the ends of each line in the mask
+            first = m.argmax(axis=i, keepdims=True)
+            last = m.shape[i] - 1 - np.flip(m, axis=i).argmax(axis=i, keepdims=True)
+            at = np.concatenate([np.zeros_like(first), first, last,
+                                 np.full_like(first, m.shape[i] - 1)], axis=i)
+            part[i], m = bindings[i].reshape(-1)[at], np.take_along_axis(m, at, axis=i)
+    raw = values(part)
+    v = least(raw, m)
     redo = (v == 0) | ~np.isfinite(raw).all(axis=elim, keepdims=True)
     if redo.any():
         # Full lines in slabs along one kept axis, each slab in _CHUNK_BUDGET.
-        axis = next((a for a in range(k) if v.shape[a] > 1), 0)
+        kept = [a for a in range(ndim) if a not in elim]
+        axis = next((a for a in kept if v.shape[a] > 1), kept[0])
         sel = np.flatnonzero(redo.any(axis=tuple(a for a in range(ndim) if a != axis)))
-        line = math.prod(bindings[i].shape[i] for i in elim if raw.shape[i] > 1)
+        line = math.prod(bindings[i].shape[i] for i in elim)
         step = max(1, _CHUNK_BUDGET // (line * v.size // v.shape[axis]))
         for lo in range(0, sel.size, step):
             rows, part = sel[lo:lo + step], list(bindings)
             part[axis] = np.take(bindings[axis], rows, axis=axis)
-            v[(slice(None),) * axis + (rows,)] = values(part).min(axis=elim, keepdims=True)
+            v[(slice(None),) * axis + (rows,)] = least(values(part), mask)
     return v
 
 
-def _slab_values(terms, grids, k):
-    """The bindings of one slab (a slice along axis 0) and the sum of the
-    terms on its first k axes, the rest minimized out of their terms (see
-    _fold for the non-finite rule)."""
+def _slab_values(terms, plan: _Plan, grids, masks):
+    """The bindings of one slab and the sum of the terms on its kept axes,
+    the rest minimized out of their terms (see _fold for the non-finite
+    rule)."""
     ndim = len(grids)
-    shape = tuple(g.size for g in grids[:k]) + (1,) * (ndim - k)
+    shape = tuple(g.size if a in plan.kept else 1 for a, g in enumerate(grids))
     bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
-    return bindings, np.broadcast_to(np.asarray(_fold(terms, bindings, k), dtype=float), shape)
+    total = _fold(terms, bindings, plan.elim, masks)
+    return bindings, np.broadcast_to(np.asarray(total, dtype=float), shape)
 
 
-def _scan_chunk(terms, predicate, grids, k):
-    """Evaluate one slab and return its best point over the first k axes,
-    or None when the slab holds no point of the region.  The best value is
-    +inf when every point of the region has it.  Values, mask and argmin
-    live on those axes."""
-    bindings, vals = _slab_values(terms, grids, k)
-    shape = vals.shape
-    if predicate is not None:
-        mask = predicate.fn(bindings)
+def _scan_chunk(terms, factors, plan: _Plan, grids, masks, empty: bool):
+    """Evaluate one slab and return its best value over the kept axes, with
+    the kept coordinates (index arrays in kept order) of the points of the
+    region that attain it; None when the slab holds no point of the region,
+    as when empty.  The best value is +inf when every point of the region
+    has it."""
+    bindings, vals = _slab_values(terms, plan, grids, masks)
+    if empty:
+        return None
+    mask = None
+    for i in plan.checked:
+        m = factors[i].fn(bindings)
+        mask = m if mask is None else mask & m
+    if mask is not None:
         if not np.any(mask):
             return None
         vals = np.where(mask, vals, np.inf)
-    flat = int(np.argmin(vals))  # C order: ties pick the lexicographically first point
+    flat = int(np.argmin(vals))  # C order: the value of the lexicographically first point
     best = float(vals.flat[flat])
     if not best > -math.inf:  # finite terms whose sum overflowed
         raise FloatingPointError(f"objective produced {best} on the grid")
-    idx = np.unravel_index(flat, shape)
-    return best, tuple(float(g[i]) for g, i in zip(grids[:k], idx))
+    hits = np.unravel_index(np.flatnonzero(vals == best) if best < math.inf else [flat],
+                            vals.shape)
+    return best, [hits[a] for a in plan.kept]
 
 
 def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     """Minimize objective over the box spanned by axes.
 
     objective is a sequence of Terms whose sum is minimized; predicate is
-    None or a Term whose value is the region mask.  Each term receives a
-    list of broadcast-shaped arrays, one per axis, in axis order.  Returns
-    (value, arg) where arg is a tuple of coordinates in axis order.  A point
-    valued +inf is no candidate.  When the initial grid holds no point of
-    the region, raises EmptyRegionError; when it holds some, all valued
-    +inf, FloatingPointError.  nan and -inf raise (see _fold).
+    None, a Term whose value is the region mask, or a sequence of such
+    Terms over disjoint axes, the factors of a region that is their
+    conjunction (_kept_axes says which are minimized out of a term).  Each
+    term receives a list of broadcast-shaped arrays, one per axis, in axis
+    order.  Returns (value, arg) where arg is a tuple of coordinates in axis
+    order.  A point valued +inf is no candidate.  When the initial grid
+    holds no point of the region, raises EmptyRegionError; when it holds
+    some, all valued +inf, FloatingPointError.  nan and -inf raise (see
+    _fold).
     """
     terms = list(objective)
+    factors = ([] if predicate is None else [predicate] if isinstance(predicate, Term)
+               else list(predicate))
     if not axes:
-        if predicate is not None and not predicate.fn([]):
+        if not all(f.fn([]) for f in factors):
             raise EmptyRegionError("region contains no grid point")
-        vals = np.asarray(_fold(terms, [], 0), dtype=float).reshape(())
-        return float(vals), ()
-    k = _kept_axes(terms, predicate, len(axes))
+        vals = np.asarray(_fold(terms, [], [()] * len(terms), [None] * len(terms)), dtype=float)
+        return float(vals.reshape(())), ()
+    plan = _plan(terms, factors, len(axes))
     n = settings.grid_points_per_dim
     bounds = [(float(lo), float(hi)) for lo, hi in axes]
     orig = list(bounds)
@@ -261,7 +351,7 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     incumbent_arg = None
     for round_no in range(settings.refinement_rounds + 1):
         grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
-        best = _scan_round(terms, predicate, grids, k)
+        best = _scan_round(terms, factors, plan, grids)
         if round_no == 0 and best is None:
             raise EmptyRegionError("region contains no grid point")
         if round_no == 0 and best[0] == math.inf:
@@ -272,34 +362,104 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     return incumbent_val, incumbent_arg
 
 
-def _scan_round(terms, predicate, grids, k):
-    """Best (value, point) on one grid, scanning the first k axes in chunks
-    along axis 0; the coordinates on the eliminated axes are found for the
-    winner alone."""
-    axis0 = grids[0]
-    rows_per_chunk = _rows_per_chunk(terms, grids, k)
-    best = None
-    for lo in range(0, axis0.size, rows_per_chunk):
-        r = _scan_chunk(terms, predicate, [axis0[lo:lo + rows_per_chunk]] + grids[1:], k)
-        # Strict <, in chunk order: ties keep the C-order first point.
-        if r is not None and (best is None or r[0] < best[0]):
-            best = r
-    if best is None or len(best[1]) == len(grids):
-        return best
-    # The winner is a point on the first k axes.  Its line through the
-    # eliminated axes, scanned in full, has the same minimum; the first
-    # point in C order that reaches it completes the coordinates.
-    line = [np.array([c]) for c in best[1]] + grids[k:]
-    return best[0], _scan_chunk(terms, None, line, len(grids))[1]
+def _scan_round(terms, factors, plan: _Plan, grids):
+    """Best (value, point) on one grid, scanning the kept axes in chunks
+    along the first; the coordinates on the eliminated axes are found for
+    the points that attain it (_complete).  The eliminated factors' masks
+    are built on this grid, as the full scan would build the region."""
+    full, masks = _masks(factors, plan, grids)
+    empty = not all(m.any() for m in full.values())
+    axis = plan.kept[0]
+    rows = _rows_per_chunk(terms, grids, plan)
+    best, hits = None, []
+    for lo in range(0, grids[axis].size, rows):
+        part = list(grids)
+        part[axis] = grids[axis][lo:lo + rows]
+        r = _scan_chunk(terms, factors, plan, part, masks, empty)
+        if r is None:
+            continue
+        # Strict <, in chunk order: the value of the C-order first point stands.
+        if best is None or r[0] < best:
+            best, hits = r[0], []
+        if r[0] == best:
+            hits.append([r[1][0] + lo, *r[1][1:]])
+    if best is None:
+        return None
+    if best == math.inf:
+        return best, None
+    cands = [np.concatenate(c) for c in zip(*hits)]
+    return best, _complete(terms, factors, plan, grids, full, cands, best)
 
 
-def _rows_per_chunk(terms, grids, k):
-    """Rows of axis 0 per chunk that keep a chunk's arrays in _CHUNK_BUDGET.
-    An eliminated axis that a term is monotone in counts as its 2 endpoints."""
+def _complete(terms, factors, plan: _Plan, grids, full, cands, best):
+    """The first point in C order of the region where the sum of the terms
+    is best, among the points whose kept coordinates are a row of cands
+    (index arrays in kept order).  The axes are taken in order.  At a kept
+    axis, the candidates with the smallest index stay.  At an eliminated
+    axis, the smallest index at which a candidate still reaches best, the
+    eliminated axes after it free, is taken, and the candidates that reach
+    it there stay.  Rounded addition is monotone, so a candidate reaches best
+    at an index when the sum of the terms, each minimized over its free
+    eliminated axes where its factors hold, is best there."""
+    ndim = len(grids)
+    at, fixed = dict(zip(plan.kept, cands)), {}
+
+    def reach(a, rows):
+        """Whether each candidate of rows can reach best at each index of a."""
+        b = [_shaped(grids[e][rows[e]], plan.kept[0], ndim) if e in rows
+             else _shaped(grids[e][fixed[e]:fixed[e] + 1] if e in fixed else grids[e], e, ndim)
+             for e in range(ndim)]
+        total = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, group, under in zip(terms, plan.groups, plan.under):
+                v = np.asarray(t.fn(b), dtype=float)
+                v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
+                free = tuple(e for e in group if e not in fixed and e != a)
+                m = None
+                for i in under:  # factor i at the fixed indices of its axes
+                    mi = full[i]
+                    for e in sorted(factors[i].reads & fixed.keys()):
+                        mi = np.take(mi, [fixed[e]], axis=e)
+                    m = mi if m is None else m & mi
+                if m is not None:
+                    v = np.broadcast_to(v, np.broadcast_shapes(v.shape, m.shape))
+                    v = v.min(axis=free, keepdims=True, where=m, initial=math.inf)
+                elif free:
+                    v = v.min(axis=free, keepdims=True)
+                total = v if total is None else total + v
+        shape = [1] * ndim
+        shape[plan.kept[0]], shape[a] = len(rows[plan.kept[0]]), grids[a].size
+        hit = np.broadcast_to(total <= best, shape).reshape(-1)
+        n = grids[a].size
+        return hit.reshape(-1, n) if plan.kept[0] < a else hit.reshape(n, -1).T
+
+    for a in range(ndim):
+        if a in at:
+            keep = at[a] == at[a].min()
+        else:
+            per = max(math.prod(grids[e].size for e in g | {a} if e not in fixed)
+                      for g in plan.groups)
+            step = max(1, _CHUNK_BUDGET // per)
+            hit = np.concatenate([reach(a, {e: v[lo:lo + step] for e, v in at.items()})
+                                  for lo in range(0, len(at[plan.kept[0]]), step)])
+            first = np.where(hit.any(axis=1), hit.argmax(axis=1), grids[a].size)
+            fixed[a] = int(first.min())
+            keep = first == fixed[a]
+        at = {e: v[keep] for e, v in at.items()}
+    return tuple(float(grids[a][at[a][0]] if a in at else grids[a][fixed[a]])
+                 for a in range(ndim))
+
+
+def _rows_per_chunk(terms, grids, plan: _Plan):
+    """Rows of the first kept axis per chunk that keep a chunk's arrays in
+    _CHUNK_BUDGET.  An eliminated axis that a term is monotone in counts as
+    its 2 endpoints, or 4 under a factor, whose mask's ends are added."""
     sizes = [g.size for g in grids]
-    per_row = max([math.prod(sizes[1:k])]
-                  + [math.prod(2 if i >= k and i in t.monotone else sizes[i]
-                               for i in t.reads if i) for t in terms if 0 in t.reads])
+    axis = plan.kept[0]
+    per_row = max([math.prod(sizes[a] for a in plan.kept[1:])]
+                  + [math.prod((4 if under else 2) if a in elim and a in t.monotone else sizes[a]
+                               for a in t.reads if a != axis)
+                     for t, elim, under in zip(terms, plan.elim, plan.under) if axis in t.reads])
     return max(1, _CHUNK_BUDGET // per_row)
 
 
@@ -337,22 +497,19 @@ class StateGrid:
     def minimize(self, terms, settings: OracleSettings,
                  target: Subsystem | None = None, region: Region = SAFE_SET) -> Extremum:
         """Minimize the sum of terms over the grid points where every
-        subsystem lies in its safety set and target in region.  The witness
-        names the axes in axis order.  A scan too large for memory raises
-        MemoryError naming the axes and the grid."""
-        regions = [(region if s is target else SAFE_SET, self.term(s.compiled.h))
-                   for s in self.subsystems]
-
-        def predicate(bindings):
-            out = None
-            for r, h in regions:
-                cond = r.contains(h.fn(bindings), MARGIN_TOLERANCE)
-                out = cond if out is None else (out & cond)
-            return out
-
-        h_reads = frozenset().union(*(h.reads for _, h in regions))
+        subsystem lies in its safety set and target in region.  Each
+        subsystem's set is one factor of the region, target's first (else the
+        first subsystem's), so that a subsystem after it whose axes one term
+        reads is minimized out of that term under its own set (_kept_axes).
+        The witness names the axes in axis order.  A scan too large for
+        memory raises MemoryError naming the axes and the grid."""
+        factors = []
+        for s in sorted(self.subsystems, key=lambda s: s is not target):
+            h, r = self.term(s.compiled.h), region if s is target else SAFE_SET
+            factors.append(Term(lambda b, h=h.fn, r=r: r.contains(h(b), MARGIN_TOLERANCE),
+                                h.reads))
         try:
-            value, arg = grid_minimize(terms, self.axes, Term(predicate, h_reads), settings)
+            value, arg = grid_minimize(terms, self.axes, factors, settings)
         except MemoryError:
             raise MemoryError(f"a scan over the axes {', '.join(self.axis_names)} at "
                               f"{settings.grid_points_per_dim} points each does not fit in "
@@ -360,21 +517,24 @@ class StateGrid:
         return Extremum(value, tuple(zip(self.axis_names, arg)))
 
 
-def minimum(e: Expression, subsystems, settings: OracleSettings) -> Extremum:
-    """Minimize e over the product of the subsystems' safety sets."""
-    fn = compile_reads(e)
-    grid = StateGrid(subsystems, fn.names)
-    return grid.minimize([grid.term(fn)], settings)
+def minimum(exprs, subsystems, settings: OracleSettings,
+            target: Subsystem | None = None) -> Extremum:
+    """Minimize the sum of exprs, added left to right, over the product of
+    the subsystems' safety sets.  A subsystem other than target whose axes
+    one of exprs reads is minimized out of it under its own set."""
+    fns = [compile_reads(e) for e in exprs]
+    grid = StateGrid(subsystems, {n for fn in fns for n in fn.names})
+    return grid.minimize([grid.term(fn) for fn in fns], settings, target)
 
 
 # -- objectives over the drift layer --------------------------------------------
 
-def _drift_terms(s: Subsystem, participants, closed_loop: bool, coupling: Expression):
-    """The grid of a drift scan of h_s and its terms: coupling, lf, then one
-    per input, reading the variables its compiled functions take; with the
-    lg terms, for the input-vertex witness."""
+def _drift_terms(s: Subsystem, participants, closed_loop: bool, couplings):
+    """The grid of a drift scan of h_s and its terms: one per coupling
+    source, lf, then one per input, reading the variables its compiled
+    functions take; with the lg terms, for the input-vertex witness."""
     comp = s.compiled
-    fns = ([] if _is_zero(coupling) else [compile_reads(coupling)]) + [comp.lf]
+    fns = [compile_reads(c) for c in couplings if not _is_zero(c)] + [comp.lf]
     laws = comp.mu if closed_loop else ()
     grid = StateGrid(participants or (s,), {n for fn in (*fns, *comp.lg, *laws) for n in fn.names})
     terms = [grid.term(fn) for fn in fns]
@@ -396,15 +556,16 @@ def _drift_terms(s: Subsystem, participants, closed_loop: bool, coupling: Expres
 
 def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
                   closed_loop: bool, z: float | None = None,
-                  participants=None, coupling: Expression = _ZERO) -> Extremum:
-    """Minimize the drift of h_s, coupling + lf + sum_k lg_k u_k, over region
-    (with every other participant in its safety set).  u is the clamped
+                  participants=None, couplings=()) -> Extremum:
+    """Minimize the drift of h_s, sum_i c_i + lf + sum_k lg_k u_k, over
+    region (with every other participant in its safety set), where c_i is
+    the coupling drift grad h_s . W_is from source i.  u is the clamped
     feedback law when closed_loop, else the worst input-box vertex at each
     grid point, reconstructed at the minimizer for the witness; z adds
     z max(h - region.lo, 0), which is z (h - lo) on the region save where
     the MARGIN_TOLERANCE slack admits h just below lo.  The sum is handed
     to the grid as Terms in that order."""
-    grid, terms, lg = _drift_terms(s, participants, closed_loop, coupling)
+    grid, terms, lg = _drift_terms(s, participants, closed_loop, couplings)
     if z is not None:
         h = grid.term(s.compiled.h)
         terms.append(Term(lambda b: z * np.maximum(h.fn(b) - region.lo, 0.0), h.reads))
@@ -452,14 +613,14 @@ def depth_profile(s: Subsystem, z: float, settings: OracleSettings) -> DepthProf
     _fold and axis elimination.  None, and the depths are scanned one by
     one, when that grid takes more than one chunk, or when D is nan or -inf
     at a point of the safety set, where a scan raises."""
-    grid, terms, _ = _drift_terms(s, None, True, _ZERO)
-    h = grid.term(s.compiled.h)  # the region predicate reads h's axes
-    k = _kept_axes(terms, h, len(grid.axes))
+    grid, terms, _ = _drift_terms(s, None, True, ())
+    h = grid.term(s.compiled.h)  # the region's one factor: its axes are kept
+    plan = _plan(terms, [h], len(grid.axes))
     n = settings.grid_points_per_dim
     grids = [np.linspace(float(lo), float(hi), n) for lo, hi in grid.axes]
-    if _rows_per_chunk(terms, grids, k) < n:
+    if _rows_per_chunk(terms, grids, plan) < n:
         return None
-    bindings, drift = _slab_values(terms, grids, k)
+    bindings, drift = _slab_values(terms, plan, grids, [None] * len(terms))
     hv = np.broadcast_to(np.asarray(h.fn(bindings), dtype=float), drift.shape)
     safe = SAFE_SET.contains(hv, MARGIN_TOLERANCE)
     hv, drift = hv[safe], drift[safe]
@@ -483,7 +644,7 @@ def _peak_h(s: Subsystem, settings: OracleSettings) -> Extremum:
     start point all ask for it."""
     peaks = s.compiled.peaks
     if settings not in peaks:
-        peaks[settings] = minimum(Negate(s.h), (s,), settings)
+        peaks[settings] = minimum([Negate(s.h)], (s,), settings)
     return peaks[settings]
 
 
@@ -500,18 +661,18 @@ def argmax_h(s: Subsystem, settings: OracleSettings) -> tuple[float, ...]:
 
 
 def min_offline_drift(s: Subsystem, settings: OracleSettings,
-                      participants=None, coupling: Expression = _ZERO) -> Extremum:
+                      participants=None, couplings=()) -> Extremum:
     """min over the safety set and the input box of grad h . (f + g u)."""
-    return drift_minimum(s, SAFE_SET, settings, False, None, participants, coupling)
+    return drift_minimum(s, SAFE_SET, settings, False, None, participants, couplings)
 
 
 def min_recovery_drift(s: Subsystem, d: float, settings: OracleSettings,
-                       participants=None, coupling: Expression = _ZERO) -> Extremum:
+                       participants=None, couplings=()) -> Extremum:
     """min of the closed-loop drift over the band 0 <= h < d."""
-    return drift_minimum(s, safe_minus_buffer(d), settings, True, None, participants, coupling)
+    return drift_minimum(s, safe_minus_buffer(d), settings, True, None, participants, couplings)
 
 
 def min_invariance_margin(s: Subsystem, d: float, z: float, settings: OracleSettings,
-                          participants=None, coupling: Expression = _ZERO) -> Extremum:
+                          participants=None, couplings=()) -> Extremum:
     """min over h >= d of closed-loop drift + z * max(h - d, 0)."""
-    return drift_minimum(s, buffer_region(d), settings, True, z, participants, coupling)
+    return drift_minimum(s, buffer_region(d), settings, True, z, participants, couplings)

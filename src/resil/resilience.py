@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .exprs import _ZERO, Expression
 from .oracle import (
     MARGIN_TOLERANCE,
     EmptyRegionError,
@@ -95,22 +94,22 @@ def verify_index(s: Subsystem, index: ResilienceIndex, z: float,
     settings = settings or OracleSettings()
     if z < 0:
         raise ValueError("z must be nonnegative")
-    return _verify_one(s, (s,), _ZERO, index, z, settings)
+    return _verify_one(s, (s,), (), index, z, settings)
 
 
-def _verify_one(target: Subsystem, participants, coupling: Expression,
+def _verify_one(target: Subsystem, participants, couplings,
                 index: ResilienceIndex, z: float,
                 settings: OracleSettings) -> VerificationReport:
     """The three index conditions for target, as compute_index reads them:
     the three condition queries of oracle, minimized over the joint grid of
     the participants (target included, each in its safety set) with the
-    coupling drift added to target's own.  Worst points are the queries'
-    witnesses."""
+    coupling drifts, one per source, added to target's own.  Worst points
+    are the queries' witnesses."""
     notes: list[str] = []
     worst: dict = {}
 
     def scan(label, query, *args):
-        ex = query(target, *args, settings, participants, coupling)
+        ex = query(target, *args, settings, participants, couplings)
         worst[label] = ex.arg
         return ex.value
 
@@ -126,8 +125,10 @@ def _verify_one(target: Subsystem, participants, coupling: Expression,
         except EmptyRegionError:
             notes.append("recovery band is empty at this grid resolution")
             try:  # h is continuous, so a grid point below d and a safe one span the band
-                drift_minimum(target, Region(-math.inf, index.d), settings, True, None,
-                              participants, coupling)
+                # Only round 0 can find the region empty: refinement adds nothing.
+                drift_minimum(target, Region(-math.inf, index.d),
+                              replace(settings, refinement_rounds=0), True, None,
+                              participants, couplings)
                 recovery = -math.inf  # the grid misses the band: not verified
             except EmptyRegionError:
                 pass  # h >= d at every grid point: the band is empty

@@ -18,6 +18,7 @@ import resil.cli
 import resil.oracle
 from resil.cli import main
 from resil.exprs import Negate
+from resil.interconnect import compute_delta
 from resil.model_io import load_model
 from resil.oracle import OracleSettings, depth_profile
 
@@ -619,6 +620,43 @@ def test_scan_too_large_for_memory_exits_2(capsys, monkeypatch):
                                         "does not fit in memory; lower --grid")
 
 
+def ring_model(tmp_path):
+    """Three generators in a ring: states th_i and om_i, f = (om, -th - om),
+    u on om, h = 1 - (th^2 + th om + om^2)/0.8, mu = -om/2 saturated to the
+    input box, and every pair coupled by w = (0, 0.05 (th_k - th_i))."""
+    gens = [1, 2, 3]
+    model = {"alpha_z": 1.0, "subsystems": [{
+        "name": f"G{i}", "states": [f"th{i}", f"om{i}"], "inputs": [f"u{i}"],
+        "f": [f"om{i}", f"-th{i} - om{i}"], "g": [["0"], ["1"]],
+        "h": f"1 - (th{i}^2 + th{i}*om{i} + om{i}^2)/0.8", "mu": [f"-0.5*om{i}"],
+        "mu_saturation": [[-1, 1]], "state_box": [[-1.2, 1.2]] * 2, "input_box": [[-1, 1]]}
+        for i in gens],
+        "couplings": [{"from": f"G{k}", "to": f"G{i}", "w": ["0", f"0.05*(th{k} - th{i})"]}
+                      for i in gens for k in gens if k != i]}
+    path = tmp_path / "ring3.json"
+    path.write_text(json.dumps(model))
+    return str(path)
+
+
+def test_ring_exact_scans_cost_the_target_grid(capsys, tmp_path):
+    # Each generator's coupled scans read six axes.  The joint grid at 201
+    # points per axis does not fit in memory; with each source minimized out
+    # of its own coupling term under its own safety set, the scans cover the
+    # target's 201^2 points.  Two sources now sum as two terms, in another
+    # order than one joint coupling tree, hence the tolerance at grid 11.
+    mpath = ring_model(tmp_path)
+    idx = write_indices_file(tmp_path / "idx.json",
+                             {f"G{i}": {"d": 0.1, "tau": 1.0, "phi": 1.0, "eta": 0.0}
+                              for i in (1, 2, 3)})
+    for argv in (["net", "delta", "--exact"], ["net", "verify", "--indices", idx]):
+        assert main([*argv, "--model", mpath, "--grid", "201"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+    net = load_model(mpath, OracleSettings(11)).network
+    for j in range(3):
+        delta = compute_delta(net, j, OracleSettings(11), exact=True).value
+        assert delta == pytest.approx(-0.28847808000000014, abs=1e-12)
+
+
 def test_five_state_chain_index(capsys, tmp_path):
     # x_i' = -x_i + 0.3 x_{i+1} (cyclic), u on x1, h = 1 - |x|^2 / 0.8: h reads
     # all five states, so every scan keeps every axis.  The load checks scan
@@ -645,10 +683,10 @@ def test_peak_of_h_is_scanned_once_per_subsystem(capsys, tmp_path, monkeypatch):
     scans = []
     inner = resil.oracle.minimum
 
-    def recorded(e, subsystems, settings):
-        if isinstance(e, Negate) and e.operand == subsystems[0].h:
+    def recorded(exprs, subsystems, settings, target=None):
+        if [type(e) for e in exprs] == [Negate] and exprs[0].operand == subsystems[0].h:
             scans.append(subsystems[0].name)
-        return inner(e, subsystems, settings)
+        return inner(exprs, subsystems, settings, target)
 
     monkeypatch.setattr(resil.oracle, "minimum", recorded)
     code = main(["index", "compute", "--model", "cstr_series", "--subsystem", "S1",

@@ -17,11 +17,12 @@ from resil.exprs import (
     Variable,
     compile_expression,
     eval_expression,
+    format_expression,
     free_variables,
     monotone_variables,
     parse_expression,
 )
-from resil.interconnect import verify_network
+from resil.interconnect import Network, compute_delta, verify_network
 from resil.model_io import load_model
 from resil.oracle import (
     MARGIN_TOLERANCE,
@@ -302,8 +303,8 @@ def record_kept_axes(monkeypatch):
     kept = []
     inner = oracle_mod._kept_axes
 
-    def recorded(terms, predicate, ndim):
-        kept.append(inner(terms, predicate, ndim))
+    def recorded(terms, factors, ndim):
+        kept.append(inner(terms, factors, ndim))
         return kept[-1]
 
     monkeypatch.setattr(oracle_mod, "_kept_axes", recorded)
@@ -345,12 +346,19 @@ def separable_problems(draw):
             special = (draw(st.sampled_from(sorted(reads))),
                        draw(st.sampled_from([math.inf, -math.inf, math.nan])))
         terms.append(poly_term(reads, coefs, levels, special))
-    mask_reads = sorted(draw(st.sets(axis, max_size=2)))
-    bound = draw(st.sampled_from([-0.5, 0.0, 0.8, 5.0]))
-    predicate = None
-    if mask_reads:
-        predicate = Term(lambda b: sum(b[i] for i in mask_reads) <= bound,
-                         frozenset(mask_reads))
+    # Up to three factors over disjoint axes: a factor after the first is
+    # minimized out of the term that reads its axes when one term does.
+    owner = [draw(st.sampled_from([None, 0, 0, 1, 2])) for _ in range(ndim)]
+    factors = []
+    for k in range(3):
+        mask_reads = [i for i, o in enumerate(owner) if o == k]
+        bound = draw(st.sampled_from([-0.5, 0.0, 0.8, 5.0]))
+        if mask_reads:
+            factors.append(Term(lambda b, r=mask_reads, c=bound: sum(b[i] for i in r) <= c,
+                                frozenset(mask_reads)))
+    predicate = factors or None
+    if len(factors) == 1 and draw(st.booleans()):
+        predicate = factors[0]
     axes = [draw(st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5)]))
             for _ in range(ndim)]
     st_ = settings(draw(st.integers(2, 7)), draw(st.integers(0, 2)))
@@ -361,14 +369,15 @@ def separable_problems(draw):
 @given(separable_problems())
 def test_eliminated_axes_give_the_full_scan_result(problem):
     # Exact equality with the scan that eliminates nothing and with the scan
-    # in one chunk: the same value, the same minimizer, the same error.
+    # in one chunk: the same value, the same minimizer, the same error, with
+    # the region given as one mask or as factors.
     terms, predicate, axes, st_, budget = problem
     one_chunk = scan_outcome(terms, axes, predicate, st_)
     saved = oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes
     oracle_mod._CHUNK_BUDGET = budget
     try:
         split = scan_outcome(terms, axes, predicate, st_)
-        oracle_mod._kept_axes = lambda terms, predicate, ndim: ndim
+        oracle_mod._kept_axes = lambda terms, factors, ndim: tuple(range(ndim))
         full = scan_outcome(terms, axes, predicate, st_)
     finally:
         oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes = saved
@@ -381,7 +390,7 @@ def test_nan_in_eliminated_term_raises(monkeypatch):
              Term(lambda b: np.where(b[1] > 0.5, np.nan, b[1]), frozenset({1}))]
     with pytest.raises(FloatingPointError):
         grid_minimize(terms, [(-1, 1), (-1, 1)], None, settings(11, 0))
-    assert kept == [1]
+    assert kept == [(0,)]
 
 
 def test_minus_inf_in_region_raises():
@@ -468,8 +477,9 @@ def test_drift_of_inf_on_the_whole_safe_set_raises():
 
 
 def test_axis_read_by_h_is_never_eliminated(monkeypatch):
-    # x2 is read by one term only, but h reads it too: the region mask
-    # depends on x2, so x2 stays a scanned axis.
+    # x2 is read by one term only, but h reads it too, and h is the
+    # region's first factor: the region mask depends on x2, so x2 stays a
+    # scanned axis.  x1, which h does not read, is eliminated.
     from resil.exprs import parse_expression
     from resil.subsystem import Subsystem
     sv = ("x1", "x2")
@@ -484,11 +494,13 @@ def test_axis_read_by_h_is_never_eliminated(monkeypatch):
     grid = StateGrid((s,), sv)
     ex = grid.minimize([Term(lambda b: b[0], frozenset({0})),
                         Term(lambda b: b[1], frozenset({1}))], settings(21, 0))
-    assert kept == [2]
+    assert kept == [(1,)]
     assert (ex.value, ex.arg) == (-0.5, (("x1", -1.0), ("x2", 0.5)))
 
 
 def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
+    # S2's scans keep T2 alone: c2 is read by lf only, and T1 by the
+    # coupling and S1's safety factor only.
     model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
     net = model.network
     kept = record_kept_axes(monkeypatch)
@@ -498,13 +510,13 @@ def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
     def recorded(s, *args):
         ex = inner(s, *args)
         axis_names = [name for name, _ in ex.arg if name not in s.input_vars]
-        eliminated.append((s.name, axis_names[kept[-1]:]))
+        eliminated.append((s.name, [n for a, n in enumerate(axis_names) if a not in kept[-1]]))
         return ex
 
     monkeypatch.setattr(oracle_mod, "drift_minimum", recorded)
     idx = resilience_mod.ResilienceIndex(d=25, tau=1e-5, phi=1e-4, eta=1.0)
     verify_network(net, {0: idx, 1: idx}, model.alpha_z, settings(21, 0))
-    assert [names for name, names in eliminated if name == "S2"] == [["c2"]] * 3
+    assert [names for name, names in eliminated if name == "S2"] == [["T1", "c2"]] * 3
     assert [names for name, names in eliminated if name == "S1"] == [["c1"]] * 3
 
 
@@ -661,6 +673,158 @@ def test_monotone_axis_is_scanned_at_its_endpoints(monkeypatch):
     assert ex.value == pytest.approx(cstr_hand_drift(400.0, 5.0, 2.7e6), rel=1e-9)
 
 
+# -- coupling sources: minimized out under their own safety factor ----------
+
+def test_source_is_eliminated_under_its_factor(monkeypatch):
+    # Axis 0 is a source's: read by one term and by the second factor only.
+    # The term is monotone in it, so each line is evaluated at the grid ends
+    # and at the first and last points in the factor, 4 points instead of 11.
+    kept = record_kept_axes(monkeypatch)
+    shapes = []
+
+    def coupling(b):
+        shapes.append(np.broadcast_shapes(b[0].shape, b[1].shape))
+        return (b[1] + 2.0) * (b[0] - b[1])
+
+    terms = [Term(coupling, frozenset({0, 1}), frozenset({0})),
+             Term(lambda b: 0.5 * b[1], frozenset({1}))]
+    factors = [Term(lambda b: b[1] >= -0.5, frozenset({1})),
+               Term(lambda b: np.abs(b[0]) <= 0.6, frozenset({0}))]
+    value, arg = grid_minimize(terms, [(-1, 1), (-1, 1)], factors, settings(11, 0))
+    assert kept == [(1,)]
+    assert shapes[0] == (4, 11)
+    assert (value, arg) == (-4.300000000000001, (-0.6, 1.0))
+    oracle_mod._kept_axes, inner = (lambda terms, factors, ndim: (0, 1)), oracle_mod._kept_axes
+    try:
+        assert grid_minimize(terms, [(-1, 1), (-1, 1)], factors, settings(11, 0)) == (value, arg)
+    finally:
+        oracle_mod._kept_axes = inner
+
+
+def test_nan_outside_the_source_factor_raises(monkeypatch):
+    # The source term is nan where the source's factor fails.  The source's
+    # axis is minimized out where the factor holds, but a nan anywhere on the
+    # scanned box raises, as the scan that keeps the axis raises.
+    kept = record_kept_axes(monkeypatch)
+    terms = [Term(lambda b: np.where(b[0] > 0.5, np.nan, b[0] * b[1]), frozenset({0, 1})),
+             Term(lambda b: b[1], frozenset({1}))]
+    factors = [Term(lambda b: b[1] >= 0, frozenset({1})),
+               Term(lambda b: b[0] <= 0.5, frozenset({0}))]
+    for budget in (1, 4_000_000):
+        monkeypatch.setattr(oracle_mod, "_CHUNK_BUDGET", budget)
+        with pytest.raises(FloatingPointError, match="objective produced nan on the grid"):
+            grid_minimize(terms, [(-1, 1), (-1, 1)], factors, settings(11, 0))
+    assert kept == [(1,), (1,)]
+
+
+def test_source_tables_are_rebuilt_on_each_round(monkeypatch):
+    # The source's minimum lies between nodes of the first grid.  Refinement
+    # shrinks every axis around the incumbent, the source's too, and each
+    # round minimizes over the source axis of its own grid, as the scan that
+    # keeps the axis does: the same values and the same witness, round by
+    # round.
+    terms = [Term(lambda b: (b[0] - 0.123) ** 2 + b[1] ** 2, frozenset({0, 1}))]
+    factors = [Term(lambda b: b[1] >= -1, frozenset({1})),
+               Term(lambda b: b[0] >= -1, frozenset({0}))]
+    seen = []
+    inner = oracle_mod._scan_round
+
+    def recorded(terms, factors, plan, grids):
+        seen.append((grids[0][0], grids[0][-1]))
+        return inner(terms, factors, plan, grids)
+
+    monkeypatch.setattr(oracle_mod, "_scan_round", recorded)
+    results = [grid_minimize(terms, [(-1, 1), (-1, 1)], factors, settings(11, r))
+               for r in (0, 2)]
+    monkeypatch.setattr(oracle_mod, "_kept_axes", lambda terms, factors, ndim: (0, 1))
+    assert [grid_minimize(terms, [(-1, 1), (-1, 1)], factors, settings(11, r))
+            for r in (0, 2)] == results
+    assert results[1][0] < results[0][0] / 100
+    # The rounds of the 2-round scan: the source axis shrinks around the witness.
+    widths = [hi - lo for lo, hi in seen[1:4]]
+    assert widths[0] > widths[1] > widths[2]
+    assert seen[3][0] <= results[1][1][0] <= seen[3][1]
+
+
+NETWORK_BOXES = [(-1.0, 1.0), (0.0, 2.0), (-3.0, 0.5)]
+
+
+@st.composite
+def coupled_networks(draw):
+    """Networks of 2-3 subsystems with 1-2 states each, with polynomial
+    dynamics, safety functions and couplings, any of them a cycle or a fan-in.
+    A coupling component may add exp(-K h_i) - exp(-K h_i) for its source i:
+    0 where h_i >= 0, and nan where h_i is below -709.78/K."""
+    subs = []
+    for k in range(draw(st.integers(2, 3), label="subsystems")):
+        sv = tuple(f"x{k}{i}" for i in range(draw(st.integers(1, 2))))
+        texts = [draw(polynomials(sv)) for _ in range(2 * len(sv) + 2)]
+        subs.append(Subsystem(
+            name=f"S{k}", state_vars=sv, input_vars=(f"u{k}",),
+            f=tuple(parse_expression(t, sv) for t in texts[:len(sv)]),
+            g=tuple((parse_expression(t, sv),) for t in texts[len(sv):-2]),
+            h=parse_expression(texts[-2], sv), mu=(parse_expression(texts[-1], sv),),
+            state_box=tuple(draw(st.sampled_from(NETWORK_BOXES)) for _ in sv),
+            input_box=((-1.0, 1.0),), mu_saturation=draw(st.sampled_from([None, ((-0.5, 0.5),)]))))
+    pairs = [(i, j) for i in range(len(subs)) for j in range(len(subs)) if i != j]
+    couplings = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True), label="couplings"):
+        names = subs[i].state_vars + subs[j].state_vars
+        w = [draw(polynomials(names)) for _ in subs[j].state_vars]
+        if draw(st.booleans(), label="nan outside the source's set"):
+            h = format_expression(subs[i].h)
+            w[0] += f" + (exp(-10000*({h})) - exp(-10000*({h})))"
+        couplings[(i, j)] = tuple(parse_expression(c, names) for c in w)
+    return Network(tuple(subs), couplings)
+
+
+def witness_outcome(f):
+    """The scan's value, its witness's names and bytes, or its error and
+    message."""
+    try:
+        ex = f()
+    except (ArithmeticError, EmptyRegionError) as err:
+        return type(err), str(err)
+    names, point = zip(*ex.arg)
+    return ex.value, names, np.array(point, dtype=float).tobytes()
+
+
+@hsettings(max_examples=120, deadline=None)
+@given(net=coupled_networks(), data=st.data())
+def test_sources_minimized_under_their_factors_give_the_joint_scan(net, data):
+    # Each target's exact delta and its three drift scans with one coupling
+    # term per source: the same value, and the same witness bit for bit
+    # (signed zeros included) or the same error and message, as the scan
+    # that keeps every axis, in one chunk and at one row per chunk.
+    draw = data.draw
+    states = sum(s.n_states for s in net.subsystems)
+    st_ = settings(draw(st.integers(2, 15 if states <= 4 else 7), label="grid"),
+                   draw(st.integers(0, 2), label="rounds"))
+    d, z = draw(st.sampled_from([0.1, 0.5])), draw(st.sampled_from([0.5, 2.0]))
+    for j, s in enumerate(net.subsystems):
+        inc = net.incoming(j)
+        if not inc:
+            continue
+        participants = [net.subsystems[p] for p in sorted({j, *(i for i, _ in inc)})]
+        couplings = [grad_dot(s.compiled.grad, w) for _, w in inc]
+        queries = [lambda: compute_delta(net, j, st_, exact=True)]
+        scans = [(SAFE_SET, False, None), (safe_minus_buffer(d), True, None),
+                 (buffer_region(d), True, z)]
+        queries += [lambda r=r, loop=loop, zz=zz: oracle_mod.drift_minimum(
+                        s, r, st_, loop, zz, participants, couplings)
+                    for r, loop, zz in scans]
+        for budget in (4_000_000, 1):
+            saved = oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes
+            oracle_mod._CHUNK_BUDGET = budget
+            try:
+                eliminated = [witness_outcome(q) for q in queries]
+                oracle_mod._kept_axes = lambda terms, factors, ndim: tuple(range(ndim))
+                joint = [witness_outcome(q) for q in queries]
+            finally:
+                oracle_mod._CHUNK_BUDGET, oracle_mod._kept_axes = saved
+            assert eliminated == joint
+
+
 # -- the expression query -------------------------------------------------------
 
 def polynomials(names):
@@ -707,9 +871,9 @@ def test_minimum_is_the_brute_force_grid_minimum(problem, n):
     st_ = settings(n, rounds=0)
     if not mask.any():
         with pytest.raises(EmptyRegionError):
-            minimum(e, subsystems, st_)
+            minimum([e], subsystems, st_)
         return
-    ex = minimum(e, subsystems, st_)
+    ex = minimum([e], subsystems, st_)
     assert ex.value == float(values[mask].min())
     witness = dict(ex.arg)
     assert [v for v, _ in ex.arg] == [v for v in names if v in witness]  # axis order

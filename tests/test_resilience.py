@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from resil import oracle
+from resil import resilience as resilience_mod
 from resil.exprs import parse_expression
 from resil.interconnect import Network, propagate_indices, verify_network
 from resil.model_io import load_model
@@ -323,6 +324,40 @@ def test_cstr_reference_scale_index_recorded_failing():
     assert rep.margin_offline == pytest.approx(-1070939.97, rel=1e-6)
     assert rep.margin_recovery == pytest.approx(333505.43, rel=1e-6)
     assert rep.margin_invariance == pytest.approx(728.53029, rel=1e-6)
+
+
+def test_empty_band_probe_scans_round_0_only(monkeypatch):
+    # h = 1 - x1^2 on [-2, 2] at grid 4 has no node in the band 0 <= h < 0.1.
+    # The probe asks whether the first grid holds a point below d, which only
+    # round 0 can answer: it scans one round, not the settings' three.  The
+    # verdict is as before: the band is there, so recovery is not verified.
+    sv = ("x1",)
+    s = Subsystem(name="S1", state_vars=sv, input_vars=("u1",),
+                  f=(parse_expression("0", sv),), g=((parse_expression("1", sv),),),
+                  h=parse_expression("1 - x1*x1", sv), mu=(parse_expression("-x1", sv),),
+                  state_box=((-2.0, 2.0),), input_box=((-1.0, 1.0),))
+    rounds, probes = [], []
+    scan_round, probe = oracle._scan_round, resilience_mod.drift_minimum
+
+    def counted_round(*args):
+        rounds.append(args)
+        return scan_round(*args)
+
+    def counted_probe(*args):
+        start = len(rounds)
+        try:
+            return probe(*args)
+        finally:
+            probes.append(len(rounds) - start)
+
+    monkeypatch.setattr(oracle, "_scan_round", counted_round)
+    monkeypatch.setattr(resilience_mod, "drift_minimum", counted_probe)
+    report = verify_index(s, ResilienceIndex(0.1, 0.05, 1e-6, 0.5), 1.0,
+                          OracleSettings(grid_points_per_dim=4, refinement_rounds=2))
+    assert probes == [1]
+    assert report.margin_recovery == -math.inf
+    assert report.notes == ("recovery band is empty at this grid resolution",)
+    assert not report.passed
 
 
 def test_verify_index_is_one_node_network_verify():
