@@ -471,10 +471,18 @@ def compile_expression(e: Expression, names) -> "CompiledExpression":
     return compile_lines([f"return {_to_python_source(e)}"], names, str(e))
 
 
+# The numpy error state generated code runs under: an overflow gives inf and
+# an invalid operation nan, which the callers check, and a division by zero
+# raises.  A call enters it; a scan enters it once and calls run.
+ERRSTATE = {"over": "ignore", "divide": "raise", "under": "ignore", "invalid": "ignore"}
+
+
 class CompiledExpression:
-    """fn under np.errstate, its errors named by source; fn runs raw.
-    monotone names the arguments the value is provably monotone in (see
-    monotone_variables), empty unless the compiler of its tree set it."""
+    """fn under np.errstate(**ERRSTATE), its errors named by source; fn runs
+    raw, and run(*args) runs it under the caller's error state with its
+    errors named.  monotone names the arguments the value is provably
+    monotone in (see monotone_variables), empty unless the compiler of its
+    tree set it."""
 
     __slots__ = ("fn", "names", "source", "monotone")
 
@@ -485,13 +493,16 @@ class CompiledExpression:
         self.monotone = frozenset()
 
     def __call__(self, *args):
-        with np.errstate(over="ignore", divide="raise", under="ignore", invalid="ignore"):
-            try:
-                return self.fn(*args)
-            except (FloatingPointError, ZeroDivisionError):  # numpy's, or Python's on floats
-                raise ZeroDivisionError(f"division by zero evaluating '{self.source}'") from None
-            except OverflowError:  # ** on Python floats raises where numpy gives inf
-                raise FloatingPointError(f"overflow evaluating '{self.source}'") from None
+        with np.errstate(**ERRSTATE):
+            return self.run(*args)
+
+    def run(self, *args):
+        try:
+            return self.fn(*args)
+        except (FloatingPointError, ZeroDivisionError):  # numpy's, or Python's on floats
+            raise ZeroDivisionError(f"division by zero evaluating '{self.source}'") from None
+        except OverflowError:  # ** on Python floats raises where numpy gives inf
+            raise FloatingPointError(f"overflow evaluating '{self.source}'") from None
 
 
 def eval_expression(e: Expression, bindings) -> float:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .exprs import Expression, free_variables
+from .exprs import Expression, _is_zero, free_variables
 from .oracle import OracleSettings, minimum, sup_h
 from .resilience import (
     DEFAULT_TAU_MAX,
@@ -31,7 +32,7 @@ from .resilience import (
     _tau,
     _verify_one,
 )
-from .subsystem import ModelError, Subsystem, grad_dot
+from .subsystem import ModelError, Subsystem, compile_reads, grad_dot
 
 GUARANTEED = "GuaranteedFeasible"
 UNKNOWN = "Unknown"
@@ -93,6 +94,17 @@ class Network:
     def incoming(self, j: int) -> list[tuple[int, tuple[Expression, ...]]]:
         return sorted((i, w) for (i, t), w in self.couplings.items() if t == j)
 
+    @cached_property
+    def coupling_drifts(self) -> dict[int, tuple]:
+        """Per target j, the coupling drift grad h_j . W_ij of each source i,
+        in incoming(j) order, as (tree, compile_reads of it): built and
+        compiled once, as Subsystem.compiled builds lf and lg."""
+        drifts = {}
+        for j, s in enumerate(self.subsystems):
+            trees = [grad_dot(s.compiled.grad, w) for _, w in self.incoming(j)]
+            drifts[j] = tuple((e, compile_reads(e)) for e in trees)
+        return drifts
+
 
 @dataclass(frozen=True)
 class DeltaEstimate:
@@ -122,7 +134,7 @@ def compute_delta(net: Network, j: int, settings: OracleSettings | None = None,
     j's variables once per source."""
     settings = settings or OracleSettings()
     inc, target = net.incoming(j), net.subsystems[j]
-    terms = [grad_dot(target.compiled.grad, w) for _, w in inc]
+    terms = [fn for _, fn in net.coupling_drifts[j]]
     groups = ([(sorted({j, *(i for i, _ in inc)}), terms)] if exact and inc
               else [([i, j], [c]) for (i, _), c in zip(inc, terms)])
     minima = [minimum(cs, [net.subsystems[p] for p in participants], settings, target)
@@ -289,6 +301,6 @@ def verify_network(net: Network, indices: dict[int, ResilienceIndex], z: float,
             raise ValueError(f"subsystem {net.subsystems[j].name!r} has no valid index")
         inc, s = net.incoming(j), net.subsystems[j]
         participants = [net.subsystems[p] for p in sorted({j, *(i for i, _ in inc)})]
-        out[j] = _verify_one(s, participants, [grad_dot(s.compiled.grad, w) for _, w in inc],
-                             indices[j], z, settings)
+        couplings = [fn for e, fn in net.coupling_drifts[j] if not _is_zero(e)]
+        out[j] = _verify_one(s, participants, couplings, indices[j], z, settings)
     return out

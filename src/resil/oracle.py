@@ -34,6 +34,16 @@ may hold both -0.0 and 0.0, and the reduction's choice depends on where
 they lie).  The coordinates of the winner on the eliminated axes still come
 from full scans of its lines, one axis at a time.
 
+A scan enters numpy's error state once (``exprs.ERRSTATE``) and runs its
+terms' raw generated functions inside it (``CompiledExpression.run``), which
+name a division by zero by the term's expression.  A round's point on the
+eliminated axes is completed only when the round lowers the incumbent, each
+term evaluated once for it.  A network compiles its coupling drifts once
+(``Network.coupling_drifts``), and a subsystem's closed-loop drift on its
+own is folded on the round-0 grid once per grid size (``_drift_fold``),
+which ``depth_profile`` and the recovery and invariance scans read as their
+round 0.
+
 ``StateGrid`` lays the axes out over the state variables that the terms
 and the safety functions read, for one subsystem or several coupled ones,
 and is private to this module.  Every compiled function of a subsystem
@@ -82,7 +92,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exprs import Negate, _is_zero
+from .exprs import ERRSTATE, CompiledExpression, Negate, _is_zero
 from .subsystem import (
     SAFE_SET,
     Region,
@@ -213,17 +223,17 @@ def _fold(terms, bindings, elim, masks):
     (_term_minimum).  A term value of nan or -inf anywhere on the bindings
     raises FloatingPointError; +inf is allowed.  With no term at -inf, no
     sum is inf + -inf unless finite values overflow (_scan_chunk raises
-    there), so the eliminated sum has the minimum of the full one.  Overflow
-    and invalid operations in the terms and the sum are not warned about:
-    they give the values that raise."""
+    there), so the eliminated sum has the minimum of the full one.  Under
+    the scan's error state (exprs.ERRSTATE), overflow and invalid operations
+    in the terms and the sum are not warned about: they give the values that
+    raise."""
     total = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, e, m in zip(terms, elim, masks):
-            v = _term_minimum(t, bindings, e, m) if e else t.fn(bindings)
-            low = np.min(v)
-            if not low > -math.inf:  # the min propagates nan
-                raise FloatingPointError(f"objective produced {low} on the grid")
-            total = v if total is None else total + v
+    for t, e, m in zip(terms, elim, masks):
+        v = _term_minimum(t, bindings, e, m) if e else t.fn(bindings)
+        low = np.min(v)
+        if not low > -math.inf:  # the min propagates nan
+            raise FloatingPointError(f"objective produced {low} on the grid")
+        total = v if total is None else total + v
     return total
 
 
@@ -321,7 +331,7 @@ def _scan_chunk(terms, factors, plan: _Plan, grids, masks, empty: bool):
     return best, [hits[a] for a in plan.kept]
 
 
-def grid_minimize(objective, axes, predicate, settings: OracleSettings):
+def grid_minimize(objective, axes, predicate, settings: OracleSettings, first=None):
     """Minimize objective over the box spanned by axes.
 
     objective is a sequence of Terms whose sum is minimized; predicate is
@@ -329,44 +339,82 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings):
     Terms over disjoint axes, the factors of a region that is their
     conjunction (_kept_axes says which are minimized out of a term).  Each
     term receives a list of broadcast-shaped arrays, one per axis, in axis
-    order.  Returns (value, arg) where arg is a tuple of coordinates in axis
-    order.  A point valued +inf is no candidate.  When the initial grid
-    holds no point of the region, raises EmptyRegionError; when it holds
-    some, all valued +inf, FloatingPointError.  nan and -inf raise (see
-    _fold).
+    order, and runs under np.errstate(**ERRSTATE), entered once per scan.
+    first, a _Fold of the leading terms on the round-0 grid, stands for
+    their evaluation in round 0 where it applies (_round0_terms).
+    Returns (value, arg) where arg is a tuple of coordinates in axis order.
+    A point valued +inf is no candidate.  When the initial grid holds no
+    point of the region, raises EmptyRegionError; when it holds some, all
+    valued +inf, FloatingPointError.  nan and -inf raise (see _fold).
     """
     terms = list(objective)
     factors = ([] if predicate is None else [predicate] if isinstance(predicate, Term)
                else list(predicate))
-    if not axes:
-        if not all(f.fn([]) for f in factors):
-            raise EmptyRegionError("region contains no grid point")
-        vals = np.asarray(_fold(terms, [], [()] * len(terms), [None] * len(terms)), dtype=float)
-        return float(vals.reshape(())), ()
-    plan = _plan(terms, factors, len(axes))
-    n = settings.grid_points_per_dim
-    bounds = [(float(lo), float(hi)) for lo, hi in axes]
-    orig = list(bounds)
-    incumbent_val = math.inf
-    incumbent_arg = None
-    for round_no in range(settings.refinement_rounds + 1):
-        grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
-        best = _scan_round(terms, factors, plan, grids)
-        if round_no == 0 and best is None:
-            raise EmptyRegionError("region contains no grid point")
-        if round_no == 0 and best[0] == math.inf:
-            raise FloatingPointError("objective is +inf at every grid point of the region")
-        if best is not None and best[0] < incumbent_val:
-            incumbent_val, incumbent_arg = best
-        bounds = _shrink(orig, bounds, incumbent_arg, n)
+    with np.errstate(**ERRSTATE):
+        if not axes:
+            if not all(f.fn([]) for f in factors):
+                raise EmptyRegionError("region contains no grid point")
+            vals = np.asarray(_fold(terms, [], [()] * len(terms), [None] * len(terms)),
+                              dtype=float)
+            return float(vals.reshape(())), ()
+        plan = _plan(terms, factors, len(axes))
+        n = settings.grid_points_per_dim
+        bounds = [(float(lo), float(hi)) for lo, hi in axes]
+        orig = list(bounds)
+        incumbent_val = math.inf
+        incumbent_arg = None
+        for round_no in range(settings.refinement_rounds + 1):
+            grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
+            scan_terms, scan_plan = terms, plan
+            if round_no == 0 and first is not None:
+                scan_terms, scan_plan = _round0_terms(first, terms, plan, grids)
+            found = _scan_round(scan_terms, factors, scan_plan, grids)
+            if round_no == 0 and found is None:
+                raise EmptyRegionError("region contains no grid point")
+            if round_no == 0 and found[0] == math.inf:
+                raise FloatingPointError("objective is +inf at every grid point of the region")
+            # Only a round that lowers the incumbent needs its witness.
+            if found is not None and found[0] < incumbent_val:
+                incumbent_val = found[0]
+                incumbent_arg = _complete(terms, plan, grids, *found)
+            bounds = _shrink(orig, bounds, incumbent_arg, n)
     return incumbent_val, incumbent_arg
 
 
+class _Fold(NamedTuple):
+    """The sum of a scan's leading terms on its round-0 grid, as
+    _slab_values gives it, with the plan they were folded under and h on
+    that grid."""
+
+    plan: _Plan
+    total: np.ndarray
+    h: np.ndarray
+
+
+def _round0_terms(first: _Fold, terms, plan: _Plan, grids):
+    """terms and plan for round 0, the leading terms that first folded
+    replaced by one Term over the kept axes that returns their sum.  Only
+    where that sum is what round 0 would fold: first was folded under this
+    plan and in one chunk, as this round is, and holds no -inf (_fold would
+    raise at one outside the region, where the scan does not)."""
+    k = len(first.plan.elim)
+    if (first.plan.kept != plan.kept or first.plan.elim != plan.elim[:k]
+            or _rows_per_chunk(terms, grids, plan) < grids[plan.kept[0]].size
+            or not first.total.min() > -math.inf):
+        return terms, plan
+    total = first.total
+    return ([Term(lambda b: total, frozenset(plan.kept)), *terms[k:]],
+            _Plan(plan.kept, ((),) + plan.elim[k:], ((),) + plan.under[k:],
+                  (set(),) + plan.groups[k:], plan.checked))
+
+
 def _scan_round(terms, factors, plan: _Plan, grids):
-    """Best (value, point) on one grid, scanning the kept axes in chunks
-    along the first; the coordinates on the eliminated axes are found for
-    the points that attain it (_complete).  The eliminated factors' masks
-    are built on this grid, as the full scan would build the region."""
+    """The best value on one grid, scanning the kept axes in chunks along
+    the first, with what _complete needs for its point: the eliminated
+    factors' masks, built on this grid as the full scan would build the
+    region, and the kept coordinates of the points that attain it (index
+    arrays in kept order, in C order).  None when the grid holds no point of
+    the region."""
     full, masks = _masks(factors, plan, grids)
     empty = not all(m.any() for m in full.values())
     axis = plan.kept[0]
@@ -385,69 +433,102 @@ def _scan_round(terms, factors, plan: _Plan, grids):
             hits.append([r[1][0] + lo, *r[1][1:]])
     if best is None:
         return None
-    if best == math.inf:
-        return best, None
-    cands = [np.concatenate(c) for c in zip(*hits)]
-    return best, _complete(terms, factors, plan, grids, full, cands, best)
+    return best, full, [np.concatenate(c) for c in zip(*hits)]
 
 
-def _complete(terms, factors, plan: _Plan, grids, full, cands, best):
+def _complete(terms, plan: _Plan, grids, best, full, cands):
     """The first point in C order of the region where the sum of the terms
     is best, among the points whose kept coordinates are a row of cands
-    (index arrays in kept order).  The axes are taken in order.  At a kept
-    axis, the candidates with the smallest index stay.  At an eliminated
-    axis, the smallest index at which a candidate still reaches best, the
-    eliminated axes after it free, is taken, and the candidates that reach
-    it there stay.  Rounded addition is monotone, so a candidate reaches best
-    at an index when the sum of the terms, each minimized over its free
-    eliminated axes where its factors hold, is best there."""
+    (index arrays in kept order, in C order).  The axes are taken in order.
+    At a kept axis, the candidates with the smallest index stay.  At an
+    eliminated axis, the smallest index at which a candidate still reaches
+    best, the eliminated axes after it free, is taken, and the candidates
+    that reach it there stay.  Rounded addition is monotone, so a candidate
+    reaches best at an index when the sum of the terms, each minimized over
+    its free eliminated axes where its factors (full) hold, is best there.
+
+    Only the term whose group holds the axis depends on it, so each term is
+    evaluated once, at the first eliminated axis, over the candidates and
+    its group (_first_point); the candidates are split into runs whose
+    arrays fit _CHUNK_BUDGET, and the first of the runs' points is taken.
+    The points evaluated are the fold's, or lie on monotone lines between
+    finite ends (_term_minimum), so no error is left for this to raise."""
     ndim = len(grids)
-    at, fixed = dict(zip(plan.kept, cands)), {}
-
-    def reach(a, rows):
-        """Whether each candidate of rows can reach best at each index of a."""
-        b = [_shaped(grids[e][rows[e]], plan.kept[0], ndim) if e in rows
-             else _shaped(grids[e][fixed[e]:fixed[e] + 1] if e in fixed else grids[e], e, ndim)
-             for e in range(ndim)]
-        total = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, group, under in zip(terms, plan.groups, plan.under):
-                v = np.asarray(t.fn(b), dtype=float)
-                v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
-                free = tuple(e for e in group if e not in fixed and e != a)
-                m = None
-                for i in under:  # factor i at the fixed indices of its axes
-                    mi = full[i]
-                    for e in sorted(factors[i].reads & fixed.keys()):
-                        mi = np.take(mi, [fixed[e]], axis=e)
-                    m = mi if m is None else m & mi
-                if m is not None:
-                    v = np.broadcast_to(v, np.broadcast_shapes(v.shape, m.shape))
-                    v = v.min(axis=free, keepdims=True, where=m, initial=math.inf)
-                elif free:
-                    v = v.min(axis=free, keepdims=True)
-                total = v if total is None else total + v
-        shape = [1] * ndim
-        shape[plan.kept[0]], shape[a] = len(rows[plan.kept[0]]), grids[a].size
-        hit = np.broadcast_to(total <= best, shape).reshape(-1)
-        n = grids[a].size
-        return hit.reshape(-1, n) if plan.kept[0] < a else hit.reshape(n, -1).T
-
-    for a in range(ndim):
-        if a in at:
+    at = dict(zip(plan.kept, cands))
+    start = next((a for a in range(ndim) if a not in at), ndim)
+    for a in range(start):
+        if at[a].size > 1:
             keep = at[a] == at[a].min()
+            at = {e: v[keep] for e, v in at.items()}
+    if start == ndim:
+        first = tuple(int(at[a][0]) for a in range(ndim))
+    else:
+        step = max(1, _CHUNK_BUDGET // sum(math.prod(grids[e].size for e in g)
+                                           for g in plan.groups))
+        first = min(_first_point(terms, plan, grids, best, full,
+                                 {e: v[lo:lo + step] for e, v in at.items()}, start)
+                    for lo in range(0, at[plan.kept[0]].size, step))
+    return tuple(float(g[i]) for g, i in zip(grids, first))
+
+
+def _first_point(terms, plan: _Plan, grids, best, full, at, start):
+    """_complete's point as grid indices, for the candidates at (index
+    arrays by kept axis) from axis start, the first eliminated one.  The
+    candidates lie along the first kept axis of every array."""
+    ndim, k0 = len(grids), plan.kept[0]
+    b = [_shaped(grids[e][at[e]], k0, ndim) if e in at else _shaped(grids[e], e, ndim)
+         for e in range(ndim)]
+    owner = {e: t for t, group in enumerate(plan.groups) for e in group}
+    vals, masks, free = [], [], [set(g) for g in plan.groups]
+    for t, under in zip(terms, plan.under):
+        v = np.asarray(t.fn(b), dtype=float)
+        v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
+        m = None
+        for i in under:
+            m = full[i] if m is None else m & full[i]
+        if m is not None:
+            v = np.broadcast_to(v, np.broadcast_shapes(v.shape, m.shape))
+        vals.append(v)
+        masks.append(m)
+
+    def least(t, skip=None):
+        """Term t minimized over its free axes but skip, where its factors hold."""
+        axes = tuple(e for e in free[t] if e != skip)
+        if masks[t] is not None:
+            return vals[t].min(axis=axes, keepdims=True, where=masks[t], initial=math.inf)
+        return vals[t].min(axis=axes, keepdims=True) if axes else vals[t]
+
+    low = [None if free[t] else vals[t] for t in range(len(terms))]  # filled when read
+    fixed = {}
+    for a in range(start, ndim):
+        if a in at:
+            keep = None if at[a].size == 1 else at[a] == at[a].min()
         else:
-            per = max(math.prod(grids[e].size for e in g | {a} if e not in fixed)
-                      for g in plan.groups)
-            step = max(1, _CHUNK_BUDGET // per)
-            hit = np.concatenate([reach(a, {e: v[lo:lo + step] for e, v in at.items()})
-                                  for lo in range(0, len(at[plan.kept[0]]), step)])
+            t = owner[a]
+            w = least(t, a)
+            total = None
+            for u in range(len(terms)):
+                if u == t:
+                    v = w
+                else:
+                    v = low[u] = least(u) if low[u] is None else low[u]
+                total = v if total is None else total + v
+            # Only axes k0 and a are left in total: one row per candidate.
+            hit = total <= best
+            rows, n = hit.shape[k0], hit.shape[a]
+            hit = hit.reshape(rows, n) if k0 < a else hit.reshape(n, rows).T
             first = np.where(hit.any(axis=1), hit.argmax(axis=1), grids[a].size)
-            fixed[a] = int(first.min())
-            keep = first == fixed[a]
-        at = {e: v[keep] for e, v in at.items()}
-    return tuple(float(grids[a][at[a][0]] if a in at else grids[a][fixed[a]])
-                 for a in range(ndim))
+            fixed[a] = k = int(first.min())
+            keep = None if first.size == 1 else np.broadcast_to(first == k, at[k0].shape)
+            at_k = (slice(None),) * a + (slice(k, k + 1),)
+            vals[t], masks[t], low[t] = (x if x is None or x.shape[a] == 1 else x[at_k]
+                                         for x in (vals[t], masks[t], w))
+            free[t].discard(a)
+        if keep is not None and not keep.all():
+            at = {e: v[keep] for e, v in at.items()}
+            vals, low = ([v if v is None or v.shape[k0] == 1 else np.compress(keep, v, axis=k0)
+                          for v in vs] for vs in (vals, low))
+    return tuple(int(at[a][0]) if a in at else fixed[a] for a in range(ndim))
 
 
 def _rows_per_chunk(terms, grids, plan: _Plan):
@@ -489,27 +570,29 @@ class StateGrid:
 
     def term(self, fn) -> Term:
         """A compiled function as a Term over the axes of its names, called
-        on shaped bindings or a grid point in axis order."""
-        slots = [self.slots[n] for n in fn.names]
-        return Term(lambda b: fn(*[b[i] for i in slots]), frozenset(slots),
+        on shaped bindings or a grid point in axis order.  It runs raw, under
+        the scan's error state, its errors named by its source."""
+        slots, run = [self.slots[n] for n in fn.names], fn.run
+        return Term(lambda b: run(*[b[i] for i in slots]), frozenset(slots),
                     frozenset(self.slots[n] for n in fn.monotone))
 
-    def minimize(self, terms, settings: OracleSettings,
-                 target: Subsystem | None = None, region: Region = SAFE_SET) -> Extremum:
+    def minimize(self, terms, settings: OracleSettings, target: Subsystem | None = None,
+                 region: Region = SAFE_SET, first: _Fold | None = None) -> Extremum:
         """Minimize the sum of terms over the grid points where every
         subsystem lies in its safety set and target in region.  Each
         subsystem's set is one factor of the region, target's first (else the
         first subsystem's), so that a subsystem after it whose axes one term
         reads is minimized out of that term under its own set (_kept_axes).
-        The witness names the axes in axis order.  A scan too large for
-        memory raises MemoryError naming the axes and the grid."""
+        first is handed to grid_minimize.  The witness names the axes in
+        axis order.  A scan too large for memory raises MemoryError naming
+        the axes and the grid."""
         factors = []
         for s in sorted(self.subsystems, key=lambda s: s is not target):
             h, r = self.term(s.compiled.h), region if s is target else SAFE_SET
             factors.append(Term(lambda b, h=h.fn, r=r: r.contains(h(b), MARGIN_TOLERANCE),
                                 h.reads))
         try:
-            value, arg = grid_minimize(terms, self.axes, factors, settings)
+            value, arg = grid_minimize(terms, self.axes, factors, settings, first)
         except MemoryError:
             raise MemoryError(f"a scan over the axes {', '.join(self.axis_names)} at "
                               f"{settings.grid_points_per_dim} points each does not fit in "
@@ -519,22 +602,30 @@ class StateGrid:
 
 def minimum(exprs, subsystems, settings: OracleSettings,
             target: Subsystem | None = None) -> Extremum:
-    """Minimize the sum of exprs, added left to right, over the product of
-    the subsystems' safety sets.  A subsystem other than target whose axes
-    one of exprs reads is minimized out of it under its own set."""
-    fns = [compile_reads(e) for e in exprs]
+    """Minimize the sum of exprs (trees, or their compile_reads), added left
+    to right, over the product of the subsystems' safety sets.  A subsystem
+    other than target whose axes one of exprs reads is minimized out of it
+    under its own set."""
+    fns = [_compiled(e) for e in exprs]
     grid = StateGrid(subsystems, {n for fn in fns for n in fn.names})
     return grid.minimize([grid.term(fn) for fn in fns], settings, target)
+
+
+def _compiled(e):
+    """e compiled over the variables it reads, unless it is compiled already
+    (a network holds its coupling drifts compiled)."""
+    return e if isinstance(e, CompiledExpression) else compile_reads(e)
 
 
 # -- objectives over the drift layer --------------------------------------------
 
 def _drift_terms(s: Subsystem, participants, closed_loop: bool, couplings):
     """The grid of a drift scan of h_s and its terms: one per coupling
-    source, lf, then one per input, reading the variables its compiled
-    functions take; with the lg terms, for the input-vertex witness."""
+    source (a zero tree adds none), lf, then one per input, reading the
+    variables its compiled functions take; with the lg terms, for the
+    input-vertex witness."""
     comp = s.compiled
-    fns = [compile_reads(c) for c in couplings if not _is_zero(c)] + [comp.lf]
+    fns = [_compiled(c) for c in couplings if not _is_zero(c)] + [comp.lf]
     laws = comp.mu if closed_loop else ()
     grid = StateGrid(participants or (s,), {n for fn in (*fns, *comp.lg, *laws) for n in fn.names})
     terms = [grid.term(fn) for fn in fns]
@@ -559,21 +650,27 @@ def drift_minimum(s: Subsystem, region: Region, settings: OracleSettings,
                   participants=None, couplings=()) -> Extremum:
     """Minimize the drift of h_s, sum_i c_i + lf + sum_k lg_k u_k, over
     region (with every other participant in its safety set), where c_i is
-    the coupling drift grad h_s . W_is from source i.  u is the clamped
+    the coupling drift grad h_s . W_is from source i, a tree or its
+    compile_reads (Network.coupling_drifts).  u is the clamped
     feedback law when closed_loop, else the worst input-box vertex at each
     grid point, reconstructed at the minimizer for the witness; z adds
     z max(h - region.lo, 0), which is z (h - lo) on the region save where
     the MARGIN_TOLERANCE slack admits h just below lo.  The sum is handed
     to the grid as Terms in that order."""
     grid, terms, lg = _drift_terms(s, participants, closed_loop, couplings)
+    # On its own, the closed-loop drift is lf and the input terms, folded
+    # once per grid size (_drift_fold): round 0 reads that fold.
+    alone = closed_loop and grid.subsystems == (s,) and len(terms) == 1 + s.n_inputs
+    first = _drift_fold(s, settings) if alone else None
     if z is not None:
         h = grid.term(s.compiled.h)
         terms.append(Term(lambda b: z * np.maximum(h.fn(b) - region.lo, 0.0), h.reads))
 
-    ex = grid.minimize(terms, settings, s, region)
+    ex = grid.minimize(terms, settings, s, region, first)
     point = [v for _, v in ex.arg]
-    vertex = () if closed_loop else worst_vertex(np.array(
-        [float(np.asarray(c.fn(point))) for c in lg]), *np.reshape(s.input_box, (-1, 2)).T)
+    with np.errstate(**ERRSTATE):
+        vertex = () if closed_loop else worst_vertex(np.array(
+            [float(np.asarray(c.fn(point))) for c in lg]), *np.reshape(s.input_box, (-1, 2)).T)
     return Extremum(ex.value, ex.arg + tuple(zip(s.input_vars, map(float, vertex))))
 
 
@@ -607,23 +704,41 @@ class DepthProfile(NamedTuple):
         return -math.inf < float(self.drift[p]) + self.z * max(float(self.h[p]) - d, 0.0) < 0
 
 
+def _drift_fold(s: Subsystem, settings: OracleSettings) -> _Fold | None:
+    """The round-0 fold of the closed-loop drift of s on its own (lf, then
+    the input terms, over its StateGrid), once per subsystem and grid size
+    (round 0 does not depend on the refinement rounds): depth_profile, and
+    the recovery and invariance scans as their round 0, read it.  None when
+    that grid takes more than one chunk."""
+    folds, n = s.compiled.folds, settings.grid_points_per_dim
+    if n not in folds:
+        grid, terms, _ = _drift_terms(s, None, True, ())
+        # The region's one factor is h: its axes are kept, and the z term
+        # reads no other, so the scans add it last under the same plan.
+        h = grid.term(s.compiled.h)
+        plan = _plan(terms, [h], len(grid.axes))
+        grids = [np.linspace(float(lo), float(hi), n) for lo, hi in grid.axes]
+        fold = None
+        if _rows_per_chunk(terms, grids, plan) >= n:
+            with np.errstate(**ERRSTATE):
+                bindings, total = _slab_values(terms, plan, grids, [None] * len(terms))
+                fold = _Fold(plan, total, np.broadcast_to(
+                    np.asarray(h.fn(bindings), dtype=float), total.shape))
+        folds[n] = fold
+    return folds[n]
+
+
 def depth_profile(s: Subsystem, z: float, settings: OracleSettings) -> DepthProfile | None:
-    """The profile of every depth's recovery and invariance scan from one
-    evaluation of their round-0 grid: the same StateGrid, Terms, left-to-right
+    """The profile of every depth's recovery and invariance scan from their
+    round-0 fold (_drift_fold): the same StateGrid, Terms, left-to-right
     _fold and axis elimination.  None, and the depths are scanned one by
     one, when that grid takes more than one chunk, or when D is nan or -inf
     at a point of the safety set, where a scan raises."""
-    grid, terms, _ = _drift_terms(s, None, True, ())
-    h = grid.term(s.compiled.h)  # the region's one factor: its axes are kept
-    plan = _plan(terms, [h], len(grid.axes))
-    n = settings.grid_points_per_dim
-    grids = [np.linspace(float(lo), float(hi), n) for lo, hi in grid.axes]
-    if _rows_per_chunk(terms, grids, plan) < n:
+    fold = _drift_fold(s, settings)
+    if fold is None:
         return None
-    bindings, drift = _slab_values(terms, plan, grids, [None] * len(terms))
-    hv = np.broadcast_to(np.asarray(h.fn(bindings), dtype=float), drift.shape)
-    safe = SAFE_SET.contains(hv, MARGIN_TOLERANCE)
-    hv, drift = hv[safe], drift[safe]
+    safe = SAFE_SET.contains(fold.h, MARGIN_TOLERANCE)
+    hv, drift = fold.h[safe], fold.total[safe]
     if not np.all(drift > -math.inf):
         return None
     order = np.argsort(hv, kind="stable")

@@ -96,9 +96,11 @@ class _Compiled:
     """The subsystem's callables, built once, each over the variables it
     reads: h, mu and the drift layer lf and lg; with the symbolic gradient
     of h, and lg's trees (lg_trees) for code generation.  peaks keeps the
-    oracle's scans of the peak of h, one per OracleSettings (oracle.sup_h)."""
+    oracle's scans of the peak of h, one per OracleSettings (oracle.sup_h),
+    and folds its round-0 sums of the closed-loop drift, one per grid size
+    (oracle._drift_fold)."""
 
-    __slots__ = ("h", "grad", "lf", "lg", "lg_trees", "mu", "peaks")
+    __slots__ = ("h", "grad", "lf", "lg", "lg_trees", "mu", "peaks", "folds")
 
     def __init__(self, s: "Subsystem"):
         self.h = compile_reads(s.h)
@@ -109,6 +111,7 @@ class _Compiled:
         self.lg = tuple(map(compile_reads, self.lg_trees))
         self.mu = tuple(map(compile_reads, s.mu))
         self.peaks = {}
+        self.folds = {}
 
 
 @dataclass

@@ -516,10 +516,26 @@ def test_numeric_error_exits_2(capsys, tmp_path):
     mpath.write_text(json.dumps(model))
     code = main(["index", "compute", "--model", str(mpath), "--subsystem", "S1",
                  "--grid", "201"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error:")
-    assert "division by zero" in captured.err
+    assert_error_exit(capsys, code, "division by zero evaluating '-(x1 + x1) * 1.0 / x1'")
+
+
+def test_coupling_pole_exits_2_naming_its_term(capsys, tmp_path):
+    # W = 0.1/x1 divides by zero at the source's grid node x1 = 0.  The
+    # scans run the raw coupling term under their one error state, so both
+    # joint queries name that term, and no numpy RuntimeWarning escapes
+    # (warnings are errors in this suite).
+    model = {"alpha_z": 1.0, "subsystems": [
+        {"name": name, "states": [x], "inputs": [f"u{x}"], "f": [f"-{x}"], "g": [["1"]],
+         "h": f"1 - {x}*{x}", "mu": ["0"], "state_box": [[-1, 1]], "input_box": [[-1, 1]]}
+        for name, x in (("S1", "x1"), ("S2", "x2"))],
+        "couplings": [{"from": "S1", "to": "S2", "w": ["0.1/x1"]}]}
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(model))
+    idx = write_indices_file(tmp_path / "idx.json", {"S1": TOY_IDX, "S2": TOY_IDX})
+    message = "division by zero evaluating '-(x2 + x2) * 0.1 / x1'"
+    for argv in (["net", "verify", "--indices", idx], ["net", "delta", "--exact"]):
+        code = main([*argv, "--model", str(mpath), "--grid", "201"])
+        assert_error_exit(capsys, code, message)
 
 
 def one_state_model(tmp_path, f, h, input_box=(-1, 1)):

@@ -10,7 +10,9 @@ from hypothesis import given, settings as hsettings, strategies as st
 import resil.oracle as oracle_mod
 import resil.resilience as resilience_mod
 from resil.exprs import (
+    ERRSTATE,
     BinaryOp,
+    CompiledExpression,
     ExpCall,
     Literal,
     Negate,
@@ -520,6 +522,64 @@ def test_cstr_series_net_verify_eliminates_c2(monkeypatch):
     assert [names for name, names in eliminated if name == "S1"] == [["c1"]] * 3
 
 
+def test_scans_complete_kept_rounds_once_from_raw_terms(monkeypatch):
+    # verify_network on cstr_series at grid 401.  Inside a scan no
+    # CompiledExpression is called: the terms run the raw generated code
+    # under the scan's one error state.  A round's point is completed only
+    # when the round lowers the incumbent, and a completion of an S2 scan
+    # (T1 and c2 eliminated) evaluates each of its terms once.
+    model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
+    inside, calls, rounds, completions, evaluations = [False], [], [], [], []
+    scan, call = oracle_mod.grid_minimize, CompiledExpression.__call__
+    scan_round, complete = oracle_mod._scan_round, oracle_mod._complete
+
+    def recorded_scan(*args):
+        inside[0] = True
+        rounds.append([])
+        completions.append(0)
+        try:
+            return scan(*args)
+        finally:
+            inside[0] = False
+
+    def recorded_call(self, *args):
+        calls.append(inside[0])
+        return call(self, *args)
+
+    def recorded_round(terms, factors, plan, grids):
+        found = scan_round(terms, factors, plan, grids)
+        rounds[-1].append(math.inf if found is None else found[0])
+        return found
+
+    def recorded_complete(terms, plan, grids, *rest):
+        counts = [0] * len(terms)
+
+        def counted(k, t):
+            def fn(b):
+                counts[k] += 1
+                return t.fn(b)
+            return t._replace(fn=fn)
+
+        completions[-1] += 1
+        out = complete([counted(k, t) for k, t in enumerate(terms)], plan, grids, *rest)
+        evaluations.append((len(grids), counts))
+        return out
+
+    monkeypatch.setattr(oracle_mod, "grid_minimize", recorded_scan)
+    monkeypatch.setattr(CompiledExpression, "__call__", recorded_call)
+    monkeypatch.setattr(oracle_mod, "_scan_round", recorded_round)
+    monkeypatch.setattr(oracle_mod, "_complete", recorded_complete)
+    idx = resilience_mod.ResilienceIndex(d=25, tau=1e-5, phi=1e-4, eta=1.0)
+    verify_network(model.network, {0: idx, 1: idx}, model.alpha_z, settings(401))
+    assert not any(calls)
+    lowering = [sum(v < min(values[:k], default=math.inf) for k, v in enumerate(values))
+                for values in rounds]
+    assert completions == lowering
+    assert sum(lowering) < sum(map(len, rounds))  # some round does not lower
+    s2 = [counts for ndim, counts in evaluations if ndim == 3]
+    assert s2 and all(counts == [1] * len(counts) for counts in s2)
+
+
 # -- monotone axes: an eliminated axis evaluated at its endpoints --------------
 
 def test_monotone_variables_follow_the_rules():
@@ -920,4 +980,6 @@ def test_compiled_functions_read_their_trees_and_grid_terms_bind_them(data):
     for fn, e in pairs:
         term = grid.term(fn)
         assert term.reads == {grid.axis_names.index(v) for v in fn.names}
-        assert outcome(lambda: term.fn(point)) == outcome(lambda: eval_expression(e, at))
+        with np.errstate(**ERRSTATE):  # a Term runs raw, under the scan's error state
+            got = outcome(lambda: term.fn(point))
+        assert got == outcome(lambda: eval_expression(e, at))
