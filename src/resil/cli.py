@@ -206,6 +206,9 @@ def _cmd_sim_run(args) -> int:
     dt = args.dt if args.dt is not None else args.horizon / 20000.0
     if not 0 < dt < math.inf:
         raise _UsageError("--dt must be positive and finite")
+    for flag, value in (("--seed", args.seed), ("--schedules", args.schedules)):
+        if value < 0:
+            raise _UsageError(f"{flag} must be nonnegative")
     schedules = generate_schedule(args.seed, args.horizon, indices,
                                   args.schedules, align_dt=dt)
     adversary = AdversaryPolicy(kind=args.adversary, seed=args.seed)

@@ -36,13 +36,20 @@ from full scans of its lines, one axis at a time.
 
 A scan enters numpy's error state once (``exprs.ERRSTATE``) and runs its
 terms' raw generated functions inside it (``CompiledExpression.run``), which
-name a division by zero by the term's expression.  A round's point on the
-eliminated axes is completed only when the round lowers the incumbent, each
-term evaluated once for it.  A network compiles its coupling drifts once
-(``Network.coupling_drifts``), and a subsystem's closed-loop drift on its
-own is folded on the round-0 grid once per grid size (``_drift_fold``),
-which ``depth_profile`` and the recovery and invariance scans read as their
-round 0.
+name a division by zero by the term's expression.  Its plan, with the rows
+of a chunk, is made once.  A round shapes its bindings once, for the
+eliminated factors' masks, the terms and the checked factors, and its fold
+evaluates each term once and keeps each term's value at the points that
+attain the round's best.  A round's point on the eliminated axes is
+completed only when the round lowers the incumbent: the completion reads
+every term from the round's fold and evaluates only the owner of each
+eliminated axis (the one term whose group holds it), once, over the
+candidates and its group, and the terms that a round-0 stand-in summed
+(``_round0_terms``).  The last round leaves the box as it is.  A network
+compiles its coupling drifts once (``Network.coupling_drifts``), and a
+subsystem's closed-loop drift on its own is folded on the round-0 grid once
+per grid size (``_drift_fold``), which ``depth_profile`` and the recovery
+and invariance scans read as their round 0.
 
 ``StateGrid`` lays the axes out over the state variables that the terms
 and the safety functions read, for one subsystem or several coupled ones,
@@ -176,32 +183,34 @@ def _kept_axes(terms, factors, ndim: int) -> tuple[int, ...]:
 class _Plan(NamedTuple):
     """A scan's split of its axes (_kept_axes): per term, the eliminated
     axes it reads and the eliminated factors it is minimized under, and with
-    them its group, the eliminated axes it is minimized over; and the
-    factors checked on the kept grid."""
+    them its group, the eliminated axes it is minimized over; the factors
+    checked on the kept grid; and the rows of the first kept axis per chunk
+    at n points per axis (_rows_per_chunk), the same in every round."""
 
     kept: tuple
     elim: tuple
     under: tuple
     groups: tuple
     checked: tuple
+    rows: int
 
 
-def _plan(terms, factors, ndim: int) -> _Plan:
+def _plan(terms, factors, ndim: int, n: int) -> _Plan:
     kept = _kept_axes(terms, factors, ndim)
     gone = [i for i, f in enumerate(factors) if not f.reads <= set(kept)]
     under = tuple(tuple(i for i in gone if factors[i].reads & t.reads) for t in terms)
     elim = tuple(tuple(sorted(t.reads - set(kept))) for t in terms)
     return _Plan(kept, elim, under,
                  tuple(set(e).union(*(factors[i].reads for i in u)) for e, u in zip(elim, under)),
-                 tuple(i for i in range(len(factors)) if i not in gone))
+                 tuple(i for i in range(len(factors)) if i not in gone),
+                 _rows_per_chunk(terms, kept, elim, under, n))
 
 
-def _masks(factors, plan: _Plan, grids):
-    """The eliminated factors' masks on one round's grids, each over its own
-    axes; and per term, the conjunction of those it is minimized under,
+def _masks(factors, plan: _Plan, bindings):
+    """The eliminated factors' masks on one round's bindings, each over its
+    own axes; and per term, the conjunction of those it is minimized under,
     projected (any) onto the eliminated axes it reads, or None."""
-    ndim = len(grids)
-    bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
+    ndim = len(bindings)
     full = {}
     for i in sorted({i for u in plan.under for i in u}):
         m = np.asarray(factors[i].fn(bindings), dtype=bool)
@@ -210,31 +219,32 @@ def _masks(factors, plan: _Plan, grids):
     for elim, under in zip(plan.elim, plan.under):
         m = None
         for i in under:
-            p = full[i].any(axis=tuple(a for a in factors[i].reads if a not in elim),
-                            keepdims=True)
+            axes = tuple(a for a in factors[i].reads if a not in elim)
+            p = full[i].any(axis=axes, keepdims=True) if axes else full[i]
             m = p if m is None else m & p
         per_term.append(m)
     return full, per_term
 
 
 def _fold(terms, bindings, elim, masks):
-    """Left-to-right sum of the terms at the bindings, each term that reads
-    eliminated axes minimized over them where its mask holds first
-    (_term_minimum).  A term value of nan or -inf anywhere on the bindings
-    raises FloatingPointError; +inf is allowed.  With no term at -inf, no
-    sum is inf + -inf unless finite values overflow (_scan_chunk raises
-    there), so the eliminated sum has the minimum of the full one.  Under
-    the scan's error state (exprs.ERRSTATE), overflow and invalid operations
-    in the terms and the sum are not warned about: they give the values that
-    raise."""
-    total = None
+    """The terms' values at the bindings, each term that reads eliminated
+    axes minimized over them where its mask holds (_term_minimum), and
+    their left-to-right sum.  A term value of nan or -inf anywhere on the
+    bindings raises FloatingPointError; +inf is allowed.  With no term at
+    -inf, no sum is inf + -inf unless finite values overflow (_scan_chunk
+    raises there), so the eliminated sum has the minimum of the full one.
+    Under the scan's error state (exprs.ERRSTATE), overflow and invalid
+    operations in the terms and the sum are not warned about: they give the
+    values that raise."""
+    values, total = [], None
     for t, e, m in zip(terms, elim, masks):
-        v = _term_minimum(t, bindings, e, m) if e else t.fn(bindings)
-        low = np.min(v)
+        v = _term_minimum(t, bindings, e, m) if e else np.asarray(t.fn(bindings), dtype=float)
+        low = v.min()
         if not low > -math.inf:  # the min propagates nan
             raise FloatingPointError(f"objective produced {low} on the grid")
+        values.append(v)
         total = v if total is None else total + v
-    return total
+    return values, total
 
 
 def _term_minimum(t: Term, bindings, elim, mask) -> np.ndarray:
@@ -294,24 +304,21 @@ def _term_minimum(t: Term, bindings, elim, mask) -> np.ndarray:
     return v
 
 
-def _slab_values(terms, plan: _Plan, grids, masks):
-    """The bindings of one slab and the sum of the terms on its kept axes,
-    the rest minimized out of their terms (see _fold for the non-finite
-    rule)."""
-    ndim = len(grids)
-    shape = tuple(g.size if a in plan.kept else 1 for a, g in enumerate(grids))
-    bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
-    total = _fold(terms, bindings, plan.elim, masks)
-    return bindings, np.broadcast_to(np.asarray(total, dtype=float), shape)
+def _slab_values(terms, plan: _Plan, bindings, masks):
+    """The terms' values on one slab and their sum over its kept axes, the
+    rest minimized out of their terms (see _fold for the non-finite rule)."""
+    shape = tuple(b.shape[a] if a in plan.kept else 1 for a, b in enumerate(bindings))
+    values, total = _fold(terms, bindings, plan.elim, masks)
+    return values, total if total.shape == shape else np.broadcast_to(total, shape)
 
 
-def _scan_chunk(terms, factors, plan: _Plan, grids, masks, empty: bool):
+def _scan_chunk(terms, factors, plan: _Plan, bindings, masks, empty: bool):
     """Evaluate one slab and return its best value over the kept axes, with
     the kept coordinates (index arrays in kept order) of the points of the
-    region that attain it; None when the slab holds no point of the region,
-    as when empty.  The best value is +inf when every point of the region
-    has it."""
-    bindings, vals = _slab_values(terms, plan, grids, masks)
+    region that attain it and each term's value in the fold at them; None
+    when the slab holds no point of the region, as when empty.  The best
+    value is +inf when every point of the region has it."""
+    values, vals = _slab_values(terms, plan, bindings, masks)
     if empty:
         return None
     mask = None
@@ -322,13 +329,15 @@ def _scan_chunk(terms, factors, plan: _Plan, grids, masks, empty: bool):
         if not np.any(mask):
             return None
         vals = np.where(mask, vals, np.inf)
-    flat = int(np.argmin(vals))  # C order: the value of the lexicographically first point
+    flat = int(vals.argmin())  # C order: the value of the lexicographically first point
     best = float(vals.flat[flat])
     if not best > -math.inf:  # finite terms whose sum overflowed
         raise FloatingPointError(f"objective produced {best} on the grid")
-    hits = np.unravel_index(np.flatnonzero(vals == best) if best < math.inf else [flat],
-                            vals.shape)
-    return best, [hits[a] for a in plan.kept]
+    flat = np.flatnonzero(vals == best) if best < math.inf else [flat]
+    hits = np.unravel_index(flat, vals.shape)
+    return (best, [hits[a] for a in plan.kept],
+            [(v if v.shape == vals.shape else np.broadcast_to(v, vals.shape)).flat[flat]
+             for v in values])
 
 
 def grid_minimize(objective, axes, predicate, settings: OracleSettings, first=None):
@@ -354,30 +363,33 @@ def grid_minimize(objective, axes, predicate, settings: OracleSettings, first=No
         if not axes:
             if not all(f.fn([]) for f in factors):
                 raise EmptyRegionError("region contains no grid point")
-            vals = np.asarray(_fold(terms, [], [()] * len(terms), [None] * len(terms)),
-                              dtype=float)
-            return float(vals.reshape(())), ()
-        plan = _plan(terms, factors, len(axes))
-        n = settings.grid_points_per_dim
+            _, total = _fold(terms, [], [()] * len(terms), [None] * len(terms))
+            return float(np.asarray(total, dtype=float).reshape(())), ()
+        n, last = settings.grid_points_per_dim, settings.refinement_rounds
+        plan = _plan(terms, factors, len(axes), n)
         bounds = [(float(lo), float(hi)) for lo, hi in axes]
         orig = list(bounds)
         incumbent_val = math.inf
         incumbent_arg = None
-        for round_no in range(settings.refinement_rounds + 1):
+        for round_no in range(last + 1):
             grids = [np.linspace(lo, hi, n) for lo, hi in bounds]
             scan_terms, scan_plan = terms, plan
             if round_no == 0 and first is not None:
-                scan_terms, scan_plan = _round0_terms(first, terms, plan, grids)
+                scan_terms, scan_plan = _round0_terms(first, terms, plan, n)
             found = _scan_round(scan_terms, factors, scan_plan, grids)
             if round_no == 0 and found is None:
                 raise EmptyRegionError("region contains no grid point")
-            if round_no == 0 and found[0] == math.inf:
+            if round_no == 0 and found.best == math.inf:
                 raise FloatingPointError("objective is +inf at every grid point of the region")
             # Only a round that lowers the incumbent needs its witness.
-            if found is not None and found[0] < incumbent_val:
-                incumbent_val = found[0]
-                incumbent_arg = _complete(terms, plan, grids, *found)
-            bounds = _shrink(orig, bounds, incumbent_arg, n)
+            if found is not None and found.best < incumbent_val:
+                incumbent_val = found.best
+                if scan_terms is not terms:  # the fold holds the stand-in's sum, not its terms
+                    found = found._replace(values=[None] * (len(terms) - len(scan_terms) + 1)
+                                           + found.values[1:])
+                incumbent_arg = _complete(terms, plan, grids, found)
+            if round_no < last:
+                bounds = _shrink(orig, bounds, incumbent_arg, n)
     return incumbent_val, incumbent_arg
 
 
@@ -391,7 +403,7 @@ class _Fold(NamedTuple):
     h: np.ndarray
 
 
-def _round0_terms(first: _Fold, terms, plan: _Plan, grids):
+def _round0_terms(first: _Fold, terms, plan: _Plan, n: int):
     """terms and plan for round 0, the leading terms that first folded
     replaced by one Term over the kept axes that returns their sum.  Only
     where that sum is what round 0 would fold: first was folded under this
@@ -399,97 +411,130 @@ def _round0_terms(first: _Fold, terms, plan: _Plan, grids):
     raise at one outside the region, where the scan does not)."""
     k = len(first.plan.elim)
     if (first.plan.kept != plan.kept or first.plan.elim != plan.elim[:k]
-            or _rows_per_chunk(terms, grids, plan) < grids[plan.kept[0]].size
-            or not first.total.min() > -math.inf):
+            or plan.rows < n or not first.total.min() > -math.inf):
         return terms, plan
     total = first.total
     return ([Term(lambda b: total, frozenset(plan.kept)), *terms[k:]],
-            _Plan(plan.kept, ((),) + plan.elim[k:], ((),) + plan.under[k:],
-                  (set(),) + plan.groups[k:], plan.checked))
+            plan._replace(elim=((),) + plan.elim[k:], under=((),) + plan.under[k:],
+                          groups=(set(),) + plan.groups[k:]))
+
+
+class _Round(NamedTuple):
+    """One round's best value, with what _complete needs for its point: the
+    eliminated factors' masks on the round's grid, the kept coordinates of
+    the points that attain best (index arrays in kept order, in C order),
+    and each term's value in the round's fold at them (its minimum over its
+    group, or its value where it has none)."""
+
+    best: float
+    full: dict
+    cands: list
+    values: list
 
 
 def _scan_round(terms, factors, plan: _Plan, grids):
-    """The best value on one grid, scanning the kept axes in chunks along
-    the first, with what _complete needs for its point: the eliminated
-    factors' masks, built on this grid as the full scan would build the
-    region, and the kept coordinates of the points that attain it (index
-    arrays in kept order, in C order).  None when the grid holds no point of
-    the region."""
-    full, masks = _masks(factors, plan, grids)
+    """The best value on one grid as a _Round, scanning the kept axes in
+    chunks of plan.rows along the first; None when the grid holds no point
+    of the region.  The round shapes its bindings once, and the eliminated
+    factors' masks, the terms and the checked factors all read them (a
+    chunk replaces its slice of the first kept axis), so the masks are
+    built on this grid as the full scan would build the region.  Each term
+    is evaluated once, in the fold, and the fold's values at the points
+    that attain best are all a completion reads of a term it does not
+    evaluate."""
+    ndim, axis = len(grids), plan.kept[0]
+    bindings = [_shaped(g, i, ndim) for i, g in enumerate(grids)]
+    full, masks = _masks(factors, plan, bindings)
     empty = not all(m.any() for m in full.values())
-    axis = plan.kept[0]
-    rows = _rows_per_chunk(terms, grids, plan)
+    size, rows = grids[axis].size, plan.rows
     best, hits = None, []
-    for lo in range(0, grids[axis].size, rows):
-        part = list(grids)
-        part[axis] = grids[axis][lo:lo + rows]
+    for lo in range(0, size, rows):
+        part = bindings
+        if rows < size:
+            part = list(bindings)
+            part[axis] = _shaped(grids[axis][lo:lo + rows], axis, ndim)
         r = _scan_chunk(terms, factors, plan, part, masks, empty)
         if r is None:
             continue
+        value, cands, values = r
         # Strict <, in chunk order: the value of the C-order first point stands.
-        if best is None or r[0] < best:
-            best, hits = r[0], []
-        if r[0] == best:
-            hits.append([r[1][0] + lo, *r[1][1:]])
+        if best is None or value < best:
+            best, hits = value, []
+        if value == best:
+            hits.append([cands[0] + lo, *cands[1:], *values])
     if best is None:
         return None
-    return best, full, [np.concatenate(c) for c in zip(*hits)]
+    cols = hits[0] if len(hits) == 1 else [np.concatenate(c) for c in zip(*hits)]
+    k = len(plan.kept)
+    return _Round(best, full, cols[:k], cols[k:])
 
 
-def _complete(terms, plan: _Plan, grids, best, full, cands):
+def _complete(terms, plan: _Plan, grids, found: _Round):
     """The first point in C order of the region where the sum of the terms
-    is best, among the points whose kept coordinates are a row of cands
-    (index arrays in kept order, in C order).  The axes are taken in order.
-    At a kept axis, the candidates with the smallest index stay.  At an
-    eliminated axis, the smallest index at which a candidate still reaches
-    best, the eliminated axes after it free, is taken, and the candidates
-    that reach it there stay.  Rounded addition is monotone, so a candidate
-    reaches best at an index when the sum of the terms, each minimized over
-    its free eliminated axes where its factors (full) hold, is best there.
+    is found.best, among the points whose kept coordinates are one of
+    found.cands.  The axes are taken in order.  At a kept axis, the
+    candidates with the smallest index stay.  At an eliminated axis, the
+    smallest index at which a candidate still reaches best, the eliminated
+    axes after it free, is taken, and the candidates that reach it there
+    stay.  Rounded addition is monotone, so a candidate reaches best at an
+    index when the sum of the terms, each minimized over its free
+    eliminated axes where its factors (found.full) hold, is best there.
 
-    Only the term whose group holds the axis depends on it, so each term is
-    evaluated once, at the first eliminated axis, over the candidates and
-    its group (_first_point); the candidates are split into runs whose
-    arrays fit _CHUNK_BUDGET, and the first of the runs' points is taken.
-    The points evaluated are the fold's, or lie on monotone lines between
-    finite ends (_term_minimum), so no error is left for this to raise."""
+    Each term enters at its value in the round's fold (found.values), its
+    minimum over its whole group.  Only the term whose group holds an
+    eliminated axis depends on it, so that owner is the one term evaluated,
+    once, over the candidates and its group, at the first of its axes
+    (_first_point); a term the fold does not hold (None: one that a
+    round-0 stand-in summed) is evaluated over the candidates first.  More
+    than one candidate are split into runs whose arrays fit _CHUNK_BUDGET,
+    and the first of the runs' points is taken.  The points evaluated are
+    the fold's, or lie on monotone lines between finite ends
+    (_term_minimum), so no error is left for this to raise."""
     ndim = len(grids)
-    at = dict(zip(plan.kept, cands))
+    at, values = dict(zip(plan.kept, found.cands)), found.values
     start = next((a for a in range(ndim) if a not in at), ndim)
     for a in range(start):
         if at[a].size > 1:
             keep = at[a] == at[a].min()
             at = {e: v[keep] for e, v in at.items()}
+            values = [v if v is None else v[keep] for v in values]
     if start == ndim:
         first = tuple(int(at[a][0]) for a in range(ndim))
     else:
-        step = max(1, _CHUNK_BUDGET // sum(math.prod(grids[e].size for e in g)
-                                           for g in plan.groups))
-        first = min(_first_point(terms, plan, grids, best, full,
-                                 {e: v[lo:lo + step] for e, v in at.items()}, start)
-                    for lo in range(0, at[plan.kept[0]].size, step))
+        runs, size = [(at, values)], at[plan.kept[0]].size
+        if size > 1:
+            step = max(1, _CHUNK_BUDGET // sum(math.prod(grids[e].size for e in g)
+                                               for g in plan.groups))
+            runs = [({e: v[lo:lo + step] for e, v in at.items()},
+                     [v if v is None else v[lo:lo + step] for v in values])
+                    for lo in range(0, size, step)]
+        first = min(_first_point(terms, plan, grids, found, *run, start) for run in runs)
     return tuple(float(g[i]) for g, i in zip(grids, first))
 
 
-def _first_point(terms, plan: _Plan, grids, best, full, at, start):
+def _first_point(terms, plan: _Plan, grids, found: _Round, at, values, start):
     """_complete's point as grid indices, for the candidates at (index
-    arrays by kept axis) from axis start, the first eliminated one.  The
-    candidates lie along the first kept axis of every array."""
+    arrays by kept axis) with the terms' fold values at them, from axis
+    start, the first eliminated one.  The candidates lie along the first
+    kept axis of every array.  Each owner term is evaluated at its first
+    eliminated axis, on the candidates left there."""
     ndim, k0 = len(grids), plan.kept[0]
-    b = [_shaped(grids[e][at[e]], k0, ndim) if e in at else _shaped(grids[e], e, ndim)
-         for e in range(ndim)]
     owner = {e: t for t, group in enumerate(plan.groups) for e in group}
-    vals, masks, free = [], [], [set(g) for g in plan.groups]
-    for t, under in zip(terms, plan.under):
-        v = np.asarray(t.fn(b), dtype=float)
+    vals, masks, free = [None] * len(terms), [None] * len(terms), [set(g) for g in plan.groups]
+
+    def evaluate(t):
+        """Term t over the candidates and its group, broadcast over the
+        masks of the factors it is minimized under."""
+        b = [_shaped(grids[e][at[e]], k0, ndim) if e in at else _shaped(grids[e], e, ndim)
+             for e in range(ndim)]
+        v = np.asarray(terms[t].fn(b), dtype=float)
         v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
         m = None
-        for i in under:
-            m = full[i] if m is None else m & full[i]
+        for i in plan.under[t]:
+            m = found.full[i] if m is None else m & found.full[i]
         if m is not None:
             v = np.broadcast_to(v, np.broadcast_shapes(v.shape, m.shape))
-        vals.append(v)
-        masks.append(m)
+        vals[t], masks[t] = v, m
 
     def least(t, skip=None):
         """Term t minimized over its free axes but skip, where its factors hold."""
@@ -498,23 +543,29 @@ def _first_point(terms, plan: _Plan, grids, best, full, at, start):
             return vals[t].min(axis=axes, keepdims=True, where=masks[t], initial=math.inf)
         return vals[t].min(axis=axes, keepdims=True) if axes else vals[t]
 
-    low = [None if free[t] else vals[t] for t in range(len(terms))]  # filled when read
+    low = []  # each term minimized over its free axes, per candidate
+    for t, v in enumerate(values):
+        if v is None:
+            evaluate(t)
+            v = least(t)
+        else:
+            v = _shaped(v, k0, ndim)
+        low.append(v)
     fixed = {}
     for a in range(start, ndim):
         if a in at:
             keep = None if at[a].size == 1 else at[a] == at[a].min()
         else:
             t = owner[a]
+            if vals[t] is None:
+                evaluate(t)
             w = least(t, a)
             total = None
             for u in range(len(terms)):
-                if u == t:
-                    v = w
-                else:
-                    v = low[u] = least(u) if low[u] is None else low[u]
+                v = w if u == t else low[u]
                 total = v if total is None else total + v
             # Only axes k0 and a are left in total: one row per candidate.
-            hit = total <= best
+            hit = total <= found.best
             rows, n = hit.shape[k0], hit.shape[a]
             hit = hit.reshape(rows, n) if k0 < a else hit.reshape(n, rows).T
             first = np.where(hit.any(axis=1), hit.argmax(axis=1), grids[a].size)
@@ -531,16 +582,16 @@ def _first_point(terms, plan: _Plan, grids, best, full, at, start):
     return tuple(int(at[a][0]) if a in at else fixed[a] for a in range(ndim))
 
 
-def _rows_per_chunk(terms, grids, plan: _Plan):
+def _rows_per_chunk(terms, kept, elim, under, n: int) -> int:
     """Rows of the first kept axis per chunk that keep a chunk's arrays in
-    _CHUNK_BUDGET.  An eliminated axis that a term is monotone in counts as
-    its 2 endpoints, or 4 under a factor, whose mask's ends are added."""
-    sizes = [g.size for g in grids]
-    axis = plan.kept[0]
-    per_row = max([math.prod(sizes[a] for a in plan.kept[1:])]
-                  + [math.prod((4 if under else 2) if a in elim and a in t.monotone else sizes[a]
+    _CHUNK_BUDGET at n points per axis.  An eliminated axis that a term is
+    monotone in counts as its 2 endpoints, or 4 under a factor, whose
+    mask's ends are added."""
+    axis = kept[0]
+    per_row = max([n ** (len(kept) - 1)]
+                  + [math.prod((4 if u else 2) if a in e and a in t.monotone else n
                                for a in t.reads if a != axis)
-                     for t, elim, under in zip(terms, plan.elim, plan.under) if axis in t.reads])
+                     for t, e, u in zip(terms, elim, under) if axis in t.reads])
     return max(1, _CHUNK_BUDGET // per_row)
 
 
@@ -716,12 +767,14 @@ def _drift_fold(s: Subsystem, settings: OracleSettings) -> _Fold | None:
         # The region's one factor is h: its axes are kept, and the z term
         # reads no other, so the scans add it last under the same plan.
         h = grid.term(s.compiled.h)
-        plan = _plan(terms, [h], len(grid.axes))
-        grids = [np.linspace(float(lo), float(hi), n) for lo, hi in grid.axes]
+        ndim = len(grid.axes)
+        plan = _plan(terms, [h], ndim, n)
         fold = None
-        if _rows_per_chunk(terms, grids, plan) >= n:
+        if plan.rows >= n:
+            bindings = [_shaped(np.linspace(float(lo), float(hi), n), i, ndim)
+                        for i, (lo, hi) in enumerate(grid.axes)]
             with np.errstate(**ERRSTATE):
-                bindings, total = _slab_values(terms, plan, grids, [None] * len(terms))
+                _, total = _slab_values(terms, plan, bindings, [None] * len(terms))
                 fold = _Fold(plan, total, np.broadcast_to(
                     np.asarray(h.fn(bindings), dtype=float), total.shape))
         folds[n] = fold

@@ -136,6 +136,25 @@ def cases(draw):
     return model, indices, argv, out, taken
 
 
+def test_sim_run_checks_seed_and_schedules():
+    # A negative --seed used to exit 2 with numpy's "expected non-negative
+    # integer", or with --schedules 0 exit 0 and record the seed; a negative
+    # --schedules named generate_schedule's parameter.  Each exits 2 naming
+    # its flag, before --out is created.
+    for seed, schedules, flag in (("-1", "1", "--seed"), ("-1", "0", "--seed"),
+                                  ("1", "-1", "--schedules")):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "model.json").write_text(json.dumps(TOY_LINEAR))
+            (root / "idx.json").write_text(json.dumps({"S1": TOY_INDEX}))
+            code, err = run(["sim", "run", "--seed", seed, "--schedules", schedules,
+                             "--horizon", "0.1", "--dt", "0.01",
+                             "--model", str(root / "model.json"),
+                             "--indices", str(root / "idx.json"), "--out", str(root / "out")])
+            assert (code, err) == (2, f"error: {flag} must be nonnegative\n")
+            assert not (root / "out").exists()
+
+
 def sweep_step(mpath, name):
     """--eps for index compute, where the case gives none: at most 9 depths
     up to sup h, for runtime.  The sweep makes a scan per depth, and h can

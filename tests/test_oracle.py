@@ -526,8 +526,10 @@ def test_scans_complete_kept_rounds_once_from_raw_terms(monkeypatch):
     # verify_network on cstr_series at grid 401.  Inside a scan no
     # CompiledExpression is called: the terms run the raw generated code
     # under the scan's one error state.  A round's point is completed only
-    # when the round lowers the incumbent, and a completion of an S2 scan
-    # (T1 and c2 eliminated) evaluates each of its terms once.
+    # when the round lowers the incumbent.  A completion of an S2 scan (T1
+    # and c2 eliminated) evaluates the owner of each eliminated axis once,
+    # and reads every other term from the round's fold: the input and z
+    # terms are not evaluated.
     model = load_model(str(resources.files("resil") / "models" / "cstr_series.json"))
     inside, calls, rounds, completions, evaluations = [False], [], [], [], []
     scan, call = oracle_mod.grid_minimize, CompiledExpression.__call__
@@ -562,7 +564,7 @@ def test_scans_complete_kept_rounds_once_from_raw_terms(monkeypatch):
 
         completions[-1] += 1
         out = complete([counted(k, t) for k, t in enumerate(terms)], plan, grids, *rest)
-        evaluations.append((len(grids), counts))
+        evaluations.append((len(grids), counts, [int(bool(e)) for e in plan.elim]))
         return out
 
     monkeypatch.setattr(oracle_mod, "grid_minimize", recorded_scan)
@@ -576,8 +578,9 @@ def test_scans_complete_kept_rounds_once_from_raw_terms(monkeypatch):
                 for values in rounds]
     assert completions == lowering
     assert sum(lowering) < sum(map(len, rounds))  # some round does not lower
-    s2 = [counts for ndim, counts in evaluations if ndim == 3]
-    assert s2 and all(counts == [1] * len(counts) for counts in s2)
+    s2 = [(counts, owners) for ndim, counts, owners in evaluations if ndim == 3]
+    assert s2 and all(counts == owners == [1, 1] + [0] * (len(counts) - 2)
+                      for counts, owners in s2)
 
 
 # -- monotone axes: an eliminated axis evaluated at its endpoints --------------
