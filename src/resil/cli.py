@@ -29,7 +29,7 @@ from .hybrid_sim import (
 )
 from .interconnect import compute_delta, propagate_indices, verify_network
 from .model_io import Model, load_indices, load_model, merge_index, read_index_doc, write_indices
-from .oracle import EmptyRegionError, OracleSettings
+from .oracle import EmptyRegionError, OracleSettings, argmax_h
 from .resilience import (
     DEFAULT_PHI_MIN,
     DEFAULT_TAU_MAX,
@@ -132,7 +132,11 @@ def _parse_quadruple(text: str) -> ResilienceIndex:
 def _cmd_index_verify(args) -> int:
     model = load_model(_resolve_model(args.model), _settings(args))
     s = _pick_subsystem(model, args.subsystem)
-    idx = _parse_quadruple(args.index)
+    if args.indices:
+        idx = load_indices(args.indices, model.network, required=[s.name])[
+            model.network.index_of(s.name)]
+    else:
+        idx = _parse_quadruple(args.index)
     report = verify_index(s, idx, model.alpha_z, _settings(args))
     print(f"offline margin:    {_fmt(report.margin_offline)}")
     print(f"recovery margin:   {_fmt(report.margin_recovery)}")
@@ -198,7 +202,8 @@ def _cmd_net_verify(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
-    model = load_model(_resolve_model(args.model))
+    settings = OracleSettings(grid_points_per_dim=args.grid)
+    model = load_model(_resolve_model(args.model), settings)
     net = model.network
     indices = load_indices(args.indices, net)
     if not 0 < args.horizon < math.inf:
@@ -212,7 +217,8 @@ def _cmd_sim_run(args) -> int:
     schedules = generate_schedule(args.seed, args.horizon, indices,
                                   args.schedules, align_dt=dt)
     adversary = AdversaryPolicy(kind=args.adversary, seed=args.seed)
-    traces = simulate_batch(net, indices, schedules, adversary, dt, args.horizon)
+    x0 = [argmax_h(s, settings) for s in net.subsystems]  # the deepest safe points
+    traces = simulate_batch(net, indices, schedules, adversary, dt, args.horizon, x0)
     os.makedirs(args.out, exist_ok=True)
     safe_count = 0
     min_h = float("inf")
@@ -275,7 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = index_sub.add_parser("verify", help="check an index against the oracle")
     p.add_argument("--model", required=True)
     p.add_argument("--subsystem", required=True)
-    p.add_argument("--index", required=True, help="quadruple 'd,tau,phi,eta'")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--index", help="quadruple 'd,tau,phi,eta'")
+    which.add_argument("--indices", help="index file holding the subsystem's entry, as "
+                                         "index compute --out writes it")
     _add_oracle_flags(p)
     p.set_defaults(func=_cmd_index_verify)
 
@@ -318,6 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adversary", choices=_ADVERSARY_KINDS, default="bang-bang")
     p.add_argument("--dt", type=float, default=None,
                    help="integration step (default horizon/20000)")
+    p.add_argument("--grid", type=int, default=OracleSettings().grid_points_per_dim,
+                   help="grid points per axis of the load checks and of the scan for "
+                        "the default start point (default %(default)s)")
     p.add_argument("--out", required=True, help="directory for traces and summary")
     p.set_defaults(func=_cmd_sim_run)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -436,21 +437,39 @@ def _locations(schedules, dt, n):
     """offline[b, k, j]: sample k of n lies in an offline interval of
     subsystem j in schedule b; entering[b, k, j]: one starts there, also
     where the one before ends.  Every bound must be a multiple of dt to
-    within 1e-9 steps."""
-    offline = np.zeros((len(schedules), n, len(schedules[0].intervals)), dtype=bool)
-    entering = np.zeros_like(offline)
-    for b, sched in enumerate(schedules):
-        for j, ivs in enumerate(sched.intervals):
-            bounds = np.array(ivs, dtype=float).reshape(2 * len(ivs))
-            k = np.round(bounds / dt)
-            off_grid = np.abs(bounds / dt - k) > 1e-9
-            if off_grid.any():
-                raise ScheduleError(f"schedule {b}, subsystem {j}: interval bound "
-                                    f"{bounds[off_grid.argmax()]:.6g} is not a multiple "
-                                    f"of dt = {dt:g}")
-            for i0, i1 in k.astype(int).reshape(len(ivs), 2).tolist():
-                offline[b, i0:i1, j] = True
-                entering[b, i0:min(i0 + 1, i1), j] = True
+    within 1e-9 steps; the first bound that is not, in schedule, subsystem
+    and interval order, is named.  One pass over every bound: offline is
+    the running sum along the samples of +1 at each start and -1 at each
+    end, entering one scatter of the starts."""
+    B, J = len(schedules), len(schedules[0].intervals)
+    cells = [ivs for sched in schedules for ivs in sched.intervals]  # cell b J + j
+    counts = [len(ivs) for ivs in cells]
+    bounds = np.fromiter(chain.from_iterable(chain.from_iterable(cells)), float, 2 * sum(counts))
+    frac = bounds / dt
+    k = np.round(frac)
+    frac -= k
+    off_grid = np.abs(frac, out=frac) > 1e-9
+    if off_grid.any():
+        i = int(off_grid.argmax())
+        b, j = divmod(int(np.repeat(np.arange(len(cells)), counts)[i // 2]), J)
+        raise ScheduleError(f"schedule {b}, subsystem {j}: interval bound {bounds[i]:.6g} "
+                            f"is not a multiple of dt = {dt:g}")
+    # The masks are the largest arrays, so the index arrays are made in place.
+    del bounds, frac, off_grid
+    at = np.minimum(k, n, out=k).astype(np.intp).reshape(-1, 2)  # as a slice clips them
+    del k
+    up, down, nonempty = at[:, 0] < n, at[:, 1] < n, at[:, 0] < at[:, 1]
+    at *= J  # from here flat indices in (B, n, J): (b, 0, j) of each cell, + k J
+    at += np.repeat((np.arange(B)[:, None] * (n * J) + np.arange(J)).reshape(-1), counts)[:, None]
+    steps = np.zeros((B, n, J), np.int8)
+    np.add.at(steps.reshape(-1), at[up, 0], 1)  # bounds on one sample each count
+    np.subtract.at(steps.reshape(-1), at[down, 1], 1)
+    starts = at[nonempty, 0]
+    del at
+    offline = np.cumsum(steps, axis=1, out=steps) > 0
+    entering = steps.view(bool)  # the sums are read; their memory holds the second mask
+    entering.fill(False)
+    entering.reshape(-1)[starts] = True
     return offline, entering
 
 
@@ -658,18 +677,50 @@ def check_trace_safety(trace: HybridTrace, net: Network,
                          recovery_deadlines_met=deadlines_met)
 
 
+_LOC_FIELDS = np.array([b"0", b"1"], dtype=object)
+_time_fields = [None, None]  # the last times exported: (dtype, bytes), its fields
+
+
+def _formatted_times(times: np.ndarray) -> np.ndarray:
+    """The %.9g fields of a times array, as an object array of bytes.  Every
+    trace of a batch shares its times, so the last array's fields are kept,
+    keyed by its bytes."""
+    key = (times.dtype.str, times.tobytes())
+    if _time_fields[0] != key:
+        text = b"%.9g\n" * len(times) % tuple(times.tolist())
+        _time_fields[:] = key, np.array(text.split(b"\n")[:-1], dtype=object)
+    return _time_fields[1]
+
+
 def export_trace_csv(trace: HybridTrace, path: str):
     """Columns: t, then per subsystem j (1-based position): loc_j, the state
     components x_j_1.., the inputs u_j_1.., and h_j; 9 significant digits,
-    written as np.savetxt(fmt="%.9g", delimiter=",") writes them."""
-    cols, arrays = ["t"], [trace.times]
+    written byte for byte as np.savetxt(fmt="%.9g", delimiter=",") writes
+    them.  Only the state, input and h fields are formatted per trace: the
+    t fields once per times array, and an integer loc column holding only 0
+    and 1 is copied from the fields b"0" and b"1" (any other loc formats as
+    %.9g).  Rows go out 256 at a time through one object block, formatted
+    by one bytes % per block."""
+    cols, is_float, fixed, floats = ["t"], [False], [_formatted_times(trace.times)], []
     for pos, name in enumerate(trace.names, start=1):
-        st, u = trace.states[name], trace.inputs[name]
+        st, u, loc = trace.states[name], trace.inputs[name], np.asarray(trace.loc[name])
         cols += [f"loc_{pos}", *(f"x_{pos}_{i + 1}" for i in range(st.shape[1])),
                  *(f"u_{pos}_{i + 1}" for i in range(u.shape[1])), f"h_{pos}"]
-        arrays += [trace.loc[name], st, u, trace.h[name]]
-    mat, row = np.column_stack(arrays), ",".join(["%.9g"] * len(cols)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for block in (mat[i:i + 256] for i in range(0, len(mat), 256)):  # small lists
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        if loc.dtype.kind in "biu" and ((loc == 0) | (loc == 1)).all():
+            fixed.append(_LOC_FIELDS[loc.astype(np.intp)])
+            is_float.append(False)
+        else:
+            floats.append(loc)
+            is_float.append(True)
+        floats += [st, u, trace.h[name]]
+        is_float += [True] * (st.shape[1] + u.shape[1] + 1)
+    fixed, mat = np.column_stack(fixed), np.column_stack(floats)
+    at_fixed, at_float = np.flatnonzero(~np.array(is_float)), np.flatnonzero(is_float)
+    row = b",".join(b"%.9g" if f else b"%b" for f in is_float) + b"\n"
+    block = np.empty((min(256, len(mat)), len(cols)), dtype=object)
+    with open(path, "wb") as fh:
+        fh.write(",".join(cols).encode() + b"\n")
+        for i in range(0, len(mat), 256):
+            rows = block[:len(mat) - i]
+            rows[:, at_fixed], rows[:, at_float] = fixed[i:i + 256], mat[i:i + 256]
+            fh.write(row * len(rows) % tuple(rows.ravel().tolist()))

@@ -182,9 +182,10 @@ def load_model(path: str, settings: OracleSettings | None = None) -> Model:
     return Model(network=net, alpha_z=alpha_z)
 
 
-def load_indices(path: str, net: Network) -> dict[int, ResilienceIndex]:
+def load_indices(path: str, net: Network,
+                 required: list[str] | None = None) -> dict[int, ResilienceIndex]:
     """Read a name-keyed index file and return it keyed by network position.
-    Every subsystem must be present."""
+    Every subsystem named in required (default: all of them) must be present."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -205,7 +206,8 @@ def load_indices(path: str, net: Network) -> dict[int, ResilienceIndex]:
             out[net.index_of(name)] = ResilienceIndex(**values)
         except ValueError as err:
             raise ModelError(f"{path}:{name}: {err}") from None
-    missing = [n for n in net.names if net.index_of(n) not in out]
+    missing = [n for n in (net.names if required is None else required)
+               if net.index_of(n) not in out]
     if missing:
         raise ModelError(f"{path}: missing indices for {missing}")
     return out

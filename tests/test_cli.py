@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -673,24 +674,73 @@ def test_ring_exact_scans_cost_the_target_grid(capsys, tmp_path):
         assert delta == pytest.approx(-0.28847808000000014, abs=1e-12)
 
 
-def test_five_state_chain_index(capsys, tmp_path):
-    # x_i' = -x_i + 0.3 x_{i+1} (cyclic), u on x1, h = 1 - |x|^2 / 0.8: h reads
-    # all five states, so every scan keeps every axis.  The load checks scan
-    # at the command's grid, 11^5 points; at a fixed 64 points per axis they
-    # scanned 64^5, about 1.1e9, and took nearly all of the run.
-    xs = [f"x{i}" for i in range(1, 6)]
+def chain_model(tmp_path, n):
+    """x_i' = -x_i + 0.3 x_{i+1} (cyclic), u on x1, h = 1 - |x|^2 / 0.8 on
+    [-1, 1]^n: h reads all n states, so every scan keeps every axis."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
     model = {"alpha_z": 1.0, "subsystems": [{
         "name": "S1", "states": xs, "inputs": ["u1"],
         "f": [f"-{x} + 0.3*{y}" for x, y in zip(xs, xs[1:] + xs[:1])],
-        "g": [["1"]] + [["0"]] * 4,
+        "g": [["1"]] + [["0"]] * (n - 1),
         "h": f"1 - ({' + '.join(f'{x}^2' for x in xs)})/0.8", "mu": ["-x1"],
-        "state_box": [[-1, 1]] * 5, "input_box": [[-1, 1]]}]}
-    mpath = tmp_path / "chain5.json"
+        "state_box": [[-1, 1]] * n, "input_box": [[-1, 1]]}]}
+    mpath = tmp_path / f"chain{n}.json"
     mpath.write_text(json.dumps(model))
-    code = main(["index", "compute", "--model", str(mpath), "--subsystem", "S1",
+    return str(mpath)
+
+
+def test_five_state_chain_index(capsys, tmp_path):
+    # The load checks scan at the command's grid, 11^5 points; at a fixed 64
+    # points per axis they scanned 64^5, about 1.1e9, and took nearly all of
+    # the run.
+    code = main(["index", "compute", "--model", chain_model(tmp_path, 5), "--subsystem", "S1",
                  "--eps", "0.1", "--grid", "11"])
     assert code == 0
     assert capsys.readouterr().out == "S1: (0.1, 0.152812, 0.0742254, 0.9)\n"
+
+
+def test_sim_run_grid_sets_the_load_checks(capsys, tmp_path):
+    # sim run's load checks and default start point scan at its --grid: on
+    # the 4-state chain, 11^4 points.  At the default 200 points per axis,
+    # three 200^4 scans took about three minutes.
+    mpath = chain_model(tmp_path, 4)
+    idx = write_indices_file(tmp_path / "idx.json",
+                             {"S1": {"d": 0.1, "tau": 0.15, "phi": 0.07, "eta": 0.9}})
+    argv = ["sim", "run", "--model", mpath, "--indices", idx, "--horizon", "0.1", "--dt", "0.01",
+            "--schedules", "1", "--seed", "1"]
+    start = time.perf_counter()
+    code = main([*argv, "--grid", "11", "--out", str(tmp_path / "sim")])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert capsys.readouterr().out == "safe 1/1, min h = 1, worst schedule = 0\n"
+    # a grid the oracle rejects is a usage error, before any output
+    code = main([*argv, "--grid", "1", "--out", str(tmp_path / "bad")])
+    assert_error_exit(capsys, code, "grid_points_per_dim must be at least 2")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_index_verify_reads_exact_floats_from_an_index_file(capsys, tmp_path):
+    # Printed to 6 digits, the certify sweep's S1 index fails at the grid it
+    # was computed on; the floats index compute --out wrote sit exactly on
+    # the margins.  After one compute --out the file holds S1 alone.
+    idx = str(tmp_path / "tau.json")
+    sweep = ["--model", "cstr_series", "--maximize-tau", "--eps", "25", "--grid", "201"]
+    assert main(["index", "compute", *sweep, "--subsystem", "S1", "--out", idx]) == 0
+    printed = capsys.readouterr().out.split(": ")[1].strip("()\n").replace(" ", "")
+    verify = ["index", "verify", "--model", "cstr_series", "--grid", "201"]
+    assert main([*verify, "--subsystem", "S1", "--index", printed]) == 1
+    assert capsys.readouterr().out.endswith("FAIL\n")
+    code = main([*verify, "--subsystem", "S2", "--indices", idx])
+    assert_error_exit(capsys, code, f"{idx}: missing indices for ['S2']")
+    assert main(["index", "compute", *sweep, "--subsystem", "S2", "--out", idx]) == 0
+    capsys.readouterr()
+    for name in ("S1", "S2"):
+        assert main([*verify, "--subsystem", name, "--indices", idx]) == 0
+        assert capsys.readouterr().out == ("offline margin:    0\nrecovery margin:   0\n"
+                                           "invariance margin: 0\nPASS\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*verify, "--subsystem", "S1", "--indices", idx, "--index", printed])
+    assert exc.value.code == 2
 
 
 def test_peak_of_h_is_scanned_once_per_subsystem(capsys, tmp_path, monkeypatch):

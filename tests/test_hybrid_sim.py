@@ -28,6 +28,7 @@ from resil.hybrid_sim import (
     _CompiledNetwork,
     _Workspace,
     _adversary_rows,
+    _locations,
     check_trace_safety,
     export_trace_csv,
     generate_schedule,
@@ -779,30 +780,151 @@ def test_export_trace_csv_pair_column_order(tmp_path):
     assert header == "t,loc_1,x_1_1,u_1_1,h_1,loc_2,x_2_1,u_2_1,h_2"
 
 
-@pytest.mark.parametrize("rows", [0, 8])
+def savetxt_bytes(trace, path):
+    """The file np.savetxt(fmt="%.9g") writes for trace: every column as a
+    float, loc included."""
+    cols, arrays = ["t"], [trace.times]
+    for pos, name in enumerate(trace.names, start=1):
+        st_, u = trace.states[name], trace.inputs[name]
+        cols += [f"loc_{pos}", *(f"x_{pos}_{i + 1}" for i in range(st_.shape[1])),
+                 *(f"u_{pos}_{i + 1}" for i in range(u.shape[1])), f"h_{pos}"]
+        arrays += [np.asarray(trace.loc[name], dtype=float), st_, u, trace.h[name]]
+    np.savetxt(path, np.column_stack(arrays), fmt="%.9g", delimiter=",", comments="",
+               header=",".join(cols))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 8, 300])
 def test_export_trace_csv_bytes_match_savetxt(tmp_path, rows):
+    # Exported one after the other, as sim run does: two traces sharing one
+    # times array (the second reads the formatted t column of the first),
+    # one with other times in between, then a copy of the first times with
+    # equal bytes, times of another dtype, loc columns of each kind, and
+    # last the first times' bytes read as another dtype.
+    # 300 rows are a full 256-row block and a partial one.
     special = np.array([-0.0, 1e-300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e7, 5e-324])
     rng = np.random.default_rng(1)
 
     def col(n=None):
-        """Every special value once per column, in a random order."""
-        cols = np.stack([rng.permutation(special) for _ in range(n or 1)], axis=1)[:rows]
+        """Every special value once per column, in a random order, then
+        random values of 9 and more significant digits."""
+        cols = np.stack([np.concatenate([rng.permutation(special),
+                                         rng.standard_normal(rows) * 10.0 ** rng.integers(-5, 6)])
+                         for _ in range(n or 1)], axis=1)[:rows]
         return cols if n else cols[:, 0]
 
-    trace = HybridTrace(
-        names=("A", "B"), times=np.arange(rows) * 0.25,
-        states={"A": col(2), "B": col(1)}, inputs={"A": col(1), "B": np.empty((rows, 0))},
-        h={"A": col(), "B": col()},
-        loc={"A": rng.integers(0, 2, rows, dtype=np.int8), "B": np.ones(rows, np.int8)},
-        in_buffer={}, events=(), violations=(), dt=0.25)
-    path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
-    export_trace_csv(trace, str(path))
-    mat = np.column_stack([trace.times, trace.loc["A"].astype(float), trace.states["A"],
-                           trace.inputs["A"], trace.h["A"], trace.loc["B"].astype(float),
-                           trace.states["B"], trace.h["B"]])
-    np.savetxt(ref, mat, fmt="%.9g", delimiter=",", comments="",
-               header="t,loc_1,x_1_1,x_1_2,u_1_1,h_1,loc_2,x_2_1,h_2")
-    assert path.read_bytes() == ref.read_bytes()
+    def trace(times, loc_a, loc_b=None):
+        return HybridTrace(
+            names=("A", "B"), times=times,
+            states={"A": col(2), "B": col(1)}, inputs={"A": col(1), "B": np.empty((rows, 0))},
+            h={"A": col(), "B": col()},
+            loc={"A": loc_a, "B": np.ones(rows, np.int8) if loc_b is None else loc_b},
+            in_buffer={}, events=(), violations=(), dt=0.25)
+
+    times = np.arange(rows) * 0.25
+    bits = rng.integers(0, 2, rows, dtype=np.int8)  # both 0 and 1
+    other_loc = np.resize(np.array([2, -1, 0, 1, 127], np.int8), rows)
+    traces = [
+        trace(times, bits),
+        trace(times, bits[::-1].copy(), bits),
+        trace(times / 3.0 + 0.1, bits),
+        trace(times.copy(), np.zeros(rows, np.int8)),
+        trace(times.astype(np.float32) + np.float32(0.1), bits),
+        trace(times, bits.astype(bool), (1 - bits).astype(bool)),
+        trace(times, np.resize([-0.0, 1.0, 0.0], rows), np.resize([0.5, 1.0, np.nan], rows)),
+        trace(times, other_loc, bits.astype(np.int64)),
+        trace(times, np.resize(np.array([0, 1, 2], np.uint8), rows)),
+        trace(times.view(np.int64), bits),  # the bytes of times, as integers
+    ]
+    for k, tr in enumerate(traces):
+        path = tmp_path / f"trace_{k}.csv"
+        export_trace_csv(tr, str(path))
+        assert path.read_bytes() == savetxt_bytes(tr, tmp_path / f"ref_{k}.csv"), k
+
+
+def reference_locations(schedules, dt, n):
+    """_locations one interval at a time, by slice assignment."""
+    offline = np.zeros((len(schedules), n, len(schedules[0].intervals)), dtype=bool)
+    entering = np.zeros_like(offline)
+    for b, sched in enumerate(schedules):
+        for j, ivs in enumerate(sched.intervals):
+            bounds = np.array(ivs, dtype=float).reshape(2 * len(ivs))
+            k = np.round(bounds / dt)
+            off_grid = np.abs(bounds / dt - k) > 1e-9
+            if off_grid.any():
+                raise ScheduleError(f"schedule {b}, subsystem {j}: interval bound "
+                                    f"{bounds[off_grid.argmax()]:.6g} is not a multiple "
+                                    f"of dt = {dt:g}")
+            for i0, i1 in k.astype(int).reshape(len(ivs), 2).tolist():
+                offline[b, i0:i1, j] = True
+                entering[b, i0:min(i0 + 1, i1), j] = True
+    return offline, entering
+
+
+def assert_locations_match_reference(steps, dt, n_steps):
+    """steps[b][j]: schedule b's intervals of subsystem j, in sample indices."""
+    schedules = [FaultSchedule(n_steps * dt, tuple(tuple((i0 * dt, i1 * dt) for i0, i1 in ivs)
+                                                   for ivs in per_sub))
+                 for per_sub in steps]
+
+    def outcome(locations):
+        try:
+            return locations(schedules, dt, n_steps + 1)
+        except ScheduleError as err:
+            return str(err)
+
+    got, want = outcome(_locations), outcome(reference_locations)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.flags.c_contiguous
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("steps", [
+    [[()], [()]],                          # empty interval tuples
+    [[((3, 4), (6, 7))], [((0, 1),)]],     # single-step intervals
+    [[((1, 3), (3, 5), (5, 6))]],          # adjacent intervals
+    [[((0, 2), (7, 10)), ((0, 10),)]],    # starting at 0, ending at the horizon
+    [[((2, 2 + 1e-11), (4, 5), (10, 10 + 1e-11))]],  # bounds on one sample: no location
+    [[((1, 2), (2, 2 + 1e-11)), ((2, 2 + 1e-11), (2 + 2e-11, 3))]],  # two ends, two starts on one sample
+    [[((8, 12),)], [((11, 13),)]],        # past the last sample: clipped, as a slice clips
+])
+def test_locations_cases(steps):
+    assert_locations_match_reference(steps, 0.01, 10)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_locations_equal_per_interval_reference(data):
+    # Random aligned schedules, B <= 5 and J <= 3: gaps of 0 make adjacent
+    # intervals and a first start of 0, lengths of 1 single-step ones, and
+    # the last interval may end at the horizon.  A shift of a tenth of a
+    # step puts a bound off the grid, where both name the same first bound.
+    n_steps, dt = data.draw(st.integers(1, 12)), data.draw(st.sampled_from([0.01, 0.25, 0.1]))
+    n_sub = data.draw(st.integers(1, 3))
+    steps = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        per_sub = []
+        for _ in range(n_sub):
+            t, ivs = 0, []
+            for gap, length in data.draw(st.lists(st.tuples(st.integers(0, 3),
+                                                            st.integers(1, 4)), max_size=4)):
+                if t + gap + length > n_steps:
+                    break
+                ivs.append((t + gap, t + gap + length))
+                t += gap + length
+            per_sub.append(tuple(ivs))
+        steps.append(per_sub)
+    if data.draw(st.booleans()):
+        b = data.draw(st.integers(0, len(steps) - 1))
+        j = data.draw(st.integers(0, n_sub - 1))
+        if steps[b][j]:
+            i = data.draw(st.integers(0, len(steps[b][j]) - 1))
+            i0, i1 = steps[b][j][i]
+            steps[b][j] = (*steps[b][j][:i], (i0 + 0.1, i1), *steps[b][j][i + 1:])
+    assert_locations_match_reference(steps, dt, n_steps)
 
 
 def test_division_by_zero_in_simulator_names_subsystem():
