@@ -5,6 +5,12 @@ recovery band that the grid misses included) / unsafe simulation, 2 usage,
 model, file or numeric errors (a file that cannot be read or written;
 division by zero, nan or -inf while evaluating a model, a region that holds
 no grid point, or a scan too large for memory).
+
+An argv that starts with a group and a command (`index compute ...`) is
+parsed by a parser that holds only that command.  Help on the top level or
+on a group, and every usage error that the command's own parser does not
+report (an unknown group or command, leftover arguments), go through the
+full parser, so they print what it prints.
 """
 
 from __future__ import annotations
@@ -255,17 +261,7 @@ def _cmd_sim_run(args) -> int:
     return 0 if safe_count == args.schedules else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="resil",
-        description="Resilience indices and fault-injection safety analysis "
-                    "for interconnected control-affine systems")
-    top = parser.add_subparsers(dest="group", required=True)
-
-    index = top.add_parser("index", help="single-subsystem indices")
-    index_sub = index.add_subparsers(dest="command", required=True)
-
-    p = index_sub.add_parser("compute", help="sweep buffer depths for an index")
+def _add_index_compute(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True)
     p.add_argument("--subsystem", required=True)
     p.add_argument("--eps", type=float, default=0.1, help="depth sweep step")
@@ -278,7 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="index file to create or update")
     p.set_defaults(func=_cmd_index_compute)
 
-    p = index_sub.add_parser("verify", help="check an index against the oracle")
+
+def _add_index_verify(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True)
     p.add_argument("--subsystem", required=True)
     which = p.add_mutually_exclusive_group(required=True)
@@ -288,17 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_oracle_flags(p)
     p.set_defaults(func=_cmd_index_verify)
 
-    net = top.add_parser("net", help="network propagation and verification")
-    net_sub = net.add_subparsers(dest="command", required=True)
 
-    p = net_sub.add_parser("delta", help="worst-case coupling drift per subsystem")
+def _add_net_delta(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True)
     p.add_argument("--exact", action="store_true",
                    help="joint-grid minimum instead of the pairwise sum")
     _add_oracle_flags(p)
     p.set_defaults(func=_cmd_net_delta)
 
-    p = net_sub.add_parser("propagate", help="update indices for the couplings")
+
+def _add_net_propagate(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True)
     p.add_argument("--indices", required=True)
     p.add_argument("--prefer", choices=("r1", "r2"), default="r1")
@@ -309,16 +305,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="index file for the propagated indices")
     p.set_defaults(func=_cmd_net_propagate)
 
-    p = net_sub.add_parser("verify", help="joint-grid check of network indices")
+
+def _add_net_verify(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True)
     p.add_argument("--indices", required=True)
     _add_oracle_flags(p)
     p.set_defaults(func=_cmd_net_verify)
 
-    sim = top.add_parser("sim", help="fault-injection simulation")
-    sim_sub = sim.add_subparsers(dest="command", required=True)
 
-    p = sim_sub.add_parser("run", help="simulate random admissible schedules")
+def _add_sim_run(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True)
     p.add_argument("--indices", required=True)
     p.add_argument("--horizon", type=float, required=True)
@@ -333,12 +328,58 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory for traces and summary")
     p.set_defaults(func=_cmd_sim_run)
 
+
+# (group, help, ((command, help, function adding the command's arguments), ...))
+_COMMANDS = (
+    ("index", "single-subsystem indices", (
+        ("compute", "sweep buffer depths for an index", _add_index_compute),
+        ("verify", "check an index against the oracle", _add_index_verify))),
+    ("net", "network propagation and verification", (
+        ("delta", "worst-case coupling drift per subsystem", _add_net_delta),
+        ("propagate", "update indices for the couplings", _add_net_propagate),
+        ("verify", "joint-grid check of network indices", _add_net_verify))),
+    ("sim", "fault-injection simulation", (
+        ("run", "simulate random admissible schedules", _add_sim_run),)),
+)
+
+_NAMED = frozenset((group, command) for group, _, commands in _COMMANDS
+                   for command, _, _ in commands)
+
+
+def _build_parser(named: tuple[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with `named` = (group, command) one
+    that holds only that group and command.  The command's own parser is
+    the same in both; the top and group parsers list fewer choices."""
+    parser = argparse.ArgumentParser(
+        prog="resil",
+        description="Resilience indices and fault-injection safety analysis "
+                    "for interconnected control-affine systems")
+    top = parser.add_subparsers(dest="group", required=True)
+    for group, group_help, commands in _COMMANDS:
+        if named is not None and group != named[0]:
+            continue
+        sub = top.add_parser(group, help=group_help).add_subparsers(
+            dest="command", required=True)
+        for command, command_help, add_arguments in commands:
+            if named is None or command == named[1]:
+                add_arguments(sub.add_parser(command, help=command_help))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it.  An argv that starts with
+    a group and command gets only that command's parser; if it leaves
+    arguments over, the full parser parses it again to report them under
+    the top-level usage line."""
+    if tuple(argv[:2]) in _NAMED:
+        args, extra = _build_parser(tuple(argv[:2])).parse_known_args(argv)
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (_UsageError, ModelError, ExpressionError, ScheduleError,

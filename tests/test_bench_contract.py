@@ -7,6 +7,7 @@ command lines in bench/workloads.py must keep parsing, flags the CLI no
 longer acts on (--workers) included.
 """
 
+import argparse
 import importlib
 import inspect
 import sys
@@ -70,11 +71,30 @@ def test_hooks_bind_their_arguments():
     assert "path" in export.parameters
 
 
+def commands_of(parser):
+    """The (group, command) pairs that a parser built by _build_parser knows."""
+    def choices(p):
+        (action,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+    return {(group, command) for group, sub in choices(parser).items()
+            for command in choices(sub)}
+
+
 def test_benchmark_command_lines_parse():
+    # The command lines parse the same with the parser main builds for them,
+    # which holds only their own command, as with the full parser.
     workloads = load_bench("workloads")
     parser = _build_parser()
+    assert commands_of(parser) == {("index", "compute"), ("index", "verify"),
+                                   ("net", "delta"), ("net", "propagate"),
+                                   ("net", "verify"), ("sim", "run")}
     argvs = [argv for size, names in workloads.SIZES.items() for name in names
              for _, argv in workloads.build(name, 7, "work", size).commands]
     assert len(argvs) == 12
     for argv in argvs:
-        parser.parse_args(argv)  # exits 2 on an unknown flag or a bad value
+        named = _build_parser(tuple(argv[:2]))
+        assert commands_of(named) == {tuple(argv[:2])}
+        # each exits 2 on a bad value; an unknown flag is left over
+        args, extra = named.parse_known_args(argv)
+        assert extra == []
+        assert args == parser.parse_args(argv)  # func included

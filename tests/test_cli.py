@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, file side effects."""
 
+import argparse
 import importlib.metadata
 import json
 import math
@@ -167,6 +168,63 @@ def test_usage_errors_exit_2(capsys, tmp_path):
               "--horizon", "1", "--schedules", "1", "--seed", "1",
               "--adversary", "worst", "--out", "x"])
     assert exc.value.code == 2
+
+
+# Each command's required flags, with placeholder values: enough to pass the
+# command's own parser, so that the arguments after them reach the top level.
+REQUIRED = {
+    ("index", "compute"): ["--model", "m", "--subsystem", "S1"],
+    ("index", "verify"): ["--model", "m", "--subsystem", "S1", "--index", "1,1,1,1"],
+    ("net", "delta"): ["--model", "m"],
+    ("net", "propagate"): ["--model", "m", "--indices", "i"],
+    ("net", "verify"): ["--model", "m", "--indices", "i"],
+    ("sim", "run"): ["--model", "m", "--indices", "i", "--horizon", "1",
+                     "--schedules", "1", "--seed", "0", "--out", "o"],
+}
+
+
+def exit_of(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_help_and_usage_errors_match_the_full_parser(capsys):
+    full = resil.cli._build_parser()
+    assert set(REQUIRED) == {(group, command) for group, _, commands in resil.cli._COMMANDS
+                             for command, _, _ in commands}
+    argvs = [[], ["--help"], ["index"], ["index", "bogus"], ["net", "-h", "propagate"],
+             ["--", "index", "compute"]]
+    for named, required in REQUIRED.items():
+        command = list(named)
+        argvs += [[*command, "--help"], command, [*command, "--bogus", "1"],
+                  [*command, *required, "--bogus", "1"], [*command, *required, "--grid", "x"],
+                  [*command, "--mod"], [*command, *required, "stray"],
+                  [*command, *required, "--", "x"]]
+    for argv in argvs:
+        assert exit_of(capsys, main, argv) == exit_of(capsys, full.parse_args, argv), argv
+    code, _, err = exit_of(capsys, main, ["index", "compute", *REQUIRED["index", "compute"],
+                                          "--bogus"])
+    assert code == 2
+    assert err.startswith("usage: resil [-h] {index,net,sim} ...\n")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_named_command_builds_only_its_own_parser(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["index", "compute", "--model", "toy_linear", "--subsystem", "S1"]) == 0
+    assert capsys.readouterr().out.strip() == "S1: (0.1, 0.1, 0.1, 1)"
+    # The full parser builds ten: the top, three groups and six commands.
+    assert progs == ["resil", "resil index", "resil index compute"]
 
 
 def test_out_of_range_numbers_exit_2(capsys, tmp_path):
