@@ -7,10 +7,10 @@ division by zero, nan or -inf while evaluating a model, a region that holds
 no grid point, or a scan too large for memory).
 
 An argv that starts with a group and a command (`index compute ...`) is
-parsed by a parser that holds only that command.  Help on the top level or
-on a group, and every usage error that the command's own parser does not
-report (an unknown group or command, leftover arguments), go through the
-full parser, so they print what it prints.
+parsed by that command's parser alone, with no top or group parser.  Help
+on the top level or on a group, and every usage error that the command's
+own parser does not report (an unknown group or command, leftover
+arguments), go through the full parser, so they print what it prints.
 """
 
 from __future__ import annotations
@@ -106,12 +106,13 @@ def _pick_subsystem(model: Model, name: str) -> Subsystem:
 
 
 def _cmd_index_compute(args) -> int:
-    model = load_model(_resolve_model(args.model), _settings(args))
+    settings = _settings(args)
+    model = load_model(_resolve_model(args.model), settings)
     s = _pick_subsystem(model, args.subsystem)
     if args.out:
         _check_out(args.out)
     result = compute_index(s, model.alpha_z, eps=args.eps, tau_max=args.tau_max,
-                           phi_min=args.phi_min, settings=_settings(args),
+                           phi_min=args.phi_min, settings=settings,
                            maximize_tau=args.maximize_tau)
     if isinstance(result, Infeasible):
         print(f"{s.name}: infeasible: {result.reason}")
@@ -136,14 +137,15 @@ def _parse_quadruple(text: str) -> ResilienceIndex:
 
 
 def _cmd_index_verify(args) -> int:
-    model = load_model(_resolve_model(args.model), _settings(args))
+    settings = _settings(args)
+    model = load_model(_resolve_model(args.model), settings)
     s = _pick_subsystem(model, args.subsystem)
     if args.indices:
         idx = load_indices(args.indices, model.network, required=[s.name])[
             model.network.index_of(s.name)]
     else:
         idx = _parse_quadruple(args.index)
-    report = verify_index(s, idx, model.alpha_z, _settings(args))
+    report = verify_index(s, idx, model.alpha_z, settings)
     print(f"offline margin:    {_fmt(report.margin_offline)}")
     print(f"recovery margin:   {_fmt(report.margin_recovery)}")
     print(f"invariance margin: {_fmt(report.margin_invariance)}")
@@ -163,13 +165,14 @@ def _cmd_net_delta(args) -> int:
 
 
 def _cmd_net_propagate(args) -> int:
-    model = load_model(_resolve_model(args.model), _settings(args))
+    settings = _settings(args)
+    model = load_model(_resolve_model(args.model), settings)
     net = model.network
     indices = load_indices(args.indices, net)
     if args.out:
         _check_out(args.out)
     outcomes = propagate_indices(net, indices, model.alpha_z,
-                                 tau_max=args.tau_max, settings=_settings(args),
+                                 tau_max=args.tau_max, settings=settings,
                                  exact=args.exact, prefer=args.prefer)
     ok = True
     propagated = {}
@@ -190,10 +193,11 @@ def _cmd_net_propagate(args) -> int:
 
 
 def _cmd_net_verify(args) -> int:
-    model = load_model(_resolve_model(args.model), _settings(args))
+    settings = _settings(args)
+    model = load_model(_resolve_model(args.model), settings)
     net = model.network
     indices = load_indices(args.indices, net)
-    reports = verify_network(net, indices, model.alpha_z, _settings(args))
+    reports = verify_network(net, indices, model.alpha_z, settings)
     all_pass = True
     for j, s in enumerate(net.subsystems):
         rep = reports[j]
@@ -342,27 +346,29 @@ _COMMANDS = (
         ("run", "simulate random admissible schedules", _add_sim_run),)),
 )
 
-_NAMED = frozenset((group, command) for group, _, commands in _COMMANDS
-                   for command, _, _ in commands)
+_NAMED = {(group, command): add_arguments for group, _, commands in _COMMANDS
+          for command, _, add_arguments in commands}
 
 
 def _build_parser(named: tuple[str, str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with `named` = (group, command) one
-    that holds only that group and command.  The command's own parser is
-    the same in both; the top and group parsers list fewer choices."""
+    """The parser of every command, or with `named` = (group, command) that
+    command's parser alone: the one the full parser hands argv[2:] to, which
+    also sets the group and command."""
+    if named is not None:
+        parser = argparse.ArgumentParser(prog="resil " + " ".join(named))
+        _NAMED[named](parser)
+        parser.set_defaults(group=named[0], command=named[1])
+        return parser
     parser = argparse.ArgumentParser(
         prog="resil",
         description="Resilience indices and fault-injection safety analysis "
                     "for interconnected control-affine systems")
     top = parser.add_subparsers(dest="group", required=True)
     for group, group_help, commands in _COMMANDS:
-        if named is not None and group != named[0]:
-            continue
         sub = top.add_parser(group, help=group_help).add_subparsers(
             dest="command", required=True)
         for command, command_help, add_arguments in commands:
-            if named is None or command == named[1]:
-                add_arguments(sub.add_parser(command, help=command_help))
+            add_arguments(sub.add_parser(command, help=command_help))
     return parser
 
 
@@ -372,7 +378,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     arguments over, the full parser parses it again to report them under
     the top-level usage line."""
     if tuple(argv[:2]) in _NAMED:
-        args, extra = _build_parser(tuple(argv[:2])).parse_known_args(argv)
+        args, extra = _build_parser(tuple(argv[:2])).parse_known_args(argv[2:])
         if not extra:
             return args
     return _build_parser().parse_args(argv)

@@ -78,134 +78,124 @@ class BinaryOp(Expression):
     right: Expression
 
 
+# A number, a name or an operator.  No number or name is spelt like an
+# operator, and a number starts with a digit or a point.  findall skips what
+# no token matches: whitespace, or a stray character.
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()])"
+    r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"|[-+*/^()]"
 )
+
+_OPERATORS = frozenset("-+*/^()")
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _RESERVED = {"exp"}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end."""
+    tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != sum(map(len, text.split())):
+        # Some character is neither whitespace nor in a token: report the first.
+        pos = 0
+        for start, end in [m.span() for m in _TOKEN_RE.finditer(text)] + [(len(text), 0)]:
+            for k in range(pos, start):
+                if not text[k].isspace():
+                    raise ExpressionSyntaxError(f"unexpected character {text[k]!r}", k)
+            pos = end
+    tokens.append("")
     return tokens
 
 
-def _literal(token: str, offset: int) -> Literal:
-    # A token past the float range reads as inf, which no generated code can name.
-    value = float(token)
-    if not math.isfinite(value):
-        raise ExpressionSyntaxError("number out of range", offset)
-    return Literal(value)
-
-
 class _Parser:
+    """Recursive descent over the tokens' text.  Only an error needs a
+    token's offset, so offset finds it again."""
+
     def __init__(self, text: str, declared: tuple[str, ...]):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.declared = frozenset(declared)
 
-    def peek(self):
-        return self.tokens[self.i]
+    def offset(self, k: int) -> int:
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return starts[k] if k < len(starts) else len(self.text)
 
-    def advance(self):
-        tok = self.tokens[self.i]
+    def expect(self, symbol: str):
+        if self.tokens[self.i] != symbol:
+            raise ExpressionSyntaxError(f"expected '{symbol}'", self.offset(self.i))
         self.i += 1
-        return tok
 
-    def expect_op(self, symbol: str):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != symbol:
-            raise ExpressionSyntaxError(f"expected '{symbol}'", offset)
-        return self.advance()
+    def literal(self, k: int) -> Literal:
+        # A token past the float range reads as inf, which no generated code can name.
+        value = float(self.tokens[k])
+        if not math.isfinite(value):
+            raise ExpressionSyntaxError("number out of range", self.offset(k))
+        return Literal(value)
 
     def parse(self) -> Expression:
         e = self.expression()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ExpressionSyntaxError(f"unexpected token {value!r}", offset)
+        if self.tokens[self.i]:
+            raise ExpressionSyntaxError(f"unexpected token {self.tokens[self.i]!r}",
+                                        self.offset(self.i))
         return e
 
     def expression(self) -> Expression:
         node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinaryOp(value, node, self.term())
-            else:
-                return node
+        tokens = self.tokens
+        while (op := tokens[self.i]) == "+" or op == "-":
+            self.i += 1
+            node = BinaryOp(op, node, self.term())
+        return node
 
     def term(self) -> Expression:
         node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinaryOp(value, node, self.factor())
-            else:
-                return node
+        tokens = self.tokens
+        while (op := tokens[self.i]) == "*" or op == "/":
+            self.i += 1
+            node = BinaryOp(op, node, self.factor())
+        return node
 
     def factor(self) -> Expression:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.tokens[self.i] == "-":
+            self.i += 1
             return Negate(self.factor())
-        return self.power()
-
-    def power(self) -> Expression:
         node = self.atom()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                node = BinaryOp("^", node, self.exponent())
-            else:
-                return node
-
-    def exponent(self) -> Expression:
-        kind, value, offset = self.peek()
-        # The exponent must be a bare non-negative integer token.
-        if kind != "num" or any(c in value for c in ".eE"):
-            raise ExpressionSyntaxError("exponent must be a non-negative integer", offset)
-        self.advance()
-        return _literal(value, offset)
+        tokens = self.tokens
+        while tokens[self.i] == "^":
+            k = self.i + 1
+            # The exponent must be a bare non-negative integer token.
+            if not tokens[k].isdecimal():
+                raise ExpressionSyntaxError("exponent must be a non-negative integer",
+                                            self.offset(k))
+            self.i += 2
+            node = BinaryOp("^", node, self.literal(k))
+        return node
 
     def atom(self) -> Expression:
-        kind, value, offset = self.advance()
-        if kind == "num":
-            return _literal(value, offset)
-        if kind == "name":
-            if value == "exp":
-                self.expect_op("(")
-                inner = self.expression()
-                self.expect_op(")")
-                return ExpCall(inner)
-            if value not in self.declared:
-                raise UndeclaredVariableError(value, offset)
-            return Variable(value)
-        if kind == "op" and value == "(":
+        k = self.i
+        value = self.tokens[k]
+        self.i += 1
+        if value == "(":
             inner = self.expression()
-            self.expect_op(")")
+            self.expect(")")
             return inner
-        raise ExpressionSyntaxError(
-            f"expected a value, got {value!r}" if value else "unexpected end of input", offset
-        )
+        if not value or value in _OPERATORS:
+            raise ExpressionSyntaxError(
+                f"expected a value, got {value!r}" if value else "unexpected end of input",
+                self.offset(k))
+        if value[0].isdecimal() or value[0] == ".":
+            return self.literal(k)
+        if value == "exp":
+            self.expect("(")
+            inner = self.expression()
+            self.expect(")")
+            return ExpCall(inner)
+        if value not in self.declared:
+            raise UndeclaredVariableError(value, self.offset(k))
+        return Variable(value)
 
 
 def parse_expression(text: str, declared_vars) -> Expression:
@@ -218,19 +208,22 @@ def parse_expression(text: str, declared_vars) -> Expression:
     if len(set(declared)) != len(declared):
         raise ValueError("declared variable names must be unique")
     for name in declared:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in _RESERVED:
+        if not _NAME_RE.fullmatch(name) or name in _RESERVED:
             raise ValueError(f"invalid variable name {name!r}")
     return _Parser(text, declared).parse()
 
 
 def free_variables(e: Expression) -> frozenset[str]:
-    if isinstance(e, Literal):
-        return frozenset()
-    if isinstance(e, Variable):
-        return frozenset((e.name,))
-    if isinstance(e, (Negate, ExpCall)):
-        return free_variables(e.operand)
-    return free_variables(e.left) | free_variables(e.right)
+    names, stack = set(), [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, BinaryOp):
+            stack += e.left, e.right
+        elif isinstance(e, Variable):
+            names.add(e.name)
+        elif not isinstance(e, Literal):
+            stack.append(e.operand)
+    return frozenset(names)
 
 
 class _Unproven(Exception):
@@ -441,9 +434,10 @@ def _compile_source(body: str, names: tuple[str, ...]):
     return namespace["_f"]
 
 
-def compile_lines(lines, names, label: str) -> "CompiledExpression":
+def compile_lines(lines, names, label) -> "CompiledExpression":
     """Compile source lines, a function body, to a function of the positional
-    arguments names; a division by zero in it names label."""
+    arguments names; a division by zero in it names label, a string or a
+    tree (formatted only then)."""
     names = tuple(names)
     return CompiledExpression(_compile_source("".join(f"    {ln}\n" for ln in lines), names),
                               names, label)
@@ -468,7 +462,7 @@ def compile_expression(e: Expression, names) -> "CompiledExpression":
     missing = free_variables(e) - set(names)
     if missing:
         raise EvaluationError(f"unbound variables: {sorted(missing)}")
-    return compile_lines([f"return {_to_python_source(e)}"], names, str(e))
+    return compile_lines([f"return {_to_python_source(e)}"], names, e)
 
 
 # The numpy error state generated code runs under: an overflow gives inf and
@@ -478,15 +472,15 @@ ERRSTATE = {"over": "ignore", "divide": "raise", "under": "ignore", "invalid": "
 
 
 class CompiledExpression:
-    """fn under np.errstate(**ERRSTATE), its errors named by source; fn runs
-    raw, and run(*args) runs it under the caller's error state with its
-    errors named.  monotone names the arguments the value is provably
-    monotone in (see monotone_variables), empty unless the compiler of its
-    tree set it."""
+    """fn under np.errstate(**ERRSTATE), its errors named by source (text,
+    or a tree that an error formats); fn runs raw, and run(*args) runs it
+    under the caller's error state with its errors named.  monotone names
+    the arguments the value is provably monotone in (see
+    monotone_variables), empty unless the compiler of its tree set it."""
 
     __slots__ = ("fn", "names", "source", "monotone")
 
-    def __init__(self, fn, names: tuple[str, ...], source: str):
+    def __init__(self, fn, names: tuple[str, ...], source):
         self.fn = fn
         self.names = names
         self.source = source

@@ -224,7 +224,7 @@ def test_named_command_builds_only_its_own_parser(capsys, monkeypatch):
     assert main(["index", "compute", "--model", "toy_linear", "--subsystem", "S1"]) == 0
     assert capsys.readouterr().out.strip() == "S1: (0.1, 0.1, 0.1, 1)"
     # The full parser builds ten: the top, three groups and six commands.
-    assert progs == ["resil", "resil index", "resil index compute"]
+    assert progs == ["resil index compute"]
 
 
 def test_out_of_range_numbers_exit_2(capsys, tmp_path):

@@ -1,11 +1,17 @@
 """Expression parser, evaluator, and symbolic derivative tests."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from resil.exprs import (
     BinaryOp,
     EvaluationError,
+    ExpCall,
+    ExpressionError,
     ExpressionSyntaxError,
     Literal,
     Negate,
@@ -21,6 +27,7 @@ from resil.exprs import (
     parse_expression,
     straight_line,
 )
+from resil.subsystem import grad_dot
 
 VARS = ("x1", "x2", "T1", "c1", "u1")
 
@@ -124,6 +131,151 @@ def test_eval_missing_binding():
 def test_free_variables():
     e = parse_expression("x1*exp(T1) - 4", VARS)
     assert free_variables(e) == frozenset({"x1", "T1"})
+
+
+# The tokenizer and parser as they were before tokens became bare text with
+# offsets found again on error: each token carried its kind and offset.
+REFERENCE_TOKEN = re.compile(
+    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])"
+)
+
+
+def reference_tokenize(text):
+    tokens, pos = [], 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens + [("end", "", len(text))]
+
+
+def reference_literal(token, offset):
+    value = float(token)
+    if not math.isfinite(value):
+        raise ExpressionSyntaxError("number out of range", offset)
+    return Literal(value)
+
+
+class ReferenceParser:
+    def __init__(self, text, declared):
+        self.tokens, self.i, self.declared = reference_tokenize(text), 0, set(declared)
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def expect_op(self, symbol):
+        kind, value, offset = self.peek()
+        if kind != "op" or value != symbol:
+            raise ExpressionSyntaxError(f"expected '{symbol}'", offset)
+        self.advance()
+
+    def parse(self):
+        e = self.expression()
+        kind, value, offset = self.peek()
+        if kind != "end":
+            raise ExpressionSyntaxError(f"unexpected token {value!r}", offset)
+        return e
+
+    def binary(self, ops, operand):
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = BinaryOp(self.advance()[1], node, operand())
+        return node
+
+    def expression(self):
+        return self.binary("+-", self.term)
+
+    def term(self):
+        return self.binary("*/", self.factor)
+
+    def factor(self):
+        if self.peek()[:2] == ("op", "-"):
+            self.advance()
+            return Negate(self.factor())
+        node = self.atom()
+        while self.peek()[:2] == ("op", "^"):
+            self.advance()
+            kind, value, offset = self.peek()
+            if kind != "num" or any(c in value for c in ".eE"):
+                raise ExpressionSyntaxError("exponent must be a non-negative integer", offset)
+            self.advance()
+            node = BinaryOp("^", node, reference_literal(value, offset))
+        return node
+
+    def atom(self):
+        kind, value, offset = self.advance()
+        if kind == "num":
+            return reference_literal(value, offset)
+        if kind == "name":
+            if value == "exp":
+                self.expect_op("(")
+                inner = self.expression()
+                self.expect_op(")")
+                return ExpCall(inner)
+            if value not in self.declared:
+                raise UndeclaredVariableError(value, offset)
+            return Variable(value)
+        if kind == "op" and value == "(":
+            inner = self.expression()
+            self.expect_op(")")
+            return inner
+        raise ExpressionSyntaxError(
+            f"expected a value, got {value!r}" if value else "unexpected end of input", offset)
+
+
+def reference_free_variables(e):
+    if isinstance(e, Literal):
+        return frozenset()
+    if isinstance(e, Variable):
+        return frozenset((e.name,))
+    if isinstance(e, (Negate, ExpCall)):
+        return reference_free_variables(e.operand)
+    return reference_free_variables(e.left) | reference_free_variables(e.right)
+
+
+def outcome(parse, text):
+    """The tree parse gives text, or the type, message and offset of its error."""
+    try:
+        return parse(text, VARS)
+    except ExpressionError as err:
+        return type(err), str(err), err.offset
+
+
+PIECES = ["x1", "x2", "T1", "bogus", "exp", "e5", "_", "1", "0", "42", "3.5", ".5", "1.",
+          "1e5", "2E-3", "1e999", "9" * 400, "\u0663", "+", "-", "*", "/", "^", "(", ")",
+          " ", "\t", "\n", "\x1c", ".", "$", "\u00e9", "**", "e", "E+"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(PIECES), max_size=14).map("".join),
+                 st.text(alphabet="x1T.e+-*/^() 2\u0663$", max_size=12)))
+@example("x1^2^3 - -(T1)*exp(x2/1.5e-3)")
+@example("1 + \u00e9 + $")
+@example("x1 ^ 2.")
+@example("exp x1")
+@example("(x1 + 1")
+@example("")
+def test_parse_matches_the_kind_and_offset_parser(text):
+    # Same tree, or the same error with the same message and offset; and the
+    # variables a tree reads are those of the recursive definition.
+    got = outcome(parse_expression, text)
+    assert got == outcome(lambda t, d: ReferenceParser(t, d).parse(), text)
+    if not isinstance(got, tuple):
+        trees = [got, differentiate(got, "x1"), grad_dot([differentiate(got, v) for v in VARS],
+                                                         [got] * len(VARS))]
+        for tree in trees:
+            assert free_variables(tree) == reference_free_variables(tree)
 
 
 def test_compile_rejects_unbound_names():
